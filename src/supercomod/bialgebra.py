@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, groupby
 
 ODD_PRIMES = (3, 5, 7)
 PRESET_NAMES = (
@@ -490,8 +491,6 @@ def _tau_subsets(p: int, bound: int):
     while p**i <= bound:
         indices.append(i)
         i += 1
-    from itertools import combinations
-
     out = []
     for r in range(len(indices) + 1):
         for s in combinations(indices, r):
@@ -540,6 +539,44 @@ def enumerate_left(preset: CoalgebraPreset, left) -> list[Monomial]:
         out = [Monomial(u=left)] if left >= 0 else []
     else:  # b2
         out = [Monomial(xi=xi) for xi in _xi_partitions(2, left, 0, None)] if left >= 0 else []
+    out.sort(key=Monomial.sort_key)
+    return out
+
+
+def enumerate_right(preset: CoalgebraPreset, right, box: int) -> list[Monomial]:
+    """All w-free monomials of the preset with the given right degree and
+    left total degree <= box, sorted."""
+    # (u + number of tau's, number of xi factors) for each way to reach `right`
+    if preset.bigraded:
+        shapes = [right]
+    elif preset.name in ("atilde", "bpp"):
+        shapes = [(right - 2 * e, e) for e in range(right // 2 + 1)]
+    else:
+        raise ValueError(f"enumerate_right does not support preset {preset.name}")
+    p = preset.p
+    # a t_i or an x_j adds 2 p^i (2 p^j) to the left total degree
+    indices: list[int] = []
+    while 2 * p ** len(indices) <= box:
+        indices.append(len(indices))
+    tau_indices = indices if preset.allows_tau else []
+    lo, hi = preset.min_xi_index, preset.max_xi_index
+    xi_indices = [] if lo is None else [
+        j for j in indices if j >= lo and (hi is None or j <= hi)
+    ]
+    out: list[Monomial] = []
+    for a, b in shapes:
+        if a < 0 or b < 0:
+            continue
+        for k in range(min(a, len(tau_indices)) + 1):
+            u = a - k
+            if u and not preset.allows_u:
+                continue
+            for tau in combinations(tau_indices, k):
+                for js in combinations_with_replacement(xi_indices, b):
+                    xi = tuple((j, len(list(g))) for j, g in groupby(js))
+                    m = Monomial(0, tau, u, xi)
+                    if total_of(preset.left_degree(m)) <= box:
+                        out.append(m)
     out.sort(key=Monomial.sort_key)
     return out
 

@@ -41,10 +41,17 @@ def resolve_p(args) -> int:
 
 
 def resolve_box(args) -> int:
-    if args.max_degree is not None:
-        return args.max_degree
-    env = _env_int("SUPERCOMOD_MAX_DEGREE")
-    return DEFAULT_BOX if env is None else env
+    box = args.max_degree
+    if box is None:
+        env = _env_int("SUPERCOMOD_MAX_DEGREE")
+        box = DEFAULT_BOX if env is None else env
+    _check_nonnegative(box, "--max-degree (or SUPERCOMOD_MAX_DEGREE)")
+    return box
+
+
+def _check_nonnegative(value, flag: str) -> None:
+    if value is not None and value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
 
 
 def parse_degree(text: str):
@@ -175,6 +182,8 @@ def cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; choose from "
                          f"{sorted(SUITES)} or 'all'")
+    for value, flag in ((args.max_degree, "--max-degree"), (args.n, "--n"), (args.m, "--m")):
+        _check_nonnegative(value, flag)
     params = {
         "p": p,
         "box": args.max_degree,

@@ -25,13 +25,16 @@ from .bialgebra import (
     CoalgebraPreset,
     Deg,
     Monomial,
+    add_deg,
     coproduct,
     counit,
     format_monomial,
     get_preset,
     mono_tau,
+    parity_of,
     parse_monomial,
     product,
+    quotient_map,
     total_of,
 )
 from .fplinalg import FpMatrix
@@ -41,10 +44,6 @@ Term = tuple[int, str, Monomial]
 
 def deg_key(d):
     return (total_of(d), d if isinstance(d, tuple) else (d,))
-
-
-def parity_of_degree(d) -> int:
-    return total_of(d) % 2
 
 
 class Comodule:
@@ -303,56 +302,18 @@ class Comodule:
         return cls.from_dict(json.loads(text))
 
 
-class LeftComodule:
-    """A left comodule N: lambda(n) = sum c * b (x) n', with
-    left(b) = degree(n) and right(b) = degree(n')."""
-
-    def __init__(self, preset: CoalgebraPreset, components: dict, coaction: dict,
-                 box: int | None, name: str = ""):
-        self.preset = preset
-        self.box = box
-        self.name = name
-        self.components = {d: list(v) for d, v in components.items() if v}
-        self._deg_of = {}
-        for d, labels in self.components.items():
-            for lab in labels:
-                if lab in self._deg_of:
-                    raise ValueError(f"duplicate label {lab!r}")
-                self._deg_of[lab] = d
-        self.coaction = {lab: tuple(coaction.get(lab, ())) for lab in self._deg_of}
-
-    @property
-    def p(self) -> int:
-        return self.preset.p
-
-    def degrees(self):
-        return sorted(self.components, key=deg_key)
-
-    def degree_of(self, label: str):
-        return self._deg_of[label]
-
-    def validate(self, max_problems: int = 5) -> list[str]:
-        problems = []
-        for lab, terms in self.coaction.items():
-            d = self._deg_of[lab]
-            for c, b, to_label in terms:
-                if self.preset.left_degree(b) != d:
-                    problems.append(f"{lab}: left({b}) != {d}")
-                if self.preset.right_degree(b) != self._deg_of[to_label]:
-                    problems.append(f"{lab}: right({b}) != degree({to_label})")
-            if len(problems) >= max_problems:
-                break
-        return problems[:max_problems]
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
 
-def dualize_left(N: LeftComodule, box: int | None, name: str = "") -> Comodule:
-    """Graded dual of a left comodule, as a right comodule.
+def dualize_left(preset: CoalgebraPreset, components: dict, coaction: dict,
+                 box: int | None, name: str = "") -> Comodule:
+    """Graded dual of a left comodule N, as a right comodule.
 
-    For lambda(n) = sum c * b (x) n', the dual satisfies
+    N has the basis `components` ({degree: labels}) and the left coaction
+    coaction[n] = [(c, b, n'), ...], meaning lambda(n) = sum c * b (x) n'
+    with left(b) = degree(n) and right(b) = degree(n').  The dual keeps the
+    degrees of total degree <= box and satisfies
     psi(n'*) = sum (-1)^{parity(b)} c * n* (x) b .
 
     Coassociativity forces the twist sign to be multiplicative in the
@@ -360,19 +321,17 @@ def dualize_left(N: LeftComodule, box: int | None, name: str = "") -> Comodule:
     are this one and no sign at all; they differ by the parity-flip
     automorphism f -> (-1)^{|f|} f, hence give isomorphic comodules.
     """
-    components = {}
-    for d, labels in N.components.items():
-        if box is None or total_of(d) <= box:
-            components[d] = list(labels)
-    kept = {lab for labs in components.values() for lab in labs}
-    coaction: dict[str, list[Term]] = {lab: [] for lab in kept}
-    for lab in kept:
-        for c, b, to_label in N.coaction[lab]:
-            if to_label not in kept:
-                continue
-            sign = -1 if b.parity else 1
-            coaction[to_label].append((c * sign, lab, b))
-    return Comodule(N.preset, components, coaction, box=box, margin=0, name=name)
+    kept = {
+        d: list(labels) for d, labels in components.items()
+        if box is None or total_of(d) <= box
+    }
+    dual: dict[str, list[Term]] = {lab: [] for labels in kept.values() for lab in labels}
+    for labels in kept.values():
+        for lab in labels:
+            for c, b, to_label in coaction.get(lab, ()):
+                if to_label in dual:
+                    dual[to_label].append((-c if b.parity else c, lab, b))
+    return Comodule(preset, kept, dual, box=box, margin=0, name=name)
 
 
 def simple_comodule(preset: CoalgebraPreset, d, label: str = "e") -> Comodule:
@@ -426,7 +385,7 @@ def tensor(M: Comodule, N: Comodule, name: str = "") -> Comodule:
     seen: set[str] = set()
     for dm in M.degrees():
         for dn in N.degrees():
-            d = _add_deg(dm, dn)
+            d = add_deg(dm, dn)
             if bound is not None and total_of(d) > bound:
                 continue
             labs = components.setdefault(d, [])
@@ -447,7 +406,7 @@ def tensor(M: Comodule, N: Comodule, name: str = "") -> Comodule:
                 key = (lm2, ln2)
                 if key not in pair_label:
                     continue
-                sign = -1 if (pm and parity_of_degree(N.degree_of(ln2))) else 1
+                sign = -1 if (pm and parity_of(N.degree_of(ln2))) else 1
                 s, b = product(bm, bn)
                 if not s:
                     continue
@@ -457,12 +416,6 @@ def tensor(M: Comodule, N: Comodule, name: str = "") -> Comodule:
                     name=name or f"{M.name}(x){N.name}")
 
 
-def _add_deg(d1, d2):
-    if isinstance(d1, tuple):
-        return (d1[0] + d2[0], d1[1] + d2[1])
-    return d1 + d2
-
-
 def suspend(M: Comodule, d, name: str = "") -> Comodule:
     """Shift by tensoring with the simple comodule in degree d on the left."""
     S = simple_comodule(M.preset, d, label="s")
@@ -470,29 +423,28 @@ def suspend(M: Comodule, d, name: str = "") -> Comodule:
     return out
 
 
+def _push_coaction(M: Comodule, dst: CoalgebraPreset) -> dict:
+    """M's coaction with each algebra factor sent through the quotient
+    M.preset -> dst."""
+    return {
+        lab: [(c * c2, to_label, b2) for c, to_label, b in terms
+              for c2, b2 in quotient_map(M.preset, dst, b)]
+        for lab, terms in M.coaction.items()
+    }
+
+
 def corestrict_psi(M: Comodule, name: str = "") -> Comodule:
     """Push a comodule over the full algebra down to the quotient with w = 0."""
-    from .bialgebra import quotient_map
-
     if M.preset.name != "b":
         raise ValueError("corestrict_psi starts from preset b")
     dst = get_preset("bbar", M.p)
-    coaction = {}
-    for lab, terms in M.coaction.items():
-        out = []
-        for c, to_label, b in terms:
-            for c2, b2 in quotient_map(M.preset, dst, b):
-                out.append((c * c2, to_label, b2))
-        coaction[lab] = out
-    return Comodule(dst, M.components, coaction, box=M.box, margin=M.margin,
-                    name=name or f"Psi({M.name})")
+    return Comodule(dst, M.components, _push_coaction(M, dst), box=M.box,
+                    margin=M.margin, name=name or f"Psi({M.name})")
 
 
 def corestrict_theta(M: Comodule, name: str = "") -> Comodule:
     """Collapse a w=0 comodule to the single grading s + 2t, over the
     quotient that also identifies x0 with u^2."""
-    from .bialgebra import quotient_map
-
     if M.preset.name != "bbar":
         raise ValueError("corestrict_theta starts from preset bbar")
     dst = get_preset("atilde", M.p)
@@ -502,15 +454,8 @@ def corestrict_theta(M: Comodule, name: str = "") -> Comodule:
         components.setdefault(n, []).extend(M.components[d])
     for n in components:
         components[n].sort()
-    coaction = {}
-    for lab, terms in M.coaction.items():
-        out = []
-        for c, to_label, b in terms:
-            for c2, b2 in quotient_map(M.preset, dst, b):
-                out.append((c * c2, to_label, b2))
-        coaction[lab] = out
-    return Comodule(dst, components, coaction, box=M.box, margin=M.margin,
-                    name=name or f"Theta({M.name})")
+    return Comodule(dst, components, _push_coaction(M, dst), box=M.box,
+                    margin=M.margin, name=name or f"Theta({M.name})")
 
 
 def embed_xi_polynomial(M: Comodule, name: str = "") -> Comodule:
@@ -910,7 +855,7 @@ def poincare_product(t1: dict, t2: dict, bound: int | None = None) -> dict:
     out: dict = {}
     for d1, c1 in t1.items():
         for d2, c2 in t2.items():
-            d = _add_deg(d1, d2)
+            d = add_deg(d1, d2)
             if bound is not None and total_of(d) > bound:
                 continue
             out[d] = out.get(d, 0) + c1 * c2
@@ -932,7 +877,7 @@ def poincare_theta(t: dict) -> dict:
 
 
 def poincare_shift(t: dict, d0) -> dict:
-    return {_add_deg(d0, d): c for d, c in t.items()}
+    return {add_deg(d0, d): c for d, c in t.items()}
 
 
 def poincare_restrict(t: dict, bound: int) -> dict:

@@ -155,7 +155,7 @@ def _subcomodule(M: Comodule, vectors: dict, name: str):
                     vec = out.setdefault(key, np.zeros(M.dim(d2), dtype=np.int64))
                     vec[M.index_of(mlab2)] += c * c2
             terms = []
-            for (d2, b), w in sorted(out.items(), key=lambda kv: (deg_sort(kv[0][0]), kv[0][1].sort_key())):
+            for (d2, b), w in sorted(out.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())):
                 w = w % p
                 if not w.any():
                     continue
@@ -178,10 +178,6 @@ def _subcomodule(M: Comodule, vectors: dict, name: str):
     blocks = {d: FpMatrix(p, vectors[d].a.T) for d in degs}
     incl = ComoduleMorphism(S, M, blocks)
     return S, incl
-
-
-def deg_sort(d):
-    return (d, 0) if not isinstance(d, tuple) else d
 
 
 def kernel(f: ComoduleMorphism, name: str = ""):

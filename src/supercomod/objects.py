@@ -18,11 +18,11 @@ polynomial algebra on x over its F_2 analogue).
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .bialgebra import (
     Monomial,
     coproduct,
+    enumerate_left,
+    enumerate_right,
     format_monomial,
     get_preset,
     mono_tau,
@@ -31,12 +31,10 @@ from .bialgebra import (
     mono_xi,
     parse_monomial,
     product,
-    total_of,
 )
 from .comodule import (
     Comodule,
     ComoduleMorphism,
-    LeftComodule,
     dualize_left,
     morphism_from_assignment,
     simple_comodule,
@@ -50,144 +48,59 @@ from .comodule import (
 # J-type objects
 
 
-def build_J(p: int, a: int, b: int) -> Comodule:
-    """Monomials of left bidegree (a, b), coacted on by the coproduct."""
-    from .bialgebra import enumerate_left
-
-    preset = get_preset("bbar", p)
-    span = enumerate_left(preset, (a, b))
+def _build_J_on(preset, left, name: str) -> Comodule:
+    """Monomials of the given left degree, graded by right degree and
+    coacted on by the coproduct."""
+    span = enumerate_left(preset, left)
     labels = {m: format_monomial(m) for m in span}
     components: dict = {}
     for m in span:
         components.setdefault(preset.right_degree(m), []).append(labels[m])
-    coaction = {}
-    for m in span:
-        terms = []
-        for (m1, b2), c in coproduct(preset, m).items():
-            terms.append((c, labels[m1], b2))
-        coaction[labels[m]] = terms
-    return Comodule(preset, components, coaction, box=None, name=f"J({a},{b})")
+    coaction = {
+        labels[m]: [(c, labels[m1], b2) for (m1, b2), c in coproduct(preset, m).items()]
+        for m in span
+    }
+    return Comodule(preset, components, coaction, box=None, name=name)
+
+
+def build_J(p: int, a: int, b: int) -> Comodule:
+    """Monomials of left bidegree (a, b), coacted on by the coproduct."""
+    return _build_J_on(get_preset("bbar", p), (a, b), f"J({a},{b})")
 
 
 def build_Jn(p: int, n: int) -> Comodule:
     """Single-graded analogue of build_J over the x0 = u^2 quotient."""
-    from .bialgebra import enumerate_left
-
-    preset = get_preset("atilde", p)
-    span = enumerate_left(preset, n)
-    labels = {m: format_monomial(m) for m in span}
-    components: dict = {}
-    for m in span:
-        components.setdefault(preset.right_degree(m), []).append(labels[m])
-    coaction = {}
-    for m in span:
-        coaction[labels[m]] = [
-            (c, labels[m1], b2) for (m1, b2), c in coproduct(preset, m).items()
-        ]
-    return Comodule(preset, components, coaction, box=None, name=f"J{n}")
+    return _build_J_on(get_preset("atilde", p), n, f"J{n}")
 
 
 # ---------------------------------------------------------------------------
 # F-type objects
 
 
-def _right_component_span_bbar(p: int, a: int, b: int, box: int):
-    """Monomials with right bidegree (a, b) and left total degree <= box."""
-    preset = get_preset("bbar", p)
-    out = []
-    imax = 0
-    while 2 * p ** (imax + 1) <= box:
-        imax += 1
-    tau_indices = [i for i in range(imax + 1) if 2 * p**i <= box]
-    xi_indices = [j for j in range(imax + 2) if 2 * p**j <= box]
-
-    def xi_multisets(size: int, min_j: int):
-        if size == 0:
-            yield ()
-            return
-        for j in [j for j in xi_indices if j >= min_j]:
-            for rest in xi_multisets(size - 1, j):
-                merged = dict(rest)
-                merged[j] = merged.get(j, 0) + 1
-                yield tuple(sorted(merged.items()))
-
-    for k in range(min(a, len(tau_indices)) + 1):
-        for S in combinations(tau_indices, k):
-            u = a - k
-            for xi in set(xi_multisets(b, 0)):
-                m = Monomial(0, S, u, xi)
-                if total_of(preset.left_degree(m)) <= box:
-                    out.append(m)
-    return preset, sorted(set(out), key=Monomial.sort_key)
+def _build_F_on(preset, right, box: int, name: str) -> Comodule:
+    """Dual of the left comodule on the monomials of the given right degree
+    and left total degree <= box, graded by left degree."""
+    span = enumerate_right(preset, right, box)
+    labels = {m: format_monomial(m) for m in span}
+    components: dict = {}
+    for m in span:
+        components.setdefault(preset.left_degree(m), []).append(labels[m])
+    coaction = {
+        labels[m]: [(c, b1, labels[m2]) for (b1, m2), c in coproduct(preset, m).items()
+                    if m2 in labels]
+        for m in span
+    }
+    return dualize_left(preset, components, coaction, box=box, name=name)
 
 
 def build_F(p: int, a: int, b: int, box: int) -> Comodule:
     """Dual of the left comodule on the right-(a, b) monomials, truncated."""
-    preset, span = _right_component_span_bbar(p, a, b, box)
-    labels = {m: format_monomial(m) for m in span}
-    components: dict = {}
-    for m in span:
-        components.setdefault(preset.left_degree(m), []).append(labels[m])
-    coaction = {}
-    for m in span:
-        terms = []
-        for (b1, m2), c in coproduct(preset, m).items():
-            if m2 in labels:
-                terms.append((c, b1, labels[m2]))
-        coaction[labels[m]] = terms
-    N = LeftComodule(preset, components, coaction, box=box, name=f"F({a},{b})-predual")
-    return dualize_left(N, box=box, name=f"F({a},{b})")
-
-
-def _right_component_span_atilde(p: int, n: int, box: int):
-    """Monomials over the single-graded quotient with right degree n and
-    left degree <= box."""
-    preset = get_preset("atilde", p)
-    out = []
-    imax = 0
-    while 2 * p ** (imax + 1) <= box:
-        imax += 1
-    tau_indices = [i for i in range(imax + 1) if 2 * p**i <= box]
-    xi_indices = [j for j in range(1, imax + 2) if 2 * p**j <= box]
-
-    def xi_multisets(size: int, min_pos: int):
-        if size == 0:
-            yield ()
-            return
-        for pos in range(min_pos, len(xi_indices)):
-            for rest in xi_multisets(size - 1, pos):
-                merged = dict(rest)
-                j = xi_indices[pos]
-                merged[j] = merged.get(j, 0) + 1
-                yield tuple(sorted(merged.items()))
-
-    for k in range(min(n, len(tau_indices)) + 1):
-        for S in combinations(tau_indices, k):
-            rem = n - k
-            for e_total in range(rem // 2 + 1):
-                for xi in set(xi_multisets(e_total, 0)):
-                    m = Monomial(0, S, rem - 2 * e_total, xi)
-                    if total_of(preset.left_degree(m)) <= box:
-                        out.append(m)
-    return preset, sorted(set(out), key=Monomial.sort_key)
+    return _build_F_on(get_preset("bbar", p), (a, b), box, f"F({a},{b})")
 
 
 def build_Fn(p: int, n: int, box: int) -> Comodule:
     """Single-graded representing object, dual to the right-degree-n span."""
-    preset, span = _right_component_span_atilde(p, n, box)
-    labels = {m: format_monomial(m) for m in span}
-    components: dict = {}
-    for m in span:
-        components.setdefault(preset.left_degree(m), []).append(labels[m])
-    coaction = {}
-    for m in span:
-        terms = []
-        for (b1, m2), c in coproduct(preset, m).items():
-            if m2 in labels:
-                terms.append((c, b1, labels[m2]))
-        coaction[labels[m]] = terms
-    N = LeftComodule(preset, components, coaction, box=box, name=f"F{n}-predual")
-    return dualize_left(N, box=box, name=f"F{n}")
+    return _build_F_on(get_preset("atilde", p), n, box, f"F{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +121,12 @@ def build_H(p: int, box: int) -> Comodule:
     """The comodule algebra Lambda(y) (x) F[x] over the full bialgebra,
     with psi(y) = y (x) u + sum x^{p^i} (x) t_i and
     psi(x) = y (x) w + sum x^{p^j} (x) x_j.  At p = 2 this is F_2[x] with
-    psi(x) = sum x^{2^j} (x) x_j.  Stored one layer past the box."""
-    if p == 2:
-        return _build_H2(box)
-    preset = get_preset("b", p)
-    bound = box + 1
+    psi(x) = sum x^{2^j} (x) x_j.  At odd p, where coactions can lower
+    total degree through w, it is stored one layer past the box."""
+    odd = p != 2
+    preset = get_preset("b" if odd else "b2", p)
+    bound = box + 1 if odd else box
+    xdeg = 2 if odd else 1  # total degree of x; y has degree 1
 
     def mul(t1: dict, t2: dict) -> dict:
         out: dict = {}
@@ -222,7 +136,7 @@ def build_H(p: int, box: int) -> Comodule:
                 if e1 and e2:
                     continue
                 e, m = e1 + e2, m1 + m2
-                if e + 2 * m > bound:
+                if e + xdeg * m > bound:
                     continue
                 sign = -1 if (pb and e2) else 1
                 s, b = product(b1, b2)
@@ -236,68 +150,32 @@ def build_H(p: int, box: int) -> Comodule:
                     out.pop(key, None)
         return out
 
-    psi_y = {(1, 0, mono_u()): 1}
+    psi_y = {(1, 0, mono_u()): 1}  # used only at odd p, where y exists
     i = 0
     while 2 * p**i <= bound:
         psi_y[(0, p**i, mono_tau(i))] = 1
         i += 1
-    psi_x = {(1, 0, mono_w()): 1}
+    psi_x = {(1, 0, mono_w()): 1} if odd else {}
     j = 0
-    while 2 * p**j <= bound:
+    while xdeg * p**j <= bound:
         psi_x[(0, p**j, mono_xi(j))] = 1
         j += 1
 
     powers = [{(0, 0, Monomial()): 1}]
-    while 2 * len(powers) <= bound:
+    while xdeg * len(powers) <= bound:
         powers.append(mul(powers[-1], psi_x))
 
     components: dict = {}
     coaction: dict = {}
-    for m in range(bound // 2 + 1):
-        for eps in (0, 1):
-            if eps + 2 * m > bound:
+    for m in range(bound // xdeg + 1):
+        for eps in (0, 1) if odd else (0,):
+            if eps + xdeg * m > bound:
                 continue
             lab = h_label(eps, m)
-            components.setdefault((eps, m), []).append(lab)
+            components.setdefault((eps, m) if odd else m, []).append(lab)
             ts = mul(psi_y, powers[m]) if eps else powers[m]
             coaction[lab] = [(c, h_label(e2, m2), b) for (e2, m2, b), c in ts.items()]
-    return Comodule(preset, components, coaction, box=box, margin=1, name="H")
-
-
-def _build_H2(box: int) -> Comodule:
-    preset = get_preset("b2", 2)
-
-    def mul(t1: dict, t2: dict) -> dict:
-        out: dict = {}
-        for (m1, b1), c1 in t1.items():
-            for (m2, b2), c2 in t2.items():
-                m = m1 + m2
-                if m > box:
-                    continue
-                s, b = product(b1, b2)
-                key = (m, b)
-                v = (out.get(key, 0) + c1 * c2 * s) % 2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return out
-
-    psi_x = {}
-    j = 0
-    while 2**j <= box:
-        psi_x[(2**j, mono_xi(j))] = 1
-        j += 1
-    powers = [{(0, Monomial()): 1}]
-    while len(powers) <= box:
-        powers.append(mul(powers[-1], psi_x))
-    components: dict = {}
-    coaction: dict = {}
-    for m in range(box + 1):
-        lab = h_label(0, m)
-        components.setdefault(m, []).append(lab)
-        coaction[lab] = [(c, h_label(0, m2), b) for (m2, b), c in powers[m].items()]
-    return Comodule(preset, components, coaction, box=box, margin=0, name="H")
+    return Comodule(preset, components, coaction, box=box, margin=bound - box, name="H")
 
 
 def build_H_tensor(p: int, n: int, box: int) -> Comodule:
@@ -338,19 +216,13 @@ def cap_morphism(p: int, lam: Monomial | str) -> ComoduleMorphism:
     ra, rb = preset.right_degree(lam)
     target = build_J(p, ra, rb)
     assign: dict = {}
-    for mp in _span_of_J(p, 0, lb):
+    for mp in enumerate_left(preset, (0, lb)):
         terms = []
         for (b1, b2), c in coproduct(preset, mp).items():
             if b1 == lam:
                 terms.append((c, format_monomial(b2)))
         assign[format_monomial(mp)] = terms
     return morphism_from_assignment(source, target, assign)
-
-
-def _span_of_J(p: int, a: int, b: int):
-    from .bialgebra import enumerate_left
-
-    return enumerate_left(get_preset("bbar", p), (a, b))
 
 
 def verschiebung(p: int, n: int) -> ComoduleMorphism:
@@ -373,7 +245,7 @@ def xi0_multiplication(p: int, m: int) -> ComoduleMorphism:
     source = suspend(source_core, (0, 1))
     target = build_J(p, 0, m)
     assign = {}
-    for mp in _span_of_J(p, 0, m - 1):
+    for mp in enumerate_left(get_preset("bbar", p), (0, m - 1)):
         s, prod = product(mono_xi(0), mp)
         assign[f"s|{format_monomial(mp)}"] = [(s, format_monomial(prod))]
     return morphism_from_assignment(source, target, assign)
@@ -384,20 +256,13 @@ def u_suspension_iso(p: int, n: int) -> ComoduleMorphism:
     source = suspend(build_J(p, 0, n), (1, 0))
     target = build_J(p, 1, n)
     assign = {}
-    for mp in _span_of_J(p, 0, n):
+    for mp in enumerate_left(get_preset("bbar", p), (0, n)):
         s, prod = product(mono_u(), mp)
         assign[f"s|{format_monomial(mp)}"] = [(s, format_monomial(prod))]
     return morphism_from_assignment(source, target, assign)
 
 
 # ---- the mu family and the canonical l / r maps
-
-
-def _xi0_rewrite_image(m: Monomial) -> Monomial:
-    """The monomial with every x0 replaced by u^2."""
-    d = m.xi_dict()
-    e0 = d.pop(0, 0)
-    return Monomial(m.w, m.tau, m.u + 2 * e0, tuple(sorted(d.items())))
 
 
 def _xi0_rewrite_preimage(m: Monomial, a: int, b: int) -> Monomial | None:
@@ -432,14 +297,33 @@ def mu_quotient(p: int, n: int, a: int, b: int, box: int,
     source = source or build_Fn(p, n, box)
     target = target or theta_F(p, a, b, box)
     assign: dict = {}
-    _, span = _right_component_span_atilde(p, n, box)
-    for m in span:
+    for m in enumerate_right(get_preset("atilde", p), n, box):
         pre = _xi0_rewrite_preimage(m, a, b)
-        lab = format_monomial(m)
         if pre is not None and format_monomial(pre) in target._deg_of:
-            assign[lab] = [(1, format_monomial(pre))]
-        else:
-            assign[lab] = []
+            assign[format_monomial(m)] = [(1, format_monomial(pre))]
+    return morphism_from_assignment(source, target, assign)
+
+
+def _divide_by_grouplike(p: int, a: int, b: int, box: int, shift,
+                         source: Comodule | None,
+                         target: Comodule | None) -> ComoduleMorphism:
+    """F(a,b) -> S^shift F((a,b) - shift) for shift = (da, db), dual to
+    multiplying the right-((a,b) - shift) span by the grouplike u^da x0^db:
+    it sends the dual of m to the dual of m / (u^da x0^db), and to 0 when
+    that division leaves no monomial."""
+    da, db = shift
+    source = source or build_F(p, a, b, box)
+    target = target or suspend(build_F(p, a - da, b - db, box), shift)
+    assign: dict = {}
+    for m in enumerate_right(get_preset("bbar", p), (a, b), box):
+        xi = m.xi_dict()
+        if m.u < da or xi.get(0, 0) < db:
+            continue
+        xi[0] = xi.get(0, 0) - db
+        quo = Monomial(m.w, m.tau, m.u - da, tuple(sorted((j, e) for j, e in xi.items() if e)))
+        tl = f"s|{format_monomial(quo)}"
+        if tl in target._deg_of:
+            assign[format_monomial(m)] = [(1, tl)]
     return morphism_from_assignment(source, target, assign)
 
 
@@ -450,19 +334,7 @@ def canonical_l(p: int, a: int, b: int, box: int,
     right-(a-2, b) span by u^2; it divides the dual basis by u^2."""
     if a < 2:
         raise ValueError("need a >= 2")
-    source = source or build_F(p, a, b, box)
-    target = target or suspend(build_F(p, a - 2, b, box), (2, 0))
-    assign: dict = {}
-    _, span = _right_component_span_bbar(p, a, b, box)
-    for m in span:
-        lab = format_monomial(m)
-        if m.u >= 2:
-            quo = Monomial(m.w, m.tau, m.u - 2, m.xi)
-            tl = f"s|{format_monomial(quo)}"
-            assign[lab] = [(1, tl)] if tl in target._deg_of else []
-        else:
-            assign[lab] = []
-    return morphism_from_assignment(source, target, assign)
+    return _divide_by_grouplike(p, a, b, box, (2, 0), source, target)
 
 
 def canonical_r(p: int, a: int, b: int, box: int,
@@ -472,21 +344,7 @@ def canonical_r(p: int, a: int, b: int, box: int,
     right-(a, b-1) span by x0; it divides the dual basis by x0."""
     if b < 1:
         raise ValueError("need b >= 1")
-    source = source or build_F(p, a, b, box)
-    target = target or suspend(build_F(p, a, b - 1, box), (0, 1))
-    assign: dict = {}
-    _, span = _right_component_span_bbar(p, a, b, box)
-    for m in span:
-        lab = format_monomial(m)
-        d = m.xi_dict()
-        if d.get(0, 0) >= 1:
-            d[0] -= 1
-            quo = Monomial(m.w, m.tau, m.u, tuple(sorted((j, e) for j, e in d.items() if e)))
-            tl = f"s|{format_monomial(quo)}"
-            assign[lab] = [(1, tl)] if tl in target._deg_of else []
-        else:
-            assign[lab] = []
-    return morphism_from_assignment(source, target, assign)
+    return _divide_by_grouplike(p, a, b, box, (0, 1), source, target)
 
 
 def canonical_u(p: int, a: int, b: int, box: int,
@@ -496,19 +354,7 @@ def canonical_u(p: int, a: int, b: int, box: int,
     right-(a-1, b) span by u; it divides the dual basis by u."""
     if a < 1:
         raise ValueError("need a >= 1")
-    source = source or build_F(p, a, b, box)
-    target = target or suspend(build_F(p, a - 1, b, box), (1, 0))
-    assign: dict = {}
-    _, span = _right_component_span_bbar(p, a, b, box)
-    for m in span:
-        lab = format_monomial(m)
-        if m.u >= 1:
-            quo = Monomial(m.w, m.tau, m.u - 1, m.xi)
-            tl = f"s|{format_monomial(quo)}"
-            assign[lab] = [(1, tl)] if tl in target._deg_of else []
-        else:
-            assign[lab] = []
-    return morphism_from_assignment(source, target, assign)
+    return _divide_by_grouplike(p, a, b, box, (1, 0), source, target)
 
 
 def build_PhiF(p: int, a: int, box: int):
@@ -545,6 +391,8 @@ def parse_object_id(text: str, p: int, box: int) -> Comodule:
     if not rest:
         raise ValueError(f"unrecognized object id {text!r}")
     args = [int(x) for x in rest.split(",")]
+    if any(x < 0 for x in args):
+        raise ValueError(f"object id {text!r}: indices must be >= 0")
     if head == "F" and len(args) == 2:
         return build_F(p, args[0], args[1], box)
     if head == "J" and len(args) == 2:

@@ -13,6 +13,7 @@ from supercomod.bialgebra import (
     enumerate_box,
     enumerate_component,
     enumerate_left,
+    enumerate_right,
     format_monomial,
     get_preset,
     mono_tau,
@@ -240,6 +241,23 @@ def test_enumerate_box_counts_small():
     # all of the unit's company: box 2 over bbar at p=3
     got = {format_monomial(m) for m in enumerate_box(BBAR3, 2)}
     assert got == {"1", "u", "t0", "x0", "u^2"}
+
+
+@pytest.mark.parametrize("name,p", [("bbar", 3), ("atilde", 3), ("bbar", 5), ("atilde", 5)])
+def test_enumerate_right_matches_box_filter(name, p):
+    preset = get_preset(name, p)
+    box = 24
+    every = enumerate_box(preset, box)
+    rights = [(a, b) for a in range(4) for b in range(4)] if preset.bigraded else range(10)
+    for right in rights:
+        want = sorted((m for m in every if preset.right_degree(m) == right),
+                      key=Monomial.sort_key)
+        assert enumerate_right(preset, right, box) == want, right
+
+
+def test_enumerate_right_rejects_other_gradings():
+    with pytest.raises(ValueError):
+        enumerate_right(B2, 2, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,13 @@ def test_poincare_bad_object(capsys):
     rc, _, err = run(capsys, "poincare", "--object", "Q:1")
     assert rc == 2
     assert "unrecognized object id" in err
+    for obj in ("J:-1,0", "Fn:-3", "Jn:-2", "F:-1,0", "PhiF:-1"):
+        rc, out, err = run(capsys, "poincare", "--object", obj)
+        assert (rc, out) == (2, ""), obj
+        assert "indices must be >= 0" in err
+    rc, out, err = run(capsys, "poincare", "--object", "J:1,0", "--max-degree", "-4")
+    assert (rc, out) == (2, "")
+    assert "--max-degree" in err
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +158,19 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_all_at_p2_runs_the_p2_suites(capsys):
+    rc, out, _ = run(capsys, "verify", "--suite", "all", "--p", "2",
+                     "--max-degree", "12", "--format", "json")
+    assert rc == 0
+    assert [r["suite"] for r in json.loads(out)] == ["axioms", "unstable", "h_tensor"]
+
+
+def test_verify_odd_prime_suite_at_p2(capsys):
+    rc, out, err = run(capsys, "verify", "--suite", "j0n", "--p", "2")
+    assert (rc, out) == (2, "")
+    assert "'j0n' needs an odd prime" in err
+
+
 def test_verify_report_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     rc, out, _ = run(capsys, "verify", "--suite", "brown_gitler", "--n", "2",
@@ -187,6 +211,23 @@ def test_dump_stdout(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert [c["labels"] for c in doc["components"]] == [["e"]]
+
+
+def test_dump_independent_of_hash_seed():
+    # F objects are duals; their coaction terms must not follow set order
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "supercomod.cli", "dump", "--object", "F:2,0",
+             "--max-degree", "20"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["name"] == "F(2,0)"
 
 
 def test_load_garbage(capsys, tmp_path):

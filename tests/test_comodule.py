@@ -18,7 +18,6 @@ from supercomod.bialgebra import (
 from supercomod.comodule import (
     Comodule,
     ComoduleMorphism,
-    LeftComodule,
     action_composite,
     closure_dims,
     corestrict_psi,
@@ -192,7 +191,7 @@ def test_theta_commutes_with_suspension_on_tables():
 
 def test_dualize_left_sign():
     # left comodule on the right-(1,0) monomials u, t0, with lambda = D
-    N = LeftComodule(
+    M = dualize_left(
         BBAR3,
         {(1, 0): ["u"], (0, 1): ["t0"]},
         {
@@ -201,8 +200,6 @@ def test_dualize_left_sign():
         },
         box=4,
     )
-    assert N.validate() == []
-    M = dualize_left(N, box=4)
     assert M.validate() == []
     # psi(u*) = u* (x) u  -  t0* (x) t0 : the odd algebra factor flips sign
     terms = {(lab, b): c for c, lab, b in M.coaction["u"]}
