@@ -40,13 +40,18 @@ def resolve_p(args) -> int:
     return DEFAULT_P if env is None else env
 
 
-def resolve_box(args) -> int:
+def _max_degree(args):
+    """--max-degree, else SUPERCOMOD_MAX_DEGREE, else None."""
     box = args.max_degree
     if box is None:
-        env = _env_int("SUPERCOMOD_MAX_DEGREE")
-        box = DEFAULT_BOX if env is None else env
+        box = _env_int("SUPERCOMOD_MAX_DEGREE")
     _check_nonnegative(box, "--max-degree (or SUPERCOMOD_MAX_DEGREE)")
     return box
+
+
+def resolve_box(args) -> int:
+    box = _max_degree(args)
+    return DEFAULT_BOX if box is None else box
 
 
 def _check_nonnegative(value, flag: str) -> None:
@@ -143,37 +148,30 @@ def _render_terms(terms) -> str:
     return " + ".join(bits) if bits else "0"
 
 
+def _basis_images(S, f) -> list[tuple[str, str]]:
+    """(label, rendered image) for each basis element of S that f does not kill."""
+    return [(lab, _render_terms(img))
+            for d in sorted(S.degrees(), key=str)
+            for lab in S.basis(d)
+            if (img := f.image_of(lab))]
+
+
 def cmd_hom(args) -> int:
     p = resolve_p(args)
     box = resolve_box(args)
     S = parse_object_id(args.source, p, box)
     T = parse_object_id(args.target, p, box)
     space = hom_space(S, T)
+    images = [_basis_images(S, f) for f in space.basis] if args.basis else []
     if args.format == "json":
         doc: dict = {"source": args.source, "target": args.target, "dim": space.dim}
         if args.basis:
-            basis = []
-            for f in space.basis:
-                entry = {}
-                for d in sorted(S.degrees(), key=str):
-                    for lab in S.basis(d):
-                        img = f.image_of(lab)
-                        if img:
-                            entry[lab] = _render_terms(img)
-                basis.append(entry)
-            doc["basis"] = basis
+            doc["basis"] = [dict(pairs) for pairs in images]
         print(json.dumps(doc, indent=2))
         return 0
     print(space.dim)
-    if args.basis:
-        for i, f in enumerate(space.basis):
-            parts = []
-            for d in sorted(S.degrees(), key=str):
-                for lab in S.basis(d):
-                    img = f.image_of(lab)
-                    if img:
-                        parts.append(f"{lab} -> {_render_terms(img)}")
-            print(f"f{i}: " + "; ".join(parts))
+    for i, pairs in enumerate(images):
+        print(f"f{i}: " + "; ".join(f"{lab} -> {img}" for lab, img in pairs))
     return 0
 
 
@@ -182,11 +180,11 @@ def cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; choose from "
                          f"{sorted(SUITES)} or 'all'")
-    for value, flag in ((args.max_degree, "--max-degree"), (args.n, "--n"), (args.m, "--m")):
+    for value, flag in ((args.n, "--n"), (args.m, "--m")):
         _check_nonnegative(value, flag)
     params = {
         "p": p,
-        "box": args.max_degree,
+        "box": _max_degree(args),
         "n_max": args.n,
         "m_max": args.m,
     }

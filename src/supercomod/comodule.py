@@ -64,15 +64,17 @@ class Comodule:
         self.name = name
         self.components = {}
         self._deg_of = {}
+        self._index_of = {}
         for d, labels in components.items():
             labels = list(labels)
             if not labels:
                 continue
             self.components[d] = labels
-            for lab in labels:
+            for i, lab in enumerate(labels):
                 if lab in self._deg_of:
                     raise ValueError(f"duplicate label {lab!r}")
                 self._deg_of[lab] = d
+                self._index_of[lab] = i
         self.coaction = {}
         p = preset.p
         for lab, terms in coaction.items():
@@ -114,7 +116,7 @@ class Comodule:
         return self._deg_of[label]
 
     def index_of(self, label: str) -> int:
-        return self.components[self._deg_of[label]].index(label)
+        return self._index_of[label]
 
     def terms(self, label: str) -> tuple[Term, ...]:
         return self.coaction[label]
@@ -642,13 +644,13 @@ def morphism_from_assignment(M: Comodule, N: Comodule, assign: dict) -> Comodule
         tgt = N.basis(d)
         if not src or not tgt:
             continue
-        index = {lab: i for i, lab in enumerate(tgt)}
         mat = FpMatrix.zeros(p, len(tgt), len(src))
         for j, lab in enumerate(src):
             for c, tl in assign.get(lab, ()):
                 if N.degree_of(tl) != d:
                     raise ValueError(f"{lab} -> {tl} changes degree")
-                mat.a[index[tl], j] = (int(mat.a[index[tl], j]) + c) % p
+                i = N.index_of(tl)
+                mat.a[i, j] = (int(mat.a[i, j]) + c) % p
         blocks[d] = mat
     return ComoduleMorphism(M, N, blocks)
 

@@ -1,14 +1,29 @@
-"""Exact dense linear algebra over prime fields F_p.
+"""Exact linear algebra over prime fields F_p.
 
-Matrices hold small nonnegative residues in int64 numpy arrays; every
-operation reduces mod p, so results are exact.  Elimination uses
+`FpMatrix` is the dense path: matrices hold small nonnegative residues in
+int64 numpy arrays, every operation reduces mod p, and elimination uses
 first-nonzero pivoting, which makes rref/kernel/solve deterministic for a
-given input.  Intended scale is a few thousand rows/columns at most.
+given input.  It serves the small per-degree blocks of morphisms (a few
+hundred rows/columns at most).
+
+`sparse_kernel_basis` is the sparse path for large, very sparse systems
+with many repeated rows, such as the global system of a hom space.  Rows
+are dicts {col: coeff}; each is scaled to be monic at its leading column
+and hashed, so duplicates and scalar multiples collapse before
+elimination, which then runs column by column on the sparsest row leading
+there (structured Gaussian elimination, after LaMacchia-Odlyzko and
+Faugere-Lachartre).  Since the reduced row echelon form of a row space is
+unique for a fixed column order, its result equals the dense
+`kernel_basis` of the same rows entry for entry.
 """
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
@@ -190,3 +205,98 @@ class FpMatrix:
         """Coordinates of vec in terms of this matrix's rows, or None."""
         sol = FpMatrix(self.p, self.a.T).solve(vec)
         return sol
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination
+
+
+def _monic_row(p: int, row: dict) -> tuple | None:
+    """`row` ({col: coeff}) reduced mod p and scaled to be 1 at its leading
+    (smallest) column, as (col, coeff) pairs of Python ints sorted by
+    column; None for a zero row.  Scalar multiples of one row give the
+    same tuple."""
+    items = [(c, x) for c, v in sorted(row.items()) if (x := int(v) % p)]
+    if not items:
+        return None
+    inv = pow(items[0][1], -1, p)
+    if inv == 1:
+        return tuple(items)
+    return tuple((c, v * inv % p) for c, v in items)
+
+
+def sparse_kernel_basis(p: int, rows, ncols: int) -> FpMatrix:
+    """Canonical basis of the right null space of the matrix whose rows are
+    `rows` (a list of dicts {col: coeff}, columns in range(ncols)).
+
+    Returns exactly `FpMatrix(p, dense).kernel_basis()` for the dense
+    matrix with these rows: one vector per non-pivot column j, with a 1 at
+    j.  Zero, repeated and proportional rows may be given; they are
+    dropped before elimination.  Coefficients may be any integers,
+    numpy scalars included.  At DEBUG level the `supercomod.fplinalg`
+    logger reports the rows given, the unique nonzero rows and their
+    nonzeros.
+    """
+    _check_prime(p)
+    unique = {_monic_row(p, row) for row in rows}
+    unique.discard(None)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("sparse kernel: %d rows given, %d unique, %d nnz, %d columns",
+                  len(rows), len(unique), sum(map(len, unique)), ncols)
+    by_lead: dict[int, list[dict]] = {}
+    for key in unique:
+        if key[0][0] < 0 or key[-1][0] >= ncols:
+            raise ValueError(f"row has a column outside range({ncols})")
+        by_lead.setdefault(key[0][0], []).append(dict(key))
+    del unique
+
+    # Forward elimination to echelon form: every row in by_lead[c] is monic
+    # at c, so reducing one by the pivot is a plain subtraction.
+    pivot_rows: dict[int, dict] = {}
+    for c in range(ncols):
+        bucket = by_lead.pop(c, None)
+        if not bucket:
+            continue
+        pivot = min(bucket, key=len)
+        pivot_rows[c] = pivot
+        for row in bucket:
+            if row is pivot:
+                continue
+            for k, v in pivot.items():
+                x = (row.get(k, 0) - v) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            if row:
+                lead = min(row)
+                inv = pow(row[lead], -1, p)
+                if inv != 1:
+                    for k in row:
+                        row[k] = row[k] * inv % p
+                by_lead.setdefault(lead, []).append(row)
+
+    # Back-substitution from the last pivot: reduced[c] holds the entries of
+    # the reduced row with pivot c off its pivot, all at non-pivot columns.
+    reduced: dict[int, dict] = {}
+    for c in sorted(pivot_rows, reverse=True):
+        out: dict = {}
+        for k, v in pivot_rows[c].items():
+            if k == c:
+                continue
+            if k in reduced:
+                for j, w in reduced[k].items():
+                    out[j] = (out.get(j, 0) - v * w) % p
+            else:
+                out[k] = (out.get(k, 0) + v) % p
+        reduced[c] = {j: w for j, w in out.items() if w}
+
+    free = [j for j in range(ncols) if j not in pivot_rows]
+    slot = {j: k for k, j in enumerate(free)}
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for j, k in slot.items():
+        basis[k, j] = 1
+    for c, entries in reduced.items():
+        for j, w in entries.items():
+            basis[slot[j], c] = -w % p
+    return FpMatrix(p, basis)

@@ -7,17 +7,26 @@ psi_N(f(m)) = (f (x) 1)(psi_M(m)) for every basis element m.  Over a
 truncation both sides are compared inside the shared safe region only;
 the solver sets up one global linear system over F_p whose unknowns are
 the entries of all blocks of f and returns a basis of its solution
-space.
+space.  The system is emitted as sparse rows {unknown: coeff}, one per
+coordinate of N (x) monomial, and solved by `fplinalg.sparse_kernel_basis`;
+its rows have about two nonzeros each and many repeat, which the solver
+removes before eliminating.  Set the `supercomod` logger to DEBUG to see
+each system's size: `supercomod.fplinalg` reports its unique rows and
+nonzeros, then `supercomod.homsolver` the unknowns, rows emitted, rank and
+dimension.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bialgebra import total_of
 from .comodule import Comodule, ComoduleMorphism
-from .fplinalg import FpMatrix
+from .fplinalg import FpMatrix, sparse_kernel_basis
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -72,35 +81,34 @@ def hom_space(M: Comodule, N: Comodule, box: int | None = None) -> MorphismSpace
     def var(d, i, j) -> int:
         return offset[d] + i * M.dim(d) + j
 
-    rows: list[np.ndarray] = []
+    rows: list[dict] = []
     for d in M.degrees():
         if not ok(d):
             continue
-        nd = N.dim(d)
         for j, mlab in enumerate(M.basis(d)):
             coords: dict = {}
             if d in offset:
                 for i, nlab in enumerate(N.basis(d)):
+                    v = var(d, i, j)
                     for c2, nlab2, b in N.coaction[nlab]:
                         if not ok(N.degree_of(nlab2)):
                             continue
-                        row = coords.setdefault((nlab2, b), np.zeros(nvar, dtype=np.int64))
-                        row[var(d, i, j)] += c2
+                        row = coords.setdefault((nlab2, b), {})
+                        row[v] = row.get(v, 0) + c2
             for c, mlab2, b in M.coaction[mlab]:
                 d2 = M.degree_of(mlab2)
                 if not ok(d2) or d2 not in offset:
                     continue
                 j2 = M.index_of(mlab2)
                 for i2, nlab2 in enumerate(N.basis(d2)):
-                    row = coords.setdefault((nlab2, b), np.zeros(nvar, dtype=np.int64))
-                    row[var(d2, i2, j2)] -= c
+                    row = coords.setdefault((nlab2, b), {})
+                    v = var(d2, i2, j2)
+                    row[v] = row.get(v, 0) - c
             rows.extend(coords.values())
 
-    if rows:
-        system = FpMatrix(p, np.vstack(rows))
-        null = system.kernel_basis()
-    else:
-        null = FpMatrix.identity(p, nvar)
+    null = sparse_kernel_basis(p, rows, nvar)
+    log.debug("hom_space %s -> %s: %d unknowns, %d rows emitted, rank %d, dim %d",
+              M.name, N.name, nvar, len(rows), nvar - null.rows, null.rows)
 
     basis = []
     for k in range(null.rows):
@@ -348,8 +356,9 @@ def find_isomorphism(M: Comodule, N: Comodule, box: int | None = None,
                      tries: int = 64) -> ComoduleMorphism | None:
     """Search the morphism space for an isomorphism M -> N.
 
-    Tries each basis morphism, then seeded random linear combinations.
-    Returns None when the space contains no isomorphism (or is empty).
+    Tries each basis morphism, then `tries` seeded random linear
+    combinations.  None means that this search found no isomorphism, not
+    that none exists; it is a proof of absence only when the space is 0.
     """
     space = hom_space(M, N, box=box)
     for f in space.basis:

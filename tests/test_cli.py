@@ -284,6 +284,17 @@ def test_env_box(capsys, monkeypatch):
     assert degrees == [1, 2, 6]
 
 
+def test_env_box_reaches_verify(capsys, monkeypatch):
+    monkeypatch.setenv("SUPERCOMOD_MAX_DEGREE", "8")
+    rc, out, _ = run(capsys, "verify", "--suite", "axioms", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)[0]["params"]["box"] == 8
+    rc, out, _ = run(capsys, "verify", "--suite", "axioms", "--format", "json",
+                     "--max-degree", "6")
+    assert rc == 0
+    assert json.loads(out)[0]["params"]["box"] == 6
+
+
 def test_env_bad_value(capsys, monkeypatch):
     monkeypatch.setenv("SUPERCOMOD_P", "three")
     rc, _, err = run(capsys, "basis", "--preset", "bbar", "--left", "0,0")

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from supercomod.fplinalg import SUPPORTED_PRIMES, FpMatrix
+from supercomod.fplinalg import SUPPORTED_PRIMES, FpMatrix, sparse_kernel_basis
 
 
 def test_kernel_frozen_example():
@@ -92,3 +94,37 @@ def test_row_space_membership():
     recon = (coords @ m.a) % 3
     assert recon.tolist() == [1, 2, 1]
     assert m.in_row_space([0, 0, 1]) is None
+
+
+@st.composite
+def sparse_systems(draw):
+    """(p, rows, ncols) with repeated, proportional and zero rows mixed in;
+    coefficients are Python ints or numpy.int64, as in induced coactions."""
+    p = draw(st.sampled_from(SUPPORTED_PRIMES))
+    ncols = draw(st.integers(0, 9))
+    coeff = st.integers(-2 * p, 2 * p)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, max(ncols - 1, 0)),
+                                         coeff | coeff.map(np.int64),
+                                         max_size=min(ncols, 4)),
+                         max_size=10))
+    for k, c in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, p - 1)),
+                              max_size=6)):
+        if rows:
+            rows.append({j: c * v for j, v in rows[k % len(rows)].items()})
+    return p, draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sparse_systems())
+def test_sparse_kernel_matches_dense(system):
+    p, rows, ncols = system
+    dense = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            dense[i, j] = v
+    assert sparse_kernel_basis(p, rows, ncols) == FpMatrix(p, dense).kernel_basis()
+
+
+def test_sparse_kernel_rejects_out_of_range_columns():
+    with pytest.raises(ValueError):
+        sparse_kernel_basis(5, [{0: 1, 2: 3}], 2)

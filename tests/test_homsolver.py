@@ -2,10 +2,15 @@
 coactions, exactness reports, isomorphism search."""
 from __future__ import annotations
 
+import logging
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercomod.bialgebra import get_preset
 from supercomod.comodule import (
+    direct_sum,
     identity_morphism,
     simple_comodule,
     tensor,
@@ -111,6 +116,16 @@ def test_cokernel_of_xi0_multiplication():
         assert pr.block(d).rank() == Q.dim(d)
 
 
+def test_hom_space_on_a_cokernel():
+    # The induced coaction of a quotient carries numpy integer coefficients.
+    Q, _ = cokernel(xi0_multiplication(3, 3))
+    hs = hom_space(Q, Q)
+    assert hs.dim == 1
+    assert is_isomorphism(hs.basis[0]) and hs.basis[0].check() == []
+    assert hom_space(Q, build_J(3, 1, 0)).dim == 1
+    assert hom_space(build_J(3, 1, 0), Q).dim == 0
+
+
 def test_equalizer_of_identities_is_source():
     J = build_J(3, 0, 3)
     E, _ = equalizer(identity_morphism(J), identity_morphism(J))
@@ -170,6 +185,48 @@ def test_brown_gitler_even_instance():
     assert iso is not None and is_isomorphism(iso)
 
 
+def test_brown_gitler_n32_is_certified():
+    hs = hom_space(theta_J(3, 0, 32), build_Jn(3, 64))
+    assert hs.dim == 1
+    f = hs.basis[0]
+    assert is_isomorphism(f)
+    assert f.check() == []
+
+
+ORACLE_BOX = 14
+
+
+def _standard_object(p: int, kind: str, a: int, b: int):
+    if kind == "J":
+        return build_J(p, a, b)
+    if kind == "F":
+        return build_F(p, a, b, ORACLE_BOX)
+    if kind == "S":
+        return simple_comodule(get_preset("bbar", p), (a, b))
+    return psi_H(p, ORACLE_BOX)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.sampled_from([3, 5]),
+       parts=st.lists(st.tuples(st.sampled_from("JFSH"), st.integers(0, 2),
+                                st.integers(0, 3)), min_size=1, max_size=3),
+       combine=st.sampled_from(["tensor", "sum"]),
+       a=st.integers(0, 2), b=st.integers(0, 3))
+def test_cofree_and_representability_oracles(p, parts, combine, a, b):
+    """dim hom(M, J(a,b)) = dim M_(a,b) = dim hom(F(a,b), M), counted by a
+    route that shares no code with the solver."""
+    mods = [_standard_object(p, *part) for part in parts]
+    M = mods[0]
+    if combine == "sum":
+        M = direct_sum(mods)
+    else:
+        for N in mods[1:]:
+            M = tensor(M, N)
+    expected = M.dim((a, b))
+    assert hom_space(M, build_J(p, a, b)).dim == expected
+    assert hom_space(build_F(p, a, b, ORACLE_BOX), M).dim == expected
+
+
 def test_phi_F2_sits_in_sequence():
     K, inc = build_PhiF(3, 2, 24)
     assert K.poincare() == {
@@ -178,6 +235,18 @@ def test_phi_F2_sits_in_sequence():
     }
     assert K.validate() == []
     assert inc.check() == []
+
+
+def test_hom_space_logs_system_size(caplog):
+    with caplog.at_level(logging.DEBUG, logger="supercomod"):
+        hom_space(build_F(3, 1, 1, 40), build_J(3, 0, 2))
+    solver, hom = caplog.records
+    assert solver.name == "supercomod.fplinalg"
+    for word in ("rows given", "unique", "nnz"):
+        assert word in solver.getMessage()
+    assert hom.name == "supercomod.homsolver"
+    for word in ("unknowns", "rows emitted", "rank", "dim 1"):
+        assert word in hom.getMessage()
 
 
 def test_hom_space_respects_box():
