@@ -15,14 +15,26 @@ with the Koszul sign rule (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd.
 Eight presets select which generators exist and how elements are graded;
 see ``PRESET_NAMES``.  Monomials are immutable and preset-agnostic; a preset
 turns them into bigraded or singly graded basis elements.
+
+Monomials are interned: equal monomials are one object, so comparing and
+hashing them is by identity.  Input is validated where it enters, by
+``Monomial(...)``, the ``mono*`` helpers and ``parse_monomial``; products,
+coproduct recursion, quotient maps and ideal reductions build their results
+from valid operands with the private ``_monomial``, which does not check
+again.  No output may depend on the iteration order of a set of monomials
+(identity hashes vary from run to run), so such sets are sorted first.
+``cache_stats()`` reports the coproduct caches and the number of interned
+monomials.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, groupby
+from operator import index
 
 ODD_PRIMES = (3, 5, 7)
 PRESET_NAMES = (
@@ -41,42 +53,85 @@ PRESET_NAMES = (
 # monomials
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """w^w * t_{i in tau} * u^u * prod x_j^e  with tau, xi sorted."""
+    """w^w * t_{i in tau} * u^u * prod x_j^e  with tau, xi sorted.
 
-    w: int = 0
-    tau: tuple[int, ...] = ()
-    u: int = 0
-    xi: tuple[tuple[int, int], ...] = ()
+    Interned and immutable (see the module docstring); `Monomial(...)`
+    validates its input, and an instance pickles back to the interned object.
+    """
 
-    def __post_init__(self):
-        if self.w not in (0, 1):
+    __slots__ = ("w", "tau", "u", "xi", "parity", "_key")
+
+    def __new__(cls, w: int = 0, tau=(), u: int = 0, xi=()):
+        # plain int tuples, so that an interned key never holds a float,
+        # a bool or a numpy integer that later equal lookups would return
+        w, u = index(w), index(u)
+        tau = tuple(map(index, tau))
+        xi = tuple((index(j), index(e)) for j, e in xi)
+        m = _INTERNED.get((w, tau, u, xi))
+        if m is not None:
+            return m
+        if w not in (0, 1):
             raise ValueError("w exponent must be 0 or 1")
-        if list(self.tau) != sorted(set(self.tau)):
+        if list(tau) != sorted(set(tau)):
             raise ValueError("tau indices must be strictly increasing")
-        if any(e <= 0 for _, e in self.xi):
+        if any(e <= 0 for _, e in xi):
             raise ValueError("xi exponents must be positive")
-        if [j for j, _ in self.xi] != sorted({j for j, _ in self.xi}):
+        if [j for j, _ in xi] != sorted({j for j, _ in xi}):
             raise ValueError("xi indices must be strictly increasing")
-        if self.u < 0:
+        if u < 0:
             raise ValueError("u exponent must be nonnegative")
+        return _new_monomial((w, tau, u, xi))
 
-    @property
-    def parity(self) -> int:
-        return (self.w + len(self.tau)) % 2
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Monomial is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Monomial is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Monomial, self._key)
+
+    def __repr__(self) -> str:
+        return f"Monomial(w={self.w!r}, tau={self.tau!r}, u={self.u!r}, xi={self.xi!r})"
 
     def xi_dict(self) -> dict[int, int]:
         return dict(self.xi)
 
     def is_one(self) -> bool:
-        return not (self.w or self.tau or self.u or self.xi)
+        return self is ONE
 
     def sort_key(self):
-        return (self.w, self.tau, self.u, self.xi)
+        return self._key
 
     def __str__(self) -> str:
         return format_monomial(self)
+
+
+_INTERNED: dict[tuple, Monomial] = {}
+_set_slot = object.__setattr__
+
+
+def _new_monomial(key: tuple) -> Monomial:
+    """Intern a new monomial from a valid, not yet interned (w, tau, u, xi)."""
+    m = object.__new__(Monomial)
+    w, tau, u, xi = key
+    _set_slot(m, "w", w)
+    _set_slot(m, "tau", tau)
+    _set_slot(m, "u", u)
+    _set_slot(m, "xi", xi)
+    _set_slot(m, "parity", (w + len(tau)) % 2)
+    _set_slot(m, "_key", key)
+    _INTERNED[key] = m
+    return m
+
+
+def _monomial(w: int, tau: tuple, u: int, xi: tuple) -> Monomial:
+    """Trusted constructor: the interned monomial of (w, tau, u, xi), which
+    the caller guarantees valid (tau and xi sorted tuples, exponents in
+    range).  Only for results built from monomials that are already valid."""
+    key = (w, tau, u, xi)
+    return _INTERNED.get(key) or _new_monomial(key)
 
 
 ONE = Monomial()
@@ -165,26 +220,46 @@ def parse_monomial(text: str) -> Monomial:
 
 def product(m1: Monomial, m2: Monomial) -> tuple[int, Monomial | None]:
     """Graded-commutative product; returns (sign, monomial) or (0, None)."""
-    if m1.w and m2.w:
+    w1, w2 = m1.w, m2.w
+    if w1 and w2:
         return 0, None
-    s1 = set(m1.tau)
-    if s1 & set(m2.tau):
-        return 0, None
-    # exterior letters ordered w < t0 < t1 < ...; w gets key -1
-    e1 = ([-1] if m1.w else []) + list(m1.tau)
-    e2 = ([-1] if m2.w else []) + list(m2.tau)
-    inversions = sum(1 for a in e1 for b in e2 if a > b)
-    sign = -1 if inversions % 2 else 1
-    xi = m1.xi_dict()
-    for j, e in m2.xi:
-        xi[j] = xi.get(j, 0) + e
-    out = Monomial(
-        m1.w + m2.w,
-        tuple(sorted(e for e in (m1.tau + m2.tau))),
-        m1.u + m2.u,
-        tuple(sorted(xi.items())),
-    )
-    return sign, out
+    # exterior letters ordered w < t0 < t1 < ...; the sign counts the pairs
+    # (a from m1, b from m2) with a > b: all of m1's tau against w2, and
+    # the inversions between the two tau tuples
+    t1, t2 = m1.tau, m2.tau
+    inversions = len(t1) if w2 else 0
+    if not t2:
+        tau = t1
+    elif not t1:
+        tau = t2
+    else:
+        tau = t1
+        for b in t2:
+            k = bisect_left(tau, b)
+            if k < len(tau) and tau[k] == b:
+                return 0, None
+            inversions += len(tau) - k
+            tau = tau[:k] + (b,) + tau[k:]
+    x1, x2 = m1.xi, m2.xi
+    if not x2:
+        xi = x1
+    elif not x1:
+        xi = x2
+    else:
+        xi = _xi_merge(x1, x2)
+    return (-1 if inversions & 1 else 1), _monomial(w1 + w2, tau, m1.u + m2.u, xi)
+
+
+def _xi_merge(x1: tuple, x2: tuple) -> tuple:
+    """The product of two nonempty xi parts, as one sorted xi tuple."""
+    xi = x1
+    for j, e in x2:
+        k = bisect_left(xi, (j,))
+        if k < len(xi) and xi[k][0] == j:
+            xi = xi[:k] + ((j, xi[k][1] + e),) + xi[k + 1:]
+        else:
+            xi = xi[:k] + ((j, e),) + xi[k:]
+    return xi
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +431,26 @@ class TensorSum:
             self.terms.pop(key, None)
 
     def mul(self, other: "TensorSum") -> "TensorSum":
-        out = TensorSum(self.p)
+        p = self.p
+        out = TensorSum(p)
+        terms = out.terms
         for (a, b), c1 in self.terms.items():
             pb = b.parity
             for (c, d), c2 in other.terms.items():
-                sign = -1 if (pb and c.parity) else 1
                 s1, ac = product(a, c)
                 if not s1:
                     continue
                 s2, bd = product(b, d)
                 if not s2:
                     continue
-                out.add_term(ac, bd, c1 * c2 * sign * s1 * s2)
+                if pb and c.parity:  # Koszul sign (-1)^{|b||c|}
+                    s2 = -s2
+                key = (ac, bd)
+                new = (terms.get(key, 0) + c1 * c2 * s1 * s2) % p
+                if new:
+                    terms[key] = new
+                else:
+                    terms.pop(key, None)
         return out
 
 
@@ -433,17 +516,36 @@ def coproduct(preset: CoalgebraPreset, m: Monomial) -> TensorSum:
     preset.validate_monomial(m)
     if m.xi:
         j, e = m.xi[-1]
-        rest = Monomial(m.w, m.tau, m.u, m.xi[:-1])
+        rest = _monomial(m.w, m.tau, m.u, m.xi[:-1])
         return coproduct(preset, rest).mul(_generator_power_coproduct(preset, "xi", j, e))
     if m.u:
-        rest = Monomial(m.w, m.tau, 0, ())
+        rest = _monomial(m.w, m.tau, 0, ())
         return coproduct(preset, rest).mul(_generator_power_coproduct(preset, "u", 0, m.u))
     if m.tau:
-        rest = Monomial(m.w, m.tau[:-1], 0, ())
+        rest = _monomial(m.w, m.tau[:-1], 0, ())
         return coproduct(preset, rest).mul(_generator_coproduct(preset, "tau", m.tau[-1]))
     if m.w:
         return _generator_coproduct(preset, "w")
     return TensorSum.unit(preset.p)
+
+
+# bound here, so that the report still reaches the caches when a caller
+# has replaced the module's names by wrappers
+_COPRODUCT_CACHES = (
+    ("coproduct", coproduct),
+    ("generator_power_coproduct", _generator_power_coproduct),
+)
+
+
+def cache_stats() -> dict:
+    """Hits, misses and size of the coproduct caches, and the number of
+    interned monomials."""
+    out: dict = {}
+    for name, cached in _COPRODUCT_CACHES:
+        info = cached.cache_info()
+        out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+    out["interned_monomials"] = len(_INTERNED)
+    return out
 
 
 def counit(preset: CoalgebraPreset, m: Monomial) -> int:
@@ -613,28 +715,14 @@ class AxiomFailure:
         return f"{self.axiom} fails at {ms}: {self.detail}"
 
 
-def _triple_left(preset, ts: TensorSum, coproduct_fn) -> dict:
-    """(D (x) 1) applied to a TensorSum, as {(m1, m2, m3): coeff}."""
+def _coproduct_on_slot(preset, ts: TensorSum, coproduct_fn, slot: int) -> dict:
+    """(D (x) 1) for slot 0 or (1 (x) D) for slot 1, applied to a TensorSum,
+    as {(m1, m2, m3): coeff}."""
     out: dict = {}
     p = preset.p
     for (b1, b2), c in ts.items():
-        for (a1, a2), d in coproduct_fn(preset, b1).items():
-            key = (a1, a2, b2)
-            new = (out.get(key, 0) + c * d) % p
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _triple_right(preset, ts: TensorSum, coproduct_fn) -> dict:
-    """(1 (x) D) applied to a TensorSum, as {(m1, m2, m3): coeff}."""
-    out: dict = {}
-    p = preset.p
-    for (b1, b2), c in ts.items():
-        for (a1, a2), d in coproduct_fn(preset, b2).items():
-            key = (b1, a1, a2)
+        for (a1, a2), d in coproduct_fn(preset, b2 if slot else b1).items():
+            key = (b1, a1, a2) if slot else (a1, a2, b2)
             new = (out.get(key, 0) + c * d) % p
             if new:
                 out[key] = new
@@ -697,8 +785,8 @@ def check_bialgebra_axioms(
             return AxiomFailure("counit-left", (m,), f"(eps (x) 1) D({m}) = {left_m}")
         if right_m != {m: 1}:
             return AxiomFailure("counit-right", (m,), f"(1 (x) eps) D({m}) = {right_m}")
-        lhs = _triple_left(preset, ts, cop)
-        rhs = _triple_right(preset, ts, cop)
+        lhs = _coproduct_on_slot(preset, ts, cop, 0)
+        rhs = _coproduct_on_slot(preset, ts, cop, 1)
         if lhs != rhs:
             diff = {k: (lhs.get(k, 0) - rhs.get(k, 0)) % p for k in set(lhs) | set(rhs)}
             diff = {k: v for k, v in diff.items() if v}
@@ -774,7 +862,7 @@ def quotient_map(
             return []
         else:
             xi.append((j, e))
-    out = Monomial(m.w, m.tau, new_u, tuple(xi))
+    out = _monomial(m.w, m.tau, new_u, tuple(xi))
     dst.validate_monomial(out)
     return [(1, out)]
 
@@ -819,10 +907,8 @@ def _ideal_reduction(preset: CoalgebraPreset, gens: tuple[str, ...]):
         return False
 
     def q(m: Monomial) -> Monomial | None:
-        if xi0_usq:
-            d = m.xi_dict()
-            e0 = d.pop(0, 0)
-            m = Monomial(m.w, m.tau, m.u + 2 * e0, tuple(sorted(d.items())))
+        if xi0_usq and m.xi and m.xi[0][0] == 0:
+            m = _monomial(m.w, m.tau, m.u + 2 * m.xi[0][1], m.xi[1:])
         return None if killed_by(m) else m
 
     return q

@@ -69,11 +69,14 @@ def parse_degree(text: str):
     raise ValueError(f"bad degree {text!r}; expected 'n' or 'a,b'")
 
 
-def _check_degree_shape(preset, deg, flag: str):
+def _check_degree(preset, deg, flag: str):
+    """The degree must fit the preset's grading and have no negative part."""
     if preset.bigraded and not isinstance(deg, tuple):
         raise ValueError(f"preset {preset.name} is bigraded; {flag} needs 'a,b'")
     if not preset.bigraded and isinstance(deg, tuple):
         raise ValueError(f"preset {preset.name} is singly graded; {flag} needs 'n'")
+    if min(deg if isinstance(deg, tuple) else (deg,)) < 0:
+        raise ValueError(f"{flag} must be >= 0 in every component, got {deg}")
 
 
 def emit_rows(rows: list[dict], fields: list[str], fmt: str) -> None:
@@ -98,9 +101,9 @@ def cmd_basis(args) -> int:
     left = parse_degree(args.left) if args.left is not None else None
     right = parse_degree(args.right) if args.right is not None else None
     if left is not None:
-        _check_degree_shape(preset, left, "--left")
+        _check_degree(preset, left, "--left")
     if right is not None:
-        _check_degree_shape(preset, right, "--right")
+        _check_degree(preset, right, "--right")
     if left is None and right is None:
         raise ValueError("basis needs --left and/or --right")
     if left is not None and right is not None:

@@ -20,6 +20,7 @@ complete, and every check is exact.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .bialgebra import (
     CoalgebraPreset,
@@ -130,6 +131,19 @@ class Comodule:
 
     def poincare(self) -> dict:
         return {d: len(labels) for d, labels in self.components.items()}
+
+    def matches(self, other: "Comodule") -> bool:
+        """Whether `other` is this comodule: the same object, or the same
+        preset, components and coaction, each label's coaction compared as
+        a multiset of terms so that term order does not matter."""
+        if self is other:
+            return True
+        return (
+            self.preset == other.preset
+            and self.components == other.components
+            and all(Counter(terms) == Counter(other.coaction[lab])
+                    for lab, terms in self.coaction.items())
+        )
 
     def __repr__(self) -> str:
         nm = self.name or "comodule"
@@ -593,7 +607,7 @@ class ComoduleMorphism:
 
     def compose(self, other: "ComoduleMorphism") -> "ComoduleMorphism":
         """self after other (other first)."""
-        if other.target is not self.source and other.target.components != self.source.components:
+        if not other.target.matches(self.source):
             raise ValueError("composition mismatch")
         blocks = {}
         for d in other.blocks:

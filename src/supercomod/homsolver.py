@@ -267,9 +267,9 @@ def cokernel(f: ComoduleMorphism, name: str = ""):
 
 def equalizer(f: ComoduleMorphism, g: ComoduleMorphism, name: str = ""):
     """Equalizer of a parallel pair, as the kernel of their difference."""
-    if f.source is not g.source and f.source.components != g.source.components:
+    if not f.source.matches(g.source):
         raise ValueError("equalizer needs a shared source")
-    if f.target is not g.target and f.target.components != g.target.components:
+    if not f.target.matches(g.target):
         raise ValueError("equalizer needs a shared target")
     return kernel(f.sub(g), name or "eq")
 
@@ -297,7 +297,7 @@ def is_exact(maps: list, box: int | None = None) -> ExactnessReport:
     failures = []
     for idx in range(len(maps) - 1):
         f, g = maps[idx], maps[idx + 1]
-        if f.target is not g.source and f.target.components != g.source.components:
+        if not f.target.matches(g.source):
             failures.append(f"joint {idx}: target/source mismatch")
             continue
         mid = f.target

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from .bialgebra import (
     Monomial,
+    _monomial,
     coproduct,
     enumerate_left,
     enumerate_right,
@@ -276,7 +277,7 @@ def _xi0_rewrite_preimage(m: Monomial, a: int, b: int) -> Monomial | None:
     if u < 0 or u + len(m.tau) != a:
         return None
     xi = tuple(sorted(([(0, e0)] if e0 else []) + list(m.xi)))
-    return Monomial(m.w, m.tau, u, xi)
+    return _monomial(m.w, m.tau, u, xi)
 
 
 def theta_F(p: int, a: int, b: int, box: int) -> Comodule:
@@ -320,7 +321,7 @@ def _divide_by_grouplike(p: int, a: int, b: int, box: int, shift,
         if m.u < da or xi.get(0, 0) < db:
             continue
         xi[0] = xi.get(0, 0) - db
-        quo = Monomial(m.w, m.tau, m.u - da, tuple(sorted((j, e) for j, e in xi.items() if e)))
+        quo = _monomial(m.w, m.tau, m.u - da, tuple(sorted((j, e) for j, e in xi.items() if e)))
         tl = f"s|{format_monomial(quo)}"
         if tl in target._deg_of:
             assign[format_monomial(m)] = [(1, tl)]

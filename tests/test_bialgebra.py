@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 
 from supercomod.bialgebra import (
     ONE,
     Monomial,
     TensorSum,
+    cache_stats,
     check_bialgebra_axioms,
     check_hopf_ideal,
     coproduct,
@@ -16,6 +21,7 @@ from supercomod.bialgebra import (
     enumerate_right,
     format_monomial,
     get_preset,
+    mono,
     mono_tau,
     mono_u,
     mono_w,
@@ -60,6 +66,115 @@ def test_parse_rejects_garbage():
         parse_monomial("x1^0")
     with pytest.raises(ValueError):
         parse_monomial("t0*t0")
+    with pytest.raises(ValueError):
+        parse_monomial("w*w")
+    with pytest.raises(ValueError):
+        parse_monomial("u^-1")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"w": 2}, "w exponent"),
+        ({"tau": (1, 0)}, "tau indices"),
+        ({"xi": ((1, 0),)}, "xi exponents"),
+        ({"xi": ((2, 1), (1, 1))}, "xi indices"),
+        ({"u": -1}, "u exponent"),
+    ],
+)
+def test_monomial_rejects_invalid_input(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        Monomial(**kwargs)
+    args = (kwargs.get("w", 0), kwargs.get("tau", ()), kwargs.get("u", 0), kwargs.get("xi", ()))
+    with pytest.raises(ValueError, match=message):
+        Monomial(*args)
+
+
+def test_equal_monomials_are_one_object():
+    m = Monomial(w=1, tau=(0, 2), u=3, xi=((1, 2),))
+    assert Monomial(1, (0, 2), 3, ((1, 2),)) is m
+    assert Monomial(w=1, tau=[0, 2], u=3, xi=[[1, 2]]) is m
+    assert mono(1, (2, 0), 3, [(1, 2)]) is m
+    assert parse_monomial("u^3*x1^2*t2*w*t0") is m
+    # the parser sorts factors, so an unsorted text names a valid monomial
+    assert parse_monomial("x2*x1^2") is Monomial(xi=((1, 2), (2, 1)))
+    assert parse_monomial("t1*t0") is mono_tau(0, 1)
+    assert product(parse_monomial("x1^2"), parse_monomial("u*x1"))[1] is parse_monomial("u*x1^3")
+    assert mono_u(0) is ONE and parse_monomial("1") is ONE and ONE.is_one()
+    # integer-like input is stored as int; other numbers are refused
+    assert Monomial(w=True, u=np.int64(2), xi=((np.int64(1), 3),)) is parse_monomial("w*u^2*x1^3")
+    with pytest.raises(TypeError):
+        Monomial(u=1.0)
+    assert not mono_xi(0).is_one()
+
+
+def test_monomial_pickles_to_the_interned_object():
+    m = parse_monomial("w*t0*u^2*x1^4")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(m, protocol)) is m
+    assert copy.copy(m) is m and copy.deepcopy(m) is m
+
+
+def test_monomial_is_immutable():
+    m = parse_monomial("t0*u")
+    with pytest.raises(AttributeError):
+        m.u = 3
+    with pytest.raises(AttributeError):
+        m.parity = 0
+    with pytest.raises(AttributeError):
+        del m.tau
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    assert (m.u, m.parity) == (1, 1)
+
+
+def test_monomial_repr_and_accessors():
+    m = parse_monomial("w*t0*u^2*x1^4*x3")
+    assert repr(m) == "Monomial(w=1, tau=(0,), u=2, xi=((1, 4), (3, 1)))"
+    assert repr(ONE) == "Monomial(w=0, tau=(), u=0, xi=())"
+    assert str(m) == "w*t0*u^2*x1^4*x3"
+    assert m.sort_key() == (1, (0,), 2, ((1, 4), (3, 1)))
+    assert m.xi_dict() == {1: 4, 3: 1}
+    assert m.parity == 0 and mono_tau(0, 1, 2).parity == 1
+
+
+def _reference_product(m1, m2):
+    # the straightforward product: exterior letters w < t0 < t1 < ..., sign
+    # from counting inversions, xi exponents added in a dict
+    if m1.w and m2.w or set(m1.tau) & set(m2.tau):
+        return 0, None
+    e1 = ([-1] if m1.w else []) + list(m1.tau)
+    e2 = ([-1] if m2.w else []) + list(m2.tau)
+    inversions = sum(1 for a in e1 for b in e2 if a > b)
+    xi = m1.xi_dict()
+    for j, e in m2.xi:
+        xi[j] = xi.get(j, 0) + e
+    out = Monomial(m1.w + m2.w, tuple(sorted(m1.tau + m2.tau)), m1.u + m2.u,
+                   tuple(sorted(xi.items())))
+    return (-1 if inversions % 2 else 1), out
+
+
+def test_product_matches_reference():
+    monomials = enumerate_box(B3, 9) + [parse_monomial("t0*t1*t2*x0*x1^2*x2")]
+    for m1 in monomials:
+        for m2 in monomials:
+            assert product(m1, m2) == _reference_product(m1, m2), (m1, m2)
+
+
+def test_cache_stats_reports_the_caches():
+    m = parse_monomial("t1*u^2*x0*x1^3")
+    coproduct(B3, m)
+    before = cache_stats()
+    coproduct(B3, m)
+    after = cache_stats()
+    assert after["coproduct"]["hits"] == before["coproduct"]["hits"] + 1
+    assert after["coproduct"]["misses"] == before["coproduct"]["misses"]
+    info = coproduct.cache_info()
+    assert after["coproduct"] == {"hits": info.hits, "misses": info.misses,
+                                  "size": info.currsize}
+    assert after["generator_power_coproduct"]["size"] > 0
+    Monomial(u=987654, xi=((7, 1),))
+    assert cache_stats()["interned_monomials"] == after["interned_monomials"] + 1
 
 
 def test_product_signs():

@@ -62,6 +62,14 @@ def test_basis_degree_shape_mismatch(capsys):
     assert "singly graded" in err
 
 
+def test_basis_rejects_negative_degrees(capsys):
+    for preset, flag in (("bbar", "--left=0,-1"), ("bbar", "--left=-3,2"),
+                         ("atilde", "--right=-2")):
+        rc, out, err = run(capsys, "basis", "--preset", preset, "--p", "3", flag)
+        assert (rc, out) == (2, ""), flag
+        assert flag.split("=")[0] in err and ">= 0" in err
+
+
 # ---------------------------------------------------------------------------
 # poincare
 
@@ -228,6 +236,24 @@ def test_dump_independent_of_hash_seed():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["name"] == "F(2,0)"
+
+
+def test_verify_json_independent_of_hash_seed():
+    # monomials hash by identity; no report may depend on set or hash order
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv in (["--suite", "axioms"], ["--suite", "brown_gitler", "--n", "4"]):
+        procs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "supercomod.cli", "verify", *argv, "--format", "json"],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            ))
+        outs = [proc.communicate(timeout=300) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], outs
+        assert outs[0][0] == outs[1][0], argv
+        assert json.loads(outs[0][0])[0]["status"] == "pass"
 
 
 def test_load_garbage(capsys, tmp_path):

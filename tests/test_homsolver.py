@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from supercomod.bialgebra import get_preset
 from supercomod.comodule import (
+    Comodule,
     direct_sum,
     identity_morphism,
     simple_comodule,
@@ -154,6 +155,33 @@ def test_exactness_failure_reports_witness():
     report = is_exact([f, identity_morphism(f.target)])
     assert not report.ok
     assert any("composite" in msg or "dim im" in msg for msg in report.failures)
+
+
+def test_guards_compare_coactions_not_just_components():
+    J = build_J(3, 0, 2)
+    # same components, coaction split into its diagonal part
+    N = Comodule(J.preset, J.components,
+                 {lab: [t for t in terms if t[1] == lab] for lab, terms in J.coaction.items()},
+                 box=None)
+    reordered = Comodule(J.preset, J.components,
+                         {lab: terms[::-1] for lab, terms in J.coaction.items()}, box=None)
+    other_preset = Comodule(get_preset("b", 3), J.components, J.coaction, box=None)
+    assert N.components == J.components and N.coaction != J.coaction
+    assert reordered.coaction != J.coaction  # same terms, another order
+    assert J.matches(reordered) and J.matches(build_J(3, 0, 2))
+    assert not J.matches(N) and not J.matches(other_preset)
+    idJ, idN = identity_morphism(J), identity_morphism(N)
+    with pytest.raises(ValueError, match="composition mismatch"):
+        idJ.compose(idN)
+    with pytest.raises(ValueError, match="composition mismatch"):
+        idJ.compose(identity_morphism(other_preset))
+    assert idJ.compose(identity_morphism(reordered)).blocks == idJ.blocks
+    with pytest.raises(ValueError, match="shared source"):
+        equalizer(idJ, idN)
+    report = is_exact([idN, idJ])
+    assert not report.ok and report.failures == ["joint 0: target/source mismatch"]
+    E, _ = equalizer(idJ, identity_morphism(reordered))
+    assert E.poincare() == J.poincare()
 
 
 def test_trivial_complex_exact():
