@@ -175,12 +175,17 @@ def format_monomial(m: Monomial) -> str:
 
 
 def parse_monomial(text: str) -> Monomial:
-    """Parse the ``w*t0*u^2*x1^4`` syntax; "1" is the unit."""
+    """Parse the ``w*t0*u^2*x1^4`` syntax; "1" is the unit.
+
+    Factors may come in any order, except that the exterior factors (w, t_i)
+    must be an even permutation of their sorted order w, t0, t1, ...: an odd
+    one spells minus the monomial, which a monomial cannot carry."""
     text = text.strip()
     if text == "1":
         return ONE
     w = 0
     tau: list[int] = []
+    exterior: list[int] = []  # w as -1, t_i as i, in the order written
     u = 0
     xi: dict[int, int] = {}
     for factor in text.split("*"):
@@ -201,6 +206,7 @@ def parse_monomial(text: str) -> Monomial:
             if exp != 1 or w:
                 raise ValueError("w is exterior; w^e with e > 1 is zero, not a monomial")
             w = 1
+            exterior.append(-1)
         elif base == "u":
             u += exp
         elif base.startswith("t"):
@@ -210,12 +216,18 @@ def parse_monomial(text: str) -> Monomial:
             if idx in tau:
                 raise ValueError(f"repeated exterior factor {base}")
             tau.append(idx)
+            exterior.append(idx)
         elif base.startswith("x"):
             idx = int(base[1:])
             xi[idx] = xi.get(idx, 0) + exp
         else:
             raise ValueError(f"unknown generator {base!r}")
-    return Monomial(w, tuple(sorted(tau)), u, tuple(sorted(xi.items())))
+    m = Monomial(w, tuple(sorted(tau)), u, tuple(sorted(xi.items())))
+    inversions = sum(a > b for i, a in enumerate(exterior) for b in exterior[i + 1:])
+    if inversions % 2:
+        raise ValueError(f"{text!r} is minus {format_monomial(m)!r}: its exterior "
+                         f"factors are an odd permutation of that sorted spelling")
+    return m
 
 
 def product(m1: Monomial, m2: Monomial) -> tuple[int, Monomial | None]:

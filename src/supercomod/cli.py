@@ -17,7 +17,7 @@ from .bialgebra import enumerate_box, enumerate_component, enumerate_left
 from .comodule import Comodule
 from .homsolver import hom_space
 from .objects import parse_object_id
-from .verify import SUITES, run_all, run_suite
+from .verify import SUITES, run_all
 
 DEFAULT_P = 3
 DEFAULT_BOX = 60
@@ -191,12 +191,8 @@ def cmd_verify(args) -> int:
         "n_max": args.n,
         "m_max": args.m,
     }
-    if args.suite == "all":
-        reports = run_all(jobs=args.jobs, **params)
-    elif args.jobs > 1:
-        reports = run_all(names=[args.suite], jobs=args.jobs, **params)
-    else:
-        reports = [run_suite(args.suite, **params)]
+    names = None if args.suite == "all" else [args.suite]
+    reports = run_all(names=names, jobs=args.jobs, **params)
     payload = [r.as_dict() for r in reports]
     if args.out:
         with open(args.out, "w") as fh:

@@ -47,6 +47,28 @@ def deg_key(d):
     return (total_of(d), d if isinstance(d, tuple) else (d,))
 
 
+class TrustedRegion:
+    """The degrees a computation over the given comodules may trust.
+
+    A truncated comodule is complete up to total degree box + margin; a
+    computation over several of them trusts the degrees that all of them
+    store completely, and no more than an extra `box` when one is given.
+    `bound` is that total degree, None when nothing bounds it; `d in
+    region` tests a degree.
+    """
+
+    __slots__ = ("bound",)
+
+    def __init__(self, *objects: "Comodule", box: int | None = None):
+        bounds = [M.box + M.margin for M in objects if M.box is not None]
+        if box is not None:
+            bounds.append(box)
+        self.bound = min(bounds) if bounds else None
+
+    def __contains__(self, d) -> bool:
+        return self.bound is None or total_of(d) <= self.bound
+
+
 class Comodule:
     """A truncated right comodule with a chosen homogeneous basis."""
 
@@ -119,16 +141,6 @@ class Comodule:
     def index_of(self, label: str) -> int:
         return self._index_of[label]
 
-    def terms(self, label: str) -> tuple[Term, ...]:
-        return self.coaction[label]
-
-    def safe_bound(self) -> int | None:
-        return None if self.box is None else self.box + self.margin
-
-    def stored(self, d) -> bool:
-        sb = self.safe_bound()
-        return sb is None or total_of(d) <= sb
-
     def poincare(self) -> dict:
         return {d: len(labels) for d, labels in self.components.items()}
 
@@ -156,7 +168,7 @@ class Comodule:
 
     def validate(self, max_problems: int = 5) -> list[str]:
         """Check homogeneity, counit, degree direction and coassociativity
-        inside the safe region.  Returns a list of problems, empty if valid.
+        inside the trusted region.  Returns a list of problems, empty if valid.
         """
         problems: list[str] = []
         p = self.p
@@ -207,11 +219,7 @@ class Comodule:
             return []
         problems = []
         p = self.p
-        sb = self.safe_bound()
-
-        def ok(d) -> bool:
-            return sb is None or total_of(d) <= sb
-
+        region = TrustedRegion(self)
         for lab, terms in self.coaction.items():
             lhs: dict = {}
             rhs: dict = {}
@@ -222,7 +230,7 @@ class Comodule:
                 # route A: psi again on the comodule slot
                 for c2, far_label, b2 in self.coaction.get(mid_label, ()):
                     far = self._deg_of[far_label]
-                    if ok(far) and ok(mid_deg):
+                    if far in region and mid_deg in region:
                         key = (far_label, b2, b)
                         v = (lhs.get(key, 0) + c * c2) % p
                         if v:
@@ -233,7 +241,7 @@ class Comodule:
                 for (b1, b2), c2 in coproduct(self.preset, b).items():
                     far = self.preset.left_degree(b1)
                     mid = self.preset.right_degree(b1)
-                    if ok(far) and ok(mid):
+                    if far in region and mid in region:
                         key = (mid_label, b1, b2)
                         v = (rhs.get(key, 0) + c * c2) % p
                         if v:
@@ -548,29 +556,20 @@ class ComoduleMorphism:
                 out.append((c, tl))
         return out
 
-    def safe_bound(self) -> int | None:
-        bounds = [b for b in (self.source.safe_bound(), self.target.safe_bound())
-                  if b is not None]
-        return min(bounds) if bounds else None
-
     def check(self) -> list[str]:
         """Verify psi_target(f(m)) = (f (x) 1)(psi_source(m)) inside the
         region both sides can see.  Returns a list of discrepancies."""
         problems = []
         p = self.p
-        sb = self.safe_bound()
-
-        def ok(d) -> bool:
-            return sb is None or total_of(d) <= sb
-
+        region = TrustedRegion(self.source, self.target)
         for d in self.source.degrees():
-            if not ok(d):
+            if d not in region:
                 continue
             for j, lab in enumerate(self.source.basis(d)):
                 lhs: dict = {}
                 for c, tlab in self.image_of(lab):
                     for c2, tlab2, b in self.target.coaction[tlab]:
-                        if not ok(self.target.degree_of(tlab2)):
+                        if self.target.degree_of(tlab2) not in region:
                             continue
                         key = (tlab2, b)
                         v = (lhs.get(key, 0) + c * c2) % p
@@ -580,8 +579,7 @@ class ComoduleMorphism:
                             lhs.pop(key, None)
                 rhs: dict = {}
                 for c, slab2, b in self.source.coaction[lab]:
-                    d2 = self.source.degree_of(slab2)
-                    if not ok(d2):
+                    if self.source.degree_of(slab2) not in region:
                         continue
                     for c2, tlab2 in self.image_of(slab2):
                         key = (tlab2, b)
@@ -634,9 +632,6 @@ class ComoduleMorphism:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.blocks.values())
-
-    def rank(self, d) -> int:
-        return self.block(d).rank() if d in self.blocks else 0
 
 
 def identity_morphism(M: Comodule) -> ComoduleMorphism:
@@ -894,7 +889,3 @@ def poincare_theta(t: dict) -> dict:
 
 def poincare_shift(t: dict, d0) -> dict:
     return {add_deg(d0, d): c for d, c in t.items()}
-
-
-def poincare_restrict(t: dict, bound: int) -> dict:
-    return {d: c for d, c in t.items() if total_of(d) <= bound}

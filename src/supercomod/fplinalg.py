@@ -164,23 +164,32 @@ class FpMatrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
+    def echelon(self) -> tuple[np.ndarray, list[int], list[int], np.ndarray]:
+        """One rref read four ways: (rows, pivots, free, null).
+
+        `rows` is the rref basis of the row space and `pivots` its pivot
+        columns; `free` is the other columns, and `null` has one row per
+        free column j: 1 at j, 0 at the other free columns and minus the
+        rref entries of column j at the pivots.  The rows of `null` are the
+        canonical basis of the right null space, and `null` also takes a
+        vector to its class modulo the row space, in coordinates indexed by
+        `free`.
+        """
+        red, pivots = self.rref()
+        rows = red.a[:len(pivots)]
+        free = [j for j in range(self.cols) if j not in pivots]
+        null = np.zeros((len(free), self.cols), dtype=np.int64)
+        null[:, free] = np.eye(len(free), dtype=np.int64)
+        null[:, pivots] = -rows[:, free].T % self.p
+        return rows, pivots, free, null
+
     def kernel_basis(self) -> "FpMatrix":
         """Rows form the canonical basis of the right null space.
 
         For each non-pivot column j there is one basis vector with a 1 in
         position j; rank + number of rows equals cols.
         """
-        red, pivots = self.rref()
-        n = self.cols
-        free = [j for j in range(n) if j not in pivots]
-        if not free:
-            return FpMatrix.zeros(self.p, 0, n)
-        basis = np.zeros((len(free), n), dtype=np.int64)
-        for k, j in enumerate(free):
-            basis[k, j] = 1
-            for r, c in enumerate(pivots):
-                basis[k, c] = (-red.a[r, j]) % self.p
-        return FpMatrix(self.p, basis)
+        return FpMatrix(self.p, self.echelon()[3])
 
     def solve(self, rhs) -> np.ndarray | None:
         """One particular solution x of A x = rhs, or None if inconsistent."""
@@ -198,8 +207,7 @@ class FpMatrix:
 
     def row_space_basis(self) -> "FpMatrix":
         """Rows form a basis of the row space (nonzero rows of rref)."""
-        red, pivots = self.rref()
-        return FpMatrix(self.p, red.a[: len(pivots), :].copy())
+        return FpMatrix(self.p, self.echelon()[0])
 
     def in_row_space(self, vec) -> np.ndarray | None:
         """Coordinates of vec in terms of this matrix's rows, or None."""

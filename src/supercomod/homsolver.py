@@ -4,16 +4,22 @@ exactness reports and isomorphism certification.
 
 A degree-preserving linear map f: M -> N is a comodule morphism when
 psi_N(f(m)) = (f (x) 1)(psi_M(m)) for every basis element m.  Over a
-truncation both sides are compared inside the shared safe region only;
-the solver sets up one global linear system over F_p whose unknowns are
-the entries of all blocks of f and returns a basis of its solution
-space.  The system is emitted as sparse rows {unknown: coeff}, one per
-coordinate of N (x) monomial, and solved by `fplinalg.sparse_kernel_basis`;
-its rows have about two nonzeros each and many repeat, which the solver
-removes before eliminating.  Set the `supercomod` logger to DEBUG to see
+truncation both sides are compared only in the degrees that
+`comodule.TrustedRegion` trusts, the rule every computation here follows.
+The solver sets up one global linear system over F_p whose unknowns are
+the entries of all blocks of f and returns a basis of its solution space.
+The system is emitted as sparse rows {unknown: coeff}, one per coordinate
+of N (x) monomial, and solved by `fplinalg.sparse_kernel_basis`; its rows
+have about two nonzeros each and many repeat, which the solver removes
+before eliminating.  Set the `supercomod` logger to DEBUG to see
 each system's size: `supercomod.fplinalg` reports its unique rows and
 nonzeros, then `supercomod.homsolver` the unknowns, rows emitted, rank and
 dimension.
+
+Kernels, images and cokernels (and equalizers, as kernels) come from one
+builder of induced comodules: per degree, one rref of the map's block
+gives the new basis vectors inside the ambient comodule and a coordinate
+map onto them, and the ambient coaction is pushed through that map.
 """
 from __future__ import annotations
 
@@ -22,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bialgebra import total_of
-from .comodule import Comodule, ComoduleMorphism
+from .comodule import Comodule, ComoduleMorphism, TrustedRegion
 from .fplinalg import FpMatrix, sparse_kernel_basis
 
 log = logging.getLogger(__name__)
@@ -45,14 +50,6 @@ class MorphismSpace:
         return len(self.basis)
 
 
-def _region_bound(*objects, box: int | None = None) -> int | None:
-    bounds = [M.safe_bound() for M in objects]
-    if box is not None:
-        bounds.append(box)
-    bounds = [b for b in bounds if b is not None]
-    return min(bounds) if bounds else None
-
-
 def hom_space(M: Comodule, N: Comodule, box: int | None = None) -> MorphismSpace:
     """Basis of the space of comodule morphisms M -> N.
 
@@ -64,26 +61,22 @@ def hom_space(M: Comodule, N: Comodule, box: int | None = None) -> MorphismSpace
     if M.preset != N.preset:
         raise ValueError("hom_space requires matching presets")
     p = M.p
-    sb = _region_bound(M, N, box=box)
-
-    def ok(d) -> bool:
-        return sb is None or total_of(d) <= sb
-
-    shared = [d for d in M.degrees() if ok(d) and N.dim(d)]
+    region = TrustedRegion(M, N, box=box)
+    shared = [d for d in M.degrees() if d in region and N.dim(d)]
     offset: dict = {}
     nvar = 0
     for d in shared:
         offset[d] = nvar
         nvar += N.dim(d) * M.dim(d)
     if nvar == 0:
-        return MorphismSpace(M, N, [], sb)
+        return MorphismSpace(M, N, [], region.bound)
 
     def var(d, i, j) -> int:
         return offset[d] + i * M.dim(d) + j
 
     rows: list[dict] = []
     for d in M.degrees():
-        if not ok(d):
+        if d not in region:
             continue
         for j, mlab in enumerate(M.basis(d)):
             coords: dict = {}
@@ -91,13 +84,13 @@ def hom_space(M: Comodule, N: Comodule, box: int | None = None) -> MorphismSpace
                 for i, nlab in enumerate(N.basis(d)):
                     v = var(d, i, j)
                     for c2, nlab2, b in N.coaction[nlab]:
-                        if not ok(N.degree_of(nlab2)):
+                        if N.degree_of(nlab2) not in region:
                             continue
                         row = coords.setdefault((nlab2, b), {})
                         row[v] = row.get(v, 0) + c2
             for c, mlab2, b in M.coaction[mlab]:
                 d2 = M.degree_of(mlab2)
-                if not ok(d2) or d2 not in offset:
+                if d2 not in region or d2 not in offset:
                     continue
                 j2 = M.index_of(mlab2)
                 for i2, nlab2 in enumerate(N.basis(d2)):
@@ -120,90 +113,84 @@ def hom_space(M: Comodule, N: Comodule, box: int | None = None) -> MorphismSpace
             if not mat.is_zero():
                 blocks[d] = mat
         basis.append(ComoduleMorphism(M, N, blocks))
-    return MorphismSpace(M, N, basis, sb)
+    return MorphismSpace(M, N, basis, region.bound)
 
 
 # ---------------------------------------------------------------------------
 # sub- and quotient comodules with induced coactions
 
 
-def _label_scheme(prefix: str, count: int, start: int) -> list[str]:
-    return [f"{prefix}{start + i}" for i in range(count)]
+def _induced(M: Comodule, vectors: dict, coords: dict, name: str, sub: bool):
+    """Comodule on new basis elements of M, with the coaction pushed through
+    a coordinate map, and its map to or from M.
 
-
-def _subcomodule(M: Comodule, vectors: dict, name: str):
-    """Comodule structure on the span of `vectors` ({degree: FpMatrix with
-    basis vectors as rows}), plus its inclusion into M.
-
-    Raises if the span is not closed under the coaction inside the
-    stored region.
+    Per degree d, the rows of vectors[d] (numpy, one row per new basis
+    element) are vectors of M_d, and coords[d], of the same shape, takes a
+    vector of M_d to its coordinates in the new basis.  A subcomodule
+    (sub=True, labels v0, v1, ...) comes with its inclusion and raises if
+    its span is not closed under the coaction.  A quotient (sub=False,
+    labels q0, q1, ...) comes with the projection coords, which must
+    vanish on a subcomodule; its vectors are representatives.
     """
     p = M.p
-    components: dict = {}
+    prefix = "v" if sub else "q"
     labels: dict = {}
     seq = 0
-    degs = [d for d in M.degrees() if d in vectors and vectors[d].rows]
-    for d in degs:
-        labs = _label_scheme("v", vectors[d].rows, seq)
-        seq += vectors[d].rows
-        components[d] = labs
-        labels[d] = labs
+    for d in M.degrees():
+        if d in vectors and len(vectors[d]):
+            labels[d] = [f"{prefix}{seq + i}" for i in range(len(vectors[d]))]
+            seq += len(vectors[d])
     coaction: dict = {}
-    for d in degs:
-        K = vectors[d]
-        for k in range(K.rows):
+    for d, labs in labels.items():
+        basis = M.basis(d)
+        for lab, v in zip(labs, vectors[d]):
             out: dict = {}
-            for j, mlab in enumerate(M.basis(d)):
-                c = int(K.a[k, j])
-                if not c:
-                    continue
-                for c2, mlab2, b in M.coaction[mlab]:
+            for j in np.flatnonzero(v):
+                c = int(v[j])
+                for c2, mlab2, b in M.coaction[basis[j]]:
                     d2 = M.degree_of(mlab2)
-                    key = (d2, b)
-                    vec = out.setdefault(key, np.zeros(M.dim(d2), dtype=np.int64))
+                    vec = out.setdefault((d2, b), np.zeros(M.dim(d2), dtype=np.int64))
                     vec[M.index_of(mlab2)] += c * c2
             terms = []
             for (d2, b), w in sorted(out.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())):
-                w = w % p
+                w %= p
                 if not w.any():
                     continue
-                if d2 not in vectors or not vectors[d2].rows:
-                    raise ValueError(
-                        f"span not closed under the coaction: {labels[d][k]} "
-                        f"hits degree {d2} outside the span"
-                    )
-                x = FpMatrix(p, vectors[d2].a.T).solve(w)
-                if x is None:
-                    raise ValueError(
-                        f"span not closed under the coaction at degree {d2}"
-                    )
-                for i, ci in enumerate(x):
-                    if ci % p:
-                        terms.append((int(ci) % p, labels[d2][i], b))
-            coaction[labels[d][k]] = terms
-    S = Comodule(M.preset, components, coaction, box=M.box, margin=M.margin,
-                 name=name)
-    blocks = {d: FpMatrix(p, vectors[d].a.T) for d in degs}
-    incl = ComoduleMorphism(S, M, blocks)
-    return S, incl
+                if d2 not in labels:
+                    if sub:
+                        raise ValueError(f"span not closed under the coaction: {lab} "
+                                         f"hits degree {d2} outside the span")
+                    continue
+                x = coords[d2] @ w % p
+                if sub and ((vectors[d2].T @ x - w) % p).any():
+                    raise ValueError(f"span not closed under the coaction at degree {d2}")
+                terms.extend((int(c), lab2, b) for c, lab2 in zip(x, labels[d2]) if c)
+            coaction[lab] = terms
+    S = Comodule(M.preset, labels, coaction, box=M.box, margin=M.margin, name=name)
+    if sub:
+        return S, ComoduleMorphism(S, M, {d: FpMatrix(p, vectors[d].T) for d in labels})
+    return S, ComoduleMorphism(M, S, {d: FpMatrix(p, coords[d]) for d in labels})
 
 
 def kernel(f: ComoduleMorphism, name: str = ""):
-    """Kernel subcomodule with its inclusion into the source."""
-    vectors = {d: f.block(d).kernel_basis() for d in f.source.degrees()}
-    return _subcomodule(f.source, vectors, name or f"ker")
+    """Kernel subcomodule with its inclusion into the source; a kernel
+    vector's coordinates are its entries at the free columns."""
+    vectors, coords = {}, {}
+    for d in f.source.degrees():
+        _, _, free, vectors[d] = f.block(d).echelon()
+        coords[d] = np.eye(f.source.dim(d), dtype=np.int64)[free]
+    return _induced(f.source, vectors, coords, name or "ker", sub=True)
 
 
 def image(f: ComoduleMorphism, name: str = ""):
-    """Image subcomodule with its inclusion into the target."""
-    p = f.p
-    vectors = {}
+    """Image subcomodule with its inclusion into the target; an image
+    vector's coordinates are its entries at the pivot columns."""
+    vectors, coords = {}, {}
     for d in f.source.degrees():
-        if not f.target.dim(d):
-            continue
-        block = f.block(d)
-        vectors[d] = FpMatrix(p, block.a.T).row_space_basis()
-    return _subcomodule(f.target, vectors, name or f"im")
+        if f.target.dim(d):
+            vectors[d], pivots, _, _ = FpMatrix(f.p, f.block(d).a.T).echelon()
+            coords[d] = np.eye(f.target.dim(d), dtype=np.int64)[pivots]
+    return _induced(f.target, vectors, coords, name or "im", sub=True)
 
 
 def cokernel(f: ComoduleMorphism, name: str = ""):
@@ -213,56 +200,11 @@ def cokernel(f: ComoduleMorphism, name: str = ""):
     pivot columns of the image; the induced coaction pushes the target
     coaction through the projection.
     """
-    p = f.p
-    N = f.target
-    proj: dict = {}
-    free_of: dict = {}
-    for d in N.degrees():
-        n = N.dim(d)
-        block = f.block(d)
-        B = FpMatrix(p, block.a.T).row_space_basis()
-        red, pivots = B.rref()
-        free = [j for j in range(n) if j not in pivots]
-        free_of[d] = free
-        P = np.zeros((len(free), n), dtype=np.int64)
-        for col in range(n):
-            y = np.zeros(n, dtype=np.int64)
-            y[col] = 1
-            for r, c in enumerate(pivots):
-                if y[c]:
-                    y = (y - y[c] * red.a[r]) % p
-            P[:, col] = y[free]
-        proj[d] = FpMatrix(p, P)
-
-    components: dict = {}
-    labels: dict = {}
-    seq = 0
-    for d in N.degrees():
-        if not free_of[d]:
-            continue
-        labs = _label_scheme("q", len(free_of[d]), seq)
-        seq += len(labs)
-        components[d] = labs
-        labels[d] = labs
-    coaction: dict = {}
-    for d, labs in components.items():
-        for k, j in enumerate(free_of[d]):
-            rep = N.basis(d)[j]
-            terms: dict = {}
-            for c, nlab2, b in N.coaction[rep]:
-                d2 = N.degree_of(nlab2)
-                if d2 not in labels:
-                    continue
-                col = proj[d2].a[:, N.index_of(nlab2)]
-                for i, ci in enumerate(col):
-                    if (c * ci) % p:
-                        key = (labels[d2][i], b)
-                        terms[key] = (terms.get(key, 0) + c * ci) % p
-            coaction[labs[k]] = [(c, lab, b) for (lab, b), c in terms.items() if c]
-    Q = Comodule(N.preset, components, coaction, box=N.box, margin=N.margin,
-                 name=name or "coker")
-    blocks = {d: proj[d] for d in components}
-    return Q, ComoduleMorphism(N, Q, blocks)
+    vectors, coords = {}, {}
+    for d in f.target.degrees():
+        _, _, free, coords[d] = FpMatrix(f.p, f.block(d).a.T).echelon()
+        vectors[d] = np.eye(f.target.dim(d), dtype=np.int64)[free]
+    return _induced(f.target, vectors, coords, name or "coker", sub=False)
 
 
 def equalizer(f: ComoduleMorphism, g: ComoduleMorphism, name: str = ""):
@@ -291,7 +233,7 @@ def is_exact(maps: list, box: int | None = None) -> ExactnessReport:
     """Exactness at every interior joint of a composable sequence.
 
     At each joint, im(f) = ker(g) is certified per degree in the shared
-    safe region: the composite must vanish and the ranks must satisfy
+    trusted region: the composite must vanish and the ranks must satisfy
     rank f_d = dim - rank g_d.
     """
     failures = []
@@ -301,9 +243,9 @@ def is_exact(maps: list, box: int | None = None) -> ExactnessReport:
             failures.append(f"joint {idx}: target/source mismatch")
             continue
         mid = f.target
-        sb = _region_bound(f.source, mid, g.target, box=box)
+        region = TrustedRegion(f.source, mid, g.target, box=box)
         for d in mid.degrees():
-            if sb is not None and total_of(d) > sb:
+            if d not in region:
                 continue
             A, B = f.block(d), g.block(d)
             comp = B.mul(A)
@@ -324,25 +266,21 @@ def is_short_exact(f: ComoduleMorphism, g: ComoduleMorphism,
     """0 -> A -f-> B -g-> C -> 0: injectivity, exactness, surjectivity."""
     report = is_exact([f, g], box=box)
     failures = list(report.failures)
-    sb = _region_bound(f.source, f.target, g.target, box=box)
-
-    def ok(d) -> bool:
-        return sb is None or total_of(d) <= sb
-
+    region = TrustedRegion(f.source, f.target, g.target, box=box)
     for d in f.source.degrees():
-        if ok(d) and f.block(d).rank() != f.source.dim(d):
+        if d in region and f.block(d).rank() != f.source.dim(d):
             failures.append(f"at {d}: first map is not injective")
     for d in g.target.degrees():
-        if ok(d) and g.block(d).rank() != g.target.dim(d):
+        if d in region and g.block(d).rank() != g.target.dim(d):
             failures.append(f"at {d}: second map is not surjective")
     return ExactnessReport(not failures, failures)
 
 
 def is_isomorphism(f: ComoduleMorphism, box: int | None = None) -> bool:
-    sb = _region_bound(f.source, f.target, box=box)
+    region = TrustedRegion(f.source, f.target, box=box)
     degs = set(f.source.degrees()) | set(f.target.degrees())
     for d in degs:
-        if sb is not None and total_of(d) > sb:
+        if d not in region:
             continue
         n, m = f.target.dim(d), f.source.dim(d)
         if n != m:

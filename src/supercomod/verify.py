@@ -9,6 +9,7 @@ adjudicating), and the suite passes iff no check fails.
 """
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -39,6 +40,7 @@ from .functorcomb import (
     count_distinct_powers,
     count_hom,
     eval_dims,
+    poincare_r_prime,
 )
 from .homsolver import (
     equalizer,
@@ -87,9 +89,7 @@ class SuiteReport:
     def status(self) -> str:
         return "fail" if any(c.status == "fail" for c in self.checks) else "pass"
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
+    ok = property(lambda self: self.status == "pass", doc="Whether no check failed.")
 
     def add(self, name: str, passed: bool, witness: str = "") -> None:
         self.checks.append(Check(name, "pass" if passed else "fail", witness))
@@ -251,32 +251,16 @@ def suite_tensor_splittings(p: int = 3, a_max: int = 3, b_max: int = 3,
     for a in range(a_max + 1):
         for b in range(b_max + 1):
             J = build_J(p, a, b)
-            T = tensor(build_J(p, a, 0), build_J(p, 0, b))
-            iso = find_isomorphism(J, T)
-            ok = iso is not None and is_isomorphism(iso) and not iso.check()
+            ok = _certified_iso(J, tensor(build_J(p, a, 0), build_J(p, 0, b)))
             rep.add(f"J({a},{b}) splits", ok,
                     _fmt(J.poincare()) if ok else "no certified isomorphism")
             F = build_F(p, a, b, box)
-            TF = tensor(build_F(p, a, 0, box), build_F(p, 0, b, box))
-            iso = find_isomorphism(F, TF, box=box)
-            ok = iso is not None and is_isomorphism(iso, box=box) and not iso.check()
+            ok = _certified_iso(F, tensor(build_F(p, a, 0, box), build_F(p, 0, b, box)),
+                                box=box)
             rep.add(f"F({a},{b}) splits", ok,
                     f"dim {sum(F.poincare().values())}" if ok
                     else "no certified isomorphism")
     return rep
-
-
-def _r_prime_table(p: int, a: int, b: int, box: int) -> dict:
-    """Bidegree table {(0,t): dim} of the weight-graded dual of
-    Lambda^a (x) Gamma^b, cut at total degree `box`."""
-    out = {}
-    t = 0
-    while 2 * t <= box:
-        d = count_hom(p, t, a, b)
-        if d:
-            out[(0, t)] = d
-        t += 1
-    return out
 
 
 def suite_g_filtration(p: int = 3, a_max: int = 5, box: int = 60) -> SuiteReport:
@@ -307,9 +291,17 @@ def suite_g_filtration(p: int = 3, a_max: int = 5, box: int = 60) -> SuiteReport
             rep.add(f"0 -> dual Lambda^{a} -> F({a},0) -> shifted F({a-1},0) -> 0",
                     report.ok, "; ".join(report.failures))
             rep.add(f"kernel of u-division on F({a},0) has Lambda^{a} dims",
-                    K.poincare() == _r_prime_table(p, a, 0, box),
+                    K.poincare() == {(0, t): dim for t, dim
+                                     in poincare_r_prime(p, a, 0, box // 2).items()},
                     _fmt(K.poincare()))
     return rep
+
+
+def _certified_iso(M, N, box: int | None = None) -> bool:
+    """Whether the search finds an isomorphism M -> N that is certified:
+    bijective in every trusted degree and a comodule map."""
+    iso = find_isomorphism(M, N, box=box)
+    return iso is not None and is_isomorphism(iso, box=box) and not iso.check()
 
 
 def _theta_morphism(f, TM, TN):
@@ -324,6 +316,11 @@ def _fn_slots(n: int) -> list:
     return sorted((a, (n - a) // 2) for a in range(n % 2, n + 1, 2))
 
 
+# The two grouplike divisions of the equalizer diagram: (shift, canonical
+# map dividing the dual basis by the grouplike, its name in the reports).
+DIVISIONS = (((2, 0), canonical_l, "u^2"), ((0, 1), canonical_r, "xi0"))
+
+
 def suite_fn_structure(p: int = 3, n_max: int = 6, box: int = 60) -> SuiteReport:
     rep = SuiteReport(
         "fn_structure",
@@ -335,55 +332,55 @@ def suite_fn_structure(p: int = 3, n_max: int = 6, box: int = 60) -> SuiteReport
             "the associated graded of the Verschiebung-kernel filtration"
         ),
     )
+    F = functools.cache(lambda a, b: build_F(p, a, b, box))
+    shifted = functools.cache(lambda shift, a, b: suspend(F(a, b), shift))
+    PhiF = functools.cache(lambda a: build_PhiF(p, a, box)[0])
     for n in range(n_max + 1):
         slots = _fn_slots(n)
         Fn = build_Fn(p, n, box)
-        thetas = {ab: corestrict_theta(build_F(p, ab[0], ab[1], box))
-                  for ab in slots}
-        mus = {ab: mu_quotient(p, n, ab[0], ab[1], box, target=thetas[ab])
-               for ab in slots}
-        D = direct_sum([thetas[ab] for ab in slots])
+        thetas = {ab: corestrict_theta(F(*ab)) for ab in slots}
+        D = direct_sum(list(thetas.values()))
         summed = None
         for i, ab in enumerate(slots):
-            leg = summand_inclusion(D, [thetas[s] for s in slots], i).compose(mus[ab])
+            mu = mu_quotient(p, n, *ab, box, target=thetas[ab], source=Fn)
+            leg = summand_inclusion(D, list(thetas.values()), i).compose(mu)
             summed = leg if summed is None else summed.add(leg)
         bad = [d for d in Fn.degrees() if summed.block(d).rank() != Fn.dim(d)]
         rep.add(f"(+) mu into sum Theta F(a,b) is injective, n={n}", not bad, _fmt(bad))
 
-        # the equalizer diagram, assembled on explicit direct sums
+        # each division F(a,b) -> shifted F((a,b) - shift): representability
+        # checks, and (through Theta) one leg of the equalizer diagram on
+        # explicit direct sums; the two suspensions collapse to the same
+        # single grading, so both legs land in the (2,0)-suspension's Theta
+        tslots = _fn_slots(n - 2)
+        targets = {ab: corestrict_theta(shifted((2, 0), *ab)) for ab in tslots}
+        DT = direct_sum(list(targets.values())) if targets else None
+        legs = []
+        checks = {}
+        for k, (shift, divide, word) in enumerate(DIVISIONS):
+            total = None
+            for i, (a, b) in enumerate(slots):
+                q = (a - shift[0], b - shift[1])
+                if min(q) < 0:
+                    continue
+                S = shifted(shift, *q)
+                g = divide(p, a, b, box, source=F(a, b), target=S)
+                hs = hom_space(F(a, b), S, box=box)
+                surj = all(g.block(d).rank() == S.dim(d) for d in S.degrees())
+                checks[(i, k)] = (
+                    f"hom(F({a},{b}), shifted F({q[0]},{q[1]})) is one line "
+                    f"spanned by {word}-division",
+                    hs.dim == 1 and surj and not g.check() and not g.is_zero(),
+                    f"dim hom = {hs.dim}")
+                T = _theta_morphism(g, thetas[(a, b)],
+                                    _relabel_to(corestrict_theta(S), targets[q]))
+                leg = (summand_inclusion(DT, list(targets.values()), tslots.index(q))
+                       .compose(T)
+                       .compose(summand_projection(D, list(thetas.values()), i)))
+                total = leg if total is None else total.add(leg)
+            legs.append(total)
         if n >= 2:
-            tslots = _fn_slots(n - 2)
-            targets = {ab: corestrict_theta(suspend(build_F(p, ab[0], ab[1], box), (2, 0)))
-                       for ab in tslots}
-            # the (0,1)-suspension collapses to the same single grading;
-            # relabel its basis to the shared target object
-            DT = direct_sum([targets[ab] for ab in tslots])
-            L = None
-            R = None
-            for i, ab in enumerate(tslots):
-                inc = summand_inclusion(DT, [targets[s] for s in tslots], i)
-                a2, b2 = ab
-                if (a2 + 2, b2) in thetas:
-                    src = (a2 + 2, b2)
-                    l = canonical_l(p, src[0], src[1], box,
-                                    source=build_F(p, src[0], src[1], box))
-                    Tl = _theta_morphism(l, thetas[src], targets[ab])
-                    jdx = slots.index(src)
-                    pr = summand_projection(D, [thetas[s] for s in slots], jdx)
-                    leg = inc.compose(Tl).compose(pr)
-                    L = leg if L is None else L.add(leg)
-                if (a2, b2 + 1) in thetas:
-                    src = (a2, b2 + 1)
-                    r = canonical_r(p, src[0], src[1], box,
-                                    source=build_F(p, src[0], src[1], box))
-                    target_big = suspend(build_F(p, a2, b2, box), (0, 1))
-                    Tr = _theta_morphism(r, thetas[src],
-                                         _relabel_to(corestrict_theta(target_big),
-                                                     targets[ab]))
-                    jdx = slots.index(src)
-                    pr = summand_projection(D, [thetas[s] for s in slots], jdx)
-                    leg = inc.compose(Tr).compose(pr)
-                    R = leg if R is None else R.add(leg)
+            L, R = legs
             square = L.compose(summed).sub(R.compose(summed))
             rep.add(f"l o mu = r o mu on F({n})", square.is_zero(),
                     "commuting square with scalar 1")
@@ -394,38 +391,15 @@ def suite_fn_structure(p: int = 3, n_max: int = 6, box: int = 60) -> SuiteReport
             ab = slots[0]
             rep.add(f"F({n}) = Theta F{ab} (single slot)",
                     Fn.poincare() == thetas[ab].poincare(), _fmt(Fn.poincare()))
-
-        # representability one-dimensionality + surjectivity for l and r
-        for (a, b) in slots:
-            if a >= 2:
-                F = build_F(p, a, b, box)
-                S = suspend(build_F(p, a - 2, b, box), (2, 0))
-                hs = hom_space(F, S, box=box)
-                l = canonical_l(p, a, b, box, source=F, target=S)
-                surj = all(l.block(d).rank() == S.dim(d) for d in S.degrees())
-                rep.add(f"hom(F({a},{b}), shifted F({a-2},{b})) is one line "
-                        f"spanned by u^2-division", hs.dim == 1 and surj
-                        and not l.check() and not l.is_zero(),
-                        f"dim hom = {hs.dim}")
-            if b >= 1:
-                F = build_F(p, a, b, box)
-                S = suspend(build_F(p, a, b - 1, box), (0, 1))
-                hs = hom_space(F, S, box=box)
-                r = canonical_r(p, a, b, box, source=F, target=S)
-                surj = all(r.block(d).rank() == S.dim(d) for d in S.degrees())
-                rep.add(f"hom(F({a},{b}), shifted F({a},{b-1})) is one line "
-                        f"spanned by xi0-division", hs.dim == 1 and surj
-                        and not r.check() and not r.is_zero(),
-                        f"dim hom = {hs.dim}")
+        for key in sorted(checks):
+            rep.add(*checks[key])
 
         # Poincare identities: via Phi-decomposition and via the
         # associated-graded count
         table: dict = {}
         graded: dict = {}
         for (a, b) in slots:
-            PhiF, _ = build_PhiF(p, a, box)
-            prod = poincare_product(PhiF.poincare(),
-                                    build_F(p, 0, b, box).poincare(), bound=box)
+            prod = poincare_product(PhiF(a).poincare(), F(0, b).poincare(), bound=box)
             for deg, dim in poincare_theta(prod).items():
                 table[deg] = table.get(deg, 0) + dim
             for t in range(box // 2 + 1):
@@ -499,17 +473,11 @@ def suite_brown_gitler(p: int = 3, n_max: int = 8) -> SuiteReport:
         ),
     )
     for n in range(n_max + 1):
-        T = theta_J(p, 0, n)
         J = build_Jn(p, 2 * n)
-        iso = find_isomorphism(T, J)
-        rep.add(f"Theta J(0,{n}) = J({2*n})",
-                iso is not None and is_isomorphism(iso) and not iso.check(),
+        rep.add(f"Theta J(0,{n}) = J({2*n})", _certified_iso(theta_J(p, 0, n), J),
                 _fmt(J.poincare()))
-        T1 = theta_J(p, 1, n)
         J1 = build_Jn(p, 2 * n + 1)
-        iso1 = find_isomorphism(T1, J1)
-        rep.add(f"Theta J(1,{n}) = J({2*n+1})",
-                iso1 is not None and is_isomorphism(iso1) and not iso1.check(),
+        rep.add(f"Theta J(1,{n}) = J({2*n+1})", _certified_iso(theta_J(p, 1, n), J1),
                 _fmt(J1.poincare()))
     return rep
 
@@ -600,16 +568,11 @@ def run_suite(name: str, **params) -> SuiteReport:
     return fn(**{k: v for k, v in params.items() if k in accepted and v is not None})
 
 
-def _run_one(args):
-    name, params = args
-    return run_suite(name, **params)
-
-
 def run_all(names=None, jobs: int = 1, **params) -> list:
     if not names:
         names = [n for n in SUITES if params.get("p") != 2 or n in P2_SUITES]
-    work = [(name, params) for name in names]
+    run = functools.partial(run_suite, **params)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_one, work))
-    return [_run_one(w) for w in work]
+            return list(pool.map(run, names))
+    return [run(name) for name in names]

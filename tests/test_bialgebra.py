@@ -70,6 +70,11 @@ def test_parse_rejects_garbage():
         parse_monomial("w*w")
     with pytest.raises(ValueError):
         parse_monomial("u^-1")
+    # odd permutations of the exterior factors spell minus a monomial
+    with pytest.raises(ValueError, match="'t1\\*t0' is minus 't0\\*t1'"):
+        parse_monomial("t1*t0")
+    with pytest.raises(ValueError, match="minus 'w\\*t0\\*u'"):
+        parse_monomial("u*t0*w")
 
 
 @pytest.mark.parametrize(
@@ -97,8 +102,9 @@ def test_equal_monomials_are_one_object():
     assert mono(1, (2, 0), 3, [(1, 2)]) is m
     assert parse_monomial("u^3*x1^2*t2*w*t0") is m
     # the parser sorts factors, so an unsorted text names a valid monomial
+    # as long as its exterior factors are an even permutation
     assert parse_monomial("x2*x1^2") is Monomial(xi=((1, 2), (2, 1)))
-    assert parse_monomial("t1*t0") is mono_tau(0, 1)
+    assert parse_monomial("t2*t0*t1") is mono_tau(0, 1, 2)
     assert product(parse_monomial("x1^2"), parse_monomial("u*x1"))[1] is parse_monomial("u*x1^3")
     assert mono_u(0) is ONE and parse_monomial("1") is ONE and ONE.is_one()
     # integer-like input is stored as int; other numbers are refused

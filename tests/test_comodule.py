@@ -319,7 +319,7 @@ def test_compose_and_rank():
     m = xi0_multiplication(3, 3)
     comp = V.compose(m)  # J(0,2)-suspension -> J(0,3) -> J(0,1)
     assert comp.is_zero()  # x0-multiples die under V_1
-    assert V.rank((0, 1)) == 1 and V.rank((1, 0)) == 1
+    assert V.block((0, 1)).rank() == 1 and V.block((1, 0)).rank() == 1
 
 
 def test_direct_sum_and_projections():

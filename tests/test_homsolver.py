@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from supercomod.comodule import (
     zero_morphism,
 )
 from supercomod.homsolver import (
+    _induced,
     cokernel,
     equalizer,
     find_isomorphism,
@@ -281,3 +283,66 @@ def test_hom_space_respects_box():
     hs = hom_space(build_F(3, 1, 1, 40), build_J(3, 0, 2), box=20)
     assert hs.box == 20
     assert hs.dim == 1
+
+
+# ---------------------------------------------------------------------------
+# the sub- and quotient builder
+
+
+SUBQUOTIENT_BOX = 12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.sampled_from([3, 5]),
+       source=st.lists(st.tuples(st.sampled_from("JF"), st.integers(0, 2),
+                                 st.integers(0, 3)), min_size=1, max_size=2),
+       target=st.lists(st.tuples(st.sampled_from("JF"), st.integers(0, 2),
+                                 st.integers(0, 3)), max_size=1),
+       copies=st.integers(1, 2), data=st.data())
+def test_kernel_image_cokernel_of_drawn_morphisms(p, source, target, copies, data):
+    """Kernel, image and cokernel of a combination of hom-space basis
+    elements are comodules, their maps are comodule maps, and
+    0 -> ker f -> M -> N -> coker f -> 0 is exact."""
+    def obj(parts):
+        mods = [build_J(p, a, b) if kind == "J" else build_F(p, a, b, SUBQUOTIENT_BOX)
+                for kind, a, b in parts]
+        return mods[0] if len(mods) == 1 else direct_sum(mods)
+
+    M = obj(source * copies)
+    # a cofree summand J(d) receives a morphism from M for each basis element
+    # of M_d; a copy of M gives blocks of rank above 1
+    cofree = [("J", *data.draw(st.sampled_from(M.degrees())))]
+    N = obj(target + cofree + source * copies)
+    basis = hom_space(M, N).basis
+    coeffs = data.draw(st.lists(st.sampled_from([0, 1, p - 1]), min_size=len(basis),
+                                max_size=len(basis)))
+    f = zero_morphism(M, N)
+    for c, g in zip(coeffs, basis):
+        f = f.add(g.scale(c))
+    K, inc = kernel(f)
+    I, incl = image(f)
+    Q, pr = cokernel(f)
+    for X in (K, I, Q):
+        assert X.validate() == []
+    for g in (inc, incl, pr):
+        assert g.check() == []
+    report = is_exact([inc, f, pr])
+    assert report.ok, report.failures
+    for d in K.degrees():
+        assert inc.block(d).rank() == K.dim(d)
+    for d in Q.degrees():
+        assert pr.block(d).rank() == Q.dim(d)
+    for d in f.source.degrees():
+        assert I.dim(d) == f.block(d).rank()
+
+
+def test_subcomodule_builder_rejects_a_span_not_closed():
+    J = build_J(3, 0, 1)  # t0 in degree (1,0) coacts onto x0 in degree (0,1)
+    t0_only = {(1, 0): np.array([[1]])}
+    with pytest.raises(ValueError, match="span not closed.*outside the span"):
+        _induced(J, t0_only, t0_only, "S", sub=True)
+    # both degrees meet the span, but 0:t0 coacts onto 0:x0, outside it
+    J2 = direct_sum([J, J])
+    crossed = {(1, 0): np.array([[1, 0]]), (0, 1): np.array([[0, 1]])}
+    with pytest.raises(ValueError, match="span not closed under the coaction at degree"):
+        _induced(J2, crossed, crossed, "S", sub=True)

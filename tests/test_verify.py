@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,20 @@ def test_run_all_subset_parallel():
     reports = run_all(names=["mahowald", "brown_gitler"], jobs=2, p=3, n_max=2)
     assert [r.suite for r in reports] == ["mahowald", "brown_gitler"]
     assert all(r.ok for r in reports)
+
+
+# The benchmark's recorded reports: every entry but the largest
+# (brown_gitler n_max=24, several seconds) must come out the same here.
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("key", [k for k in REFERENCE
+                                 if k != 'brown_gitler {"n_max": 24, "p": 3}'])
+def test_suites_reproduce_the_benchmark_reference(key):
+    suite, _, params = key.partition(" ")
+    rep = run_suite(suite, **json.loads(params))
+    assert [[c.name, c.status, c.witness] for c in rep.checks] == REFERENCE[key]
 
 
 def test_run_all_covers_registry():
