@@ -13,8 +13,10 @@ Its coproduct and the coproducts of its quotients are generated by
 with the Koszul sign rule (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd.
 
 Eight presets select which generators exist and how elements are graded;
-see ``PRESET_NAMES``.  Monomials are immutable and preset-agnostic; a preset
-turns them into bigraded or singly graded basis elements.
+each is one row of a table (``PresetRow``) that degrees, enumeration,
+coproducts and quotient maps read.  Monomials are immutable and
+preset-agnostic; a preset turns them into bigraded or singly graded basis
+elements.
 
 Monomials are interned: equal monomials are one object, so comparing and
 hashing them is by identity.  Input is validated where it enters, by
@@ -31,22 +33,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, groupby
 from operator import index
 
 ODD_PRIMES = (3, 5, 7)
-PRESET_NAMES = (
-    "b",        # full algebra, bigraded
-    "bbar",     # w = 0, bigraded
-    "atilde",   # w = 0 and x0 = u^2, singly graded
-    "bpp",      # subalgebra of atilde on u and x_{j>=1}, singly graded
-    "u_xi0",    # polynomial algebra on u, x0, bigraded, grouplike
-    "u_only",   # polynomial algebra on u, singly graded, grouplike
-    "xi_poly",  # polynomial algebra on all x_j, bigraded
-    "b2",       # p = 2 only: polynomial algebra on all x_j, singly graded
-)
 
 
 # ---------------------------------------------------------------------------
@@ -281,90 +273,107 @@ Deg = int | tuple[int, int]
 
 
 @dataclass(frozen=True)
+class PresetRow:
+    """One preset as data.  `w`, `tau`, `u`: which generators exist; `xi`:
+    the (lowest, highest) xi index, highest None for no bound, or None for
+    no xi; `weight`: None when bigraded, else the k that collapses the
+    bidegrees left = (u + w, sum p^i over tau + sum e p^j over xi) and
+    right = (u + |tau|, w + sum e over xi) of a monomial to a + k b;
+    `x0_is_u2`: whether x0 = u^2; `primes`: the primes it exists at."""
+
+    w: bool
+    tau: bool
+    u: bool
+    xi: tuple[int, int | None] | None
+    weight: int | None
+    x0_is_u2: bool
+    primes: tuple[int, ...]
+
+    def allows_xi(self, j: int) -> bool:
+        if self.xi is None:
+            return False
+        lo, hi = self.xi
+        return lo <= j and (hi is None or j <= hi)
+
+    def lacks(self, m: Monomial) -> str | None:
+        """The first generator of m that the preset does not have, or None."""
+        if m.w and not self.w:
+            return "w"
+        if m.tau and not self.tau:
+            return "tau"
+        if m.u and not self.u:
+            return "u"
+        return next((f"x{j}" for j, _ in m.xi if not self.allows_xi(j)), None)
+
+
+# b is the full algebra and bbar its quotient by w; atilde is the quotient of
+# bbar by x0 - u^2 and bpp its subalgebra on u and the x_{j>=1}; u_xi0 and
+# u_only are the grouplike polynomial algebras on u, x0 and on u alone;
+# xi_poly is the subalgebra on all x_j, and b2 that algebra at p = 2.
+_PRESETS = {
+    # PresetRow(w,     tau,   u,     xi,        weight, x0_is_u2, primes)
+    "b":       PresetRow(True,  True,  True,  (0, None), None, False, ODD_PRIMES),
+    "bbar":    PresetRow(False, True,  True,  (0, None), None, False, ODD_PRIMES),
+    "atilde":  PresetRow(False, True,  True,  (1, None), 2,    True,  ODD_PRIMES),
+    "bpp":     PresetRow(False, False, True,  (1, None), 2,    True,  ODD_PRIMES),
+    "u_xi0":   PresetRow(False, False, True,  (0, 0),    None, False, ODD_PRIMES),
+    "u_only":  PresetRow(False, False, True,  None,      2,    True,  ODD_PRIMES),
+    "xi_poly": PresetRow(False, False, False, (0, None), None, False, ODD_PRIMES),
+    "b2":      PresetRow(False, False, False, (0, None), 1,    False, (2,)),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
+@dataclass(frozen=True)
 class CoalgebraPreset:
-    """A choice of quotient/subalgebra together with its grading type."""
+    """A choice of quotient/subalgebra together with its grading type; `row`
+    is its row of the preset table."""
 
     name: str
     p: int
+    row: PresetRow = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.name not in PRESET_NAMES:
+        row = _PRESETS.get(self.name)
+        if row is None:
             raise ValueError(f"unknown preset {self.name!r}")
-        if self.name == "b2":
-            if self.p != 2:
-                raise ValueError("preset b2 requires p = 2")
-        elif self.p not in ODD_PRIMES:
-            raise ValueError(f"preset {self.name!r} requires an odd prime in {ODD_PRIMES}")
-
-    # ---- generator permissions
-
-    @property
-    def allows_w(self) -> bool:
-        return self.name == "b"
-
-    @property
-    def allows_tau(self) -> bool:
-        return self.name in ("b", "bbar", "atilde")
-
-    @property
-    def allows_u(self) -> bool:
-        return self.name in ("b", "bbar", "atilde", "bpp", "u_xi0", "u_only")
-
-    @property
-    def min_xi_index(self) -> int | None:
-        """Smallest permitted xi index, or None if xi is not permitted."""
-        if self.name in ("b", "bbar", "u_xi0", "xi_poly", "b2"):
-            return 0
-        if self.name in ("atilde", "bpp"):
-            return 1
-        return None  # u_only
-
-    @property
-    def max_xi_index(self) -> int | None:
-        return 0 if self.name == "u_xi0" else None
+        if self.p not in row.primes:
+            if row.primes == ODD_PRIMES:
+                raise ValueError(f"preset {self.name!r} requires an odd prime in {ODD_PRIMES}")
+            raise ValueError(f"preset {self.name} requires p = {row.primes[0]}")
+        object.__setattr__(self, "row", row)
 
     @property
     def bigraded(self) -> bool:
-        return self.name in ("b", "bbar", "u_xi0", "xi_poly")
+        return self.row.weight is None
 
     def validate_monomial(self, m: Monomial) -> None:
-        if m.w and not self.allows_w:
-            raise ValueError(f"monomial {m} has w, not permitted in preset {self.name}")
-        if m.tau and not self.allows_tau:
-            raise ValueError(f"monomial {m} has tau, not permitted in preset {self.name}")
-        if m.u and not self.allows_u:
-            raise ValueError(f"monomial {m} has u, not permitted in preset {self.name}")
-        lo = self.min_xi_index
-        for j, _ in m.xi:
-            if lo is None or j < lo or (self.max_xi_index is not None and j > self.max_xi_index):
-                raise ValueError(f"monomial {m} has x{j}, not permitted in preset {self.name}")
+        gen = self.row.lacks(m)
+        if gen is not None:
+            raise ValueError(f"monomial {m} has {gen}, not permitted in preset {self.name}")
 
     # ---- gradings
 
+    def collapse(self, a: int, b: int):
+        """The degree of the bidegree (a, b) in this preset's grading."""
+        k = self.row.weight
+        return (a, b) if k is None else a + k * b
+
+    def shapes(self, deg) -> list[tuple[int, int]]:
+        """The bidegrees (a, b) with a, b >= 0 that collapse to deg."""
+        k = self.row.weight
+        if k is None:
+            return [deg] if deg[0] >= 0 and deg[1] >= 0 else []
+        return [(deg - k * b, b) for b in range(deg // k + 1)]
+
     def left_degree(self, m: Monomial):
-        if self.bigraded:
-            a = m.u + m.w
-            b = sum(self.p**i for i in m.tau) + sum(e * self.p**j for j, e in m.xi)
-            return (a, b)
-        if self.name in ("atilde", "bpp"):
-            return (
-                m.u
-                + 2 * sum(self.p**i for i in m.tau)
-                + 2 * sum(e * self.p**j for j, e in m.xi)
-            )
-        if self.name == "u_only":
-            return m.u
-        # b2
-        return sum(e * 2**j for j, e in m.xi)
+        p = self.p
+        return self.collapse(
+            m.u + m.w, sum(p**i for i in m.tau) + sum(e * p**j for j, e in m.xi)
+        )
 
     def right_degree(self, m: Monomial):
-        if self.bigraded:
-            return (m.u + len(m.tau), m.w + sum(e for _, e in m.xi))
-        if self.name in ("atilde", "bpp"):
-            return m.u + len(m.tau) + 2 * sum(e for _, e in m.xi)
-        if self.name == "u_only":
-            return m.u
-        return sum(e for _, e in m.xi)
+        return self.collapse(m.u + len(m.tau), m.w + sum(e for _, e in m.xi))
 
     def total_degree(self, m: Monomial) -> int:
         return total_of(self.left_degree(m)) - total_of(self.right_degree(m))
@@ -472,23 +481,23 @@ class TensorSum:
 
 def _xi_power_rewritten(preset: CoalgebraPreset, j: int, e: int) -> Monomial:
     """x_j^e, with x_0 rewritten to u^2 in the presets that identify them."""
-    if j == 0 and preset.name in ("atilde", "bpp"):
+    if j == 0 and preset.row.x0_is_u2:
         return Monomial(u=2 * e)
     return Monomial(xi=((j, e),))
 
 
 def _generator_coproduct(preset: CoalgebraPreset, kind: str, idx: int = 0) -> TensorSum:
     p = preset.p
-    name = preset.name
+    has_w = preset.row.w
     ts = TensorSum(p)
     if kind == "u":
         ts.add_term(mono_u(), mono_u(), 1)
-        if name == "b":
+        if has_w:
             ts.add_term(mono_w(), mono_tau(0), 1)
         return ts
     if kind == "w":
-        if name != "b":
-            raise ValueError(f"no w in preset {name}")
+        if not has_w:
+            raise ValueError(f"no w in preset {preset.name}")
         ts.add_term(mono_u(), mono_w(), 1)
         ts.add_term(mono_w(), mono_xi(0), 1)
         return ts
@@ -506,7 +515,7 @@ def _generator_coproduct(preset: CoalgebraPreset, kind: str, idx: int = 0) -> Te
                 _xi_power_rewritten(preset, s, 1),
                 1,
             )
-        if name == "b":
+        if has_w:
             ts.add_term(mono_tau(j), mono_w(), 1)
         return ts
     raise ValueError(f"unknown generator kind {kind!r}")
@@ -571,18 +580,10 @@ def counit(preset: CoalgebraPreset, m: Monomial) -> int:
 # enumeration
 
 
-def _xi_partitions(p: int, total: int, min_index: int, max_index: int | None):
-    """All xi exponent tuples with sum e_j * p^j == total, indices >= min_index."""
-    if total < 0:
-        return
-    if total == 0:
-        yield ()
-        return
-    usable = []
-    j = min_index
-    while p**j <= total and (max_index is None or j <= max_index):
-        usable.append(j)
-        j += 1
+def _xi_partitions(row: PresetRow, p: int, total: int):
+    """All xi exponent tuples over the row's xi indices with sum e_j p^j == total."""
+    # p >= 2, so p^j <= total implies j < total.bit_length()
+    usable = [j for j in range(total.bit_length()) if p**j <= total and row.allows_xi(j)]
 
     def rec(rem: int, pos: int):
         if rem == 0:
@@ -616,43 +617,17 @@ def _tau_subsets(p: int, bound: int):
 
 def enumerate_left(preset: CoalgebraPreset, left) -> list[Monomial]:
     """All monomials of the preset with the given left degree, sorted."""
+    row, p = preset.row, preset.p
     out: list[Monomial] = []
-    p = preset.p
-    if preset.bigraded:
-        a, b = left
-        if a < 0 or b < 0:
-            return []
-        w_options = (0, 1) if preset.allows_w else (0,)
-        for w in w_options:
+    # left bidegree (u + w, b): b is shared out between the tau's and the xi's
+    for a, b in preset.shapes(left):
+        taus = _tau_subsets(p, b) if row.tau else [((), 0)]
+        for w in ((0, 1) if row.w else (0,)):
             u = a - w
-            if u < 0:
+            if u < 0 or (u and not row.u):
                 continue
-            if u and not preset.allows_u:
-                continue
-            tau_opts = _tau_subsets(p, b) if preset.allows_tau else [((), 0)]
-            for tau, s in tau_opts:
-                if preset.min_xi_index is None:
-                    if b - s == 0:
-                        out.append(Monomial(w, tau, u, ()))
-                    continue
-                for xi in _xi_partitions(p, b - s, preset.min_xi_index, preset.max_xi_index):
-                    out.append(Monomial(w, tau, u, xi))
-    elif preset.name in ("atilde", "bpp"):
-        n = left
-        if n < 0:
-            return []
-        tau_opts = _tau_subsets(p, n // 2) if preset.allows_tau else [((), 0)]
-        for tau, s in tau_opts:
-            rem = n - 2 * s
-            if rem < 0:
-                continue
-            for t in range(rem // 2 + 1):
-                for xi in _xi_partitions(p, t, 1, None):
-                    out.append(Monomial(0, tau, rem - 2 * t, xi))
-    elif preset.name == "u_only":
-        out = [Monomial(u=left)] if left >= 0 else []
-    else:  # b2
-        out = [Monomial(xi=xi) for xi in _xi_partitions(2, left, 0, None)] if left >= 0 else []
+            for tau, s in taus:
+                out.extend(_monomial(w, tau, u, xi) for xi in _xi_partitions(row, p, b - s))
     out.sort(key=Monomial.sort_key)
     return out
 
@@ -660,35 +635,25 @@ def enumerate_left(preset: CoalgebraPreset, left) -> list[Monomial]:
 def enumerate_right(preset: CoalgebraPreset, right, box: int) -> list[Monomial]:
     """All w-free monomials of the preset with the given right degree and
     left total degree <= box, sorted."""
-    # (u + number of tau's, number of xi factors) for each way to reach `right`
-    if preset.bigraded:
-        shapes = [right]
-    elif preset.name in ("atilde", "bpp"):
-        shapes = [(right - 2 * e, e) for e in range(right // 2 + 1)]
-    else:
-        raise ValueError(f"enumerate_right does not support preset {preset.name}")
-    p = preset.p
-    # a t_i or an x_j adds 2 p^i (2 p^j) to the left total degree
+    row, p = preset.row, preset.p
+    # a t_j or an x_j has left bidegree (0, p^j); indices whose lone
+    # generator already exceeds the box cannot occur
     indices: list[int] = []
-    while 2 * p ** len(indices) <= box:
+    while total_of(preset.collapse(0, p ** len(indices))) <= box:
         indices.append(len(indices))
-    tau_indices = indices if preset.allows_tau else []
-    lo, hi = preset.min_xi_index, preset.max_xi_index
-    xi_indices = [] if lo is None else [
-        j for j in indices if j >= lo and (hi is None or j <= hi)
-    ]
+    tau_indices = indices if row.tau else []
+    xi_indices = [j for j in indices if row.allows_xi(j)]
     out: list[Monomial] = []
-    for a, b in shapes:
-        if a < 0 or b < 0:
-            continue
+    # right bidegree (u + number of tau's, number of xi factors)
+    for a, b in preset.shapes(right):
         for k in range(min(a, len(tau_indices)) + 1):
             u = a - k
-            if u and not preset.allows_u:
+            if u and not row.u:
                 continue
             for tau in combinations(tau_indices, k):
                 for js in combinations_with_replacement(xi_indices, b):
                     xi = tuple((j, len(list(g))) for j, g in groupby(js))
-                    m = Monomial(0, tau, u, xi)
+                    m = _monomial(0, tau, u, xi)
                     if total_of(preset.left_degree(m)) <= box:
                         out.append(m)
     out.sort(key=Monomial.sort_key)
@@ -837,46 +802,35 @@ def check_bialgebra_axioms(
 # ---------------------------------------------------------------------------
 # quotient maps and Hopf ideals
 
-_TRANSFORMS: dict[tuple[str, str], tuple[bool, bool, bool, bool]] = {
-    # (kill_w, kill_tau, kill_xi_ge1, xi0_to_usq)
-    ("b", "bbar"): (True, False, False, False),
-    ("b", "atilde"): (True, False, False, True),
-    ("b", "u_xi0"): (True, True, True, False),
-    ("b", "u_only"): (True, True, True, True),
-    ("bbar", "atilde"): (False, False, False, True),
-    ("bbar", "u_xi0"): (False, True, True, False),
-    ("bbar", "u_only"): (False, True, True, True),
-    ("atilde", "u_only"): (False, True, True, False),
-    ("u_xi0", "u_only"): (False, False, False, True),
-}
+_QUOTIENTS = frozenset({
+    ("b", "bbar"), ("b", "atilde"), ("b", "u_xi0"), ("b", "u_only"),
+    ("bbar", "atilde"), ("bbar", "u_xi0"), ("bbar", "u_only"),
+    ("atilde", "u_only"), ("u_xi0", "u_only"),
+})
+
+
+def _x0_to_u2(m: Monomial) -> Monomial:
+    """m with its factor x0^e rewritten as u^(2e)."""
+    if m.xi and m.xi[0][0] == 0:
+        return _monomial(m.w, m.tau, m.u + 2 * m.xi[0][1], m.xi[1:])
+    return m
 
 
 def quotient_map(
     src: CoalgebraPreset, dst: CoalgebraPreset, m: Monomial
 ) -> list[tuple[int, Monomial]]:
-    """Image of a monomial under the canonical bialgebra quotient src -> dst."""
+    """Image of a monomial under the canonical bialgebra quotient src -> dst.
+
+    x0 goes to u^2 where dst identifies them and src does not; a monomial
+    with a generator that dst lacks goes to 0."""
     if src.p != dst.p:
         raise ValueError("prime mismatch")
-    key = (src.name, dst.name)
-    if key not in _TRANSFORMS:
+    if (src.name, dst.name) not in _QUOTIENTS:
         raise ValueError(f"no canonical quotient {src.name} -> {dst.name}")
-    kill_w, kill_tau, kill_xi, xi0_usq = _TRANSFORMS[key]
-    if kill_w and m.w:
-        return []
-    if kill_tau and m.tau:
-        return []
-    new_u = m.u
-    xi = []
-    for j, e in m.xi:
-        if j == 0 and xi0_usq:
-            new_u += 2 * e
-        elif j >= 1 and kill_xi:
-            return []
-        else:
-            xi.append((j, e))
-    out = _monomial(m.w, m.tau, new_u, tuple(xi))
-    dst.validate_monomial(out)
-    return [(1, out)]
+    src.validate_monomial(m)
+    if dst.row.x0_is_u2 and not src.row.x0_is_u2:
+        m = _x0_to_u2(m)
+    return [] if dst.row.lacks(m) else [(1, m)]
 
 
 @dataclass
@@ -919,8 +873,8 @@ def _ideal_reduction(preset: CoalgebraPreset, gens: tuple[str, ...]):
         return False
 
     def q(m: Monomial) -> Monomial | None:
-        if xi0_usq and m.xi and m.xi[0][0] == 0:
-            m = _monomial(m.w, m.tau, m.u + 2 * m.xi[0][1], m.xi[1:])
+        if xi0_usq:
+            m = _x0_to_u2(m)
         return None if killed_by(m) else m
 
     return q

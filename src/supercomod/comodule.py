@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+import numpy as np
+
 from .bialgebra import (
     CoalgebraPreset,
     Deg,
@@ -67,6 +69,16 @@ class TrustedRegion:
 
     def __contains__(self, d) -> bool:
         return self.bound is None or total_of(d) <= self.bound
+
+
+def _joint_truncation(mods) -> tuple[int | None, int]:
+    """The (box, margin) of a construction over the given comodules: the
+    least box and the least margin among the truncated ones, or (None, 0)
+    when none is truncated."""
+    boxed = [M for M in mods if M.box is not None]
+    if not boxed:
+        return None, 0
+    return min(M.box for M in boxed), min(M.margin for M in boxed)
 
 
 class Comodule:
@@ -173,7 +185,8 @@ class Comodule:
         problems: list[str] = []
         p = self.p
         preset = self.preset
-        drop_floor = -1 if preset.name == "b" else 0
+        # w is the only generator of negative total degree
+        drop_floor = -1 if preset.row.w else 0
         for lab, terms in self.coaction.items():
             d = self._deg_of[lab]
             counit_part: dict[str, int] = {}
@@ -360,18 +373,10 @@ def dualize_left(preset: CoalgebraPreset, components: dict, coaction: dict,
 
 def simple_comodule(preset: CoalgebraPreset, d, label: str = "e") -> Comodule:
     """The one-dimensional comodule concentrated in degree d."""
-    if preset.bigraded:
-        a, b = d
-        if preset.name == "xi_poly":
-            if a != 0:
-                raise ValueError("xi-polynomial preset has no first grading")
-            m = Monomial(xi=((0, b),)) if b else Monomial()
-        else:
-            m = Monomial(u=a, xi=(((0, b),) if b else ()))
-    elif preset.name == "b2":
-        m = Monomial(xi=(((0, d),) if d else ()))
-    else:
-        m = Monomial(u=d)
+    # the grouplikes are u in bidegree (1, 0) and x0 in (0, 1); a singly
+    # graded preset uses u if it has u, else x0
+    a, b = d if preset.bigraded else (d, 0) if preset.row.u else (0, d)
+    m = Monomial(u=a, xi=(((0, b),) if b else ()))
     preset.validate_monomial(m)
     if preset.left_degree(m) != d or preset.right_degree(m) != d:
         raise ValueError(f"no grouplike monomial in degree {d}")
@@ -395,14 +400,7 @@ def tensor(M: Comodule, N: Comodule, name: str = "") -> Comodule:
     if M.preset != N.preset:
         raise ValueError("tensor requires matching presets")
     p = M.p
-    if M.box is None and N.box is None:
-        box, margin = None, 0
-    elif M.box is None:
-        box, margin = N.box, N.margin
-    elif N.box is None:
-        box, margin = M.box, M.margin
-    else:
-        box, margin = min(M.box, N.box), min(M.margin, N.margin)
+    box, margin = _joint_truncation((M, N))
     bound = None if box is None else box + margin
     components: dict = {}
     pair_label: dict[tuple[str, str], str] = {}
@@ -496,7 +494,7 @@ def truncate(M: Comodule, box: int, name: str = "") -> Comodule:
     """Restrict a comodule to the sub-box `box`, keeping its margin."""
     if M.box is not None and box > M.box:
         raise ValueError(f"cannot grow the box from {M.box} to {box}")
-    if M.preset.name == "b" and M.box is not None and M.margin < 1:
+    if M.preset.row.w and M.box is not None and M.margin < 1:
         raise ValueError(
             "margin violation: coactions over the full algebra can lower "
             "degree, so truncating needs at least one stored margin layer"
@@ -547,14 +545,11 @@ class ComoduleMorphism:
     def image_of(self, label: str) -> list[tuple[int, str]]:
         """f(label) as a list of (coeff, target_label)."""
         d = self.source.degree_of(label)
-        j = self.source.index_of(label)
-        mat = self.block(d)
-        out = []
-        for i, tl in enumerate(self.target.basis(d)):
-            c = int(mat.a[i, j]) if d in self.blocks else 0
-            if c:
-                out.append((c, tl))
-        return out
+        if d not in self.blocks:
+            return []
+        col = self.blocks[d].a[:, self.source.index_of(label)]
+        tgt = self.target.basis(d)
+        return [(int(col[i]), tgt[i]) for i in np.flatnonzero(col)]
 
     def check(self) -> list[str]:
         """Verify psi_target(f(m)) = (f (x) 1)(psi_source(m)) inside the
@@ -562,12 +557,14 @@ class ComoduleMorphism:
         problems = []
         p = self.p
         region = TrustedRegion(self.source, self.target)
+        image = {lab: self.image_of(lab) for d in self.source.degrees() if d in region
+                 for lab in self.source.basis(d)}
         for d in self.source.degrees():
             if d not in region:
                 continue
-            for j, lab in enumerate(self.source.basis(d)):
+            for lab in self.source.basis(d):
                 lhs: dict = {}
-                for c, tlab in self.image_of(lab):
+                for c, tlab in image[lab]:
                     for c2, tlab2, b in self.target.coaction[tlab]:
                         if self.target.degree_of(tlab2) not in region:
                             continue
@@ -581,7 +578,7 @@ class ComoduleMorphism:
                 for c, slab2, b in self.source.coaction[lab]:
                     if self.source.degree_of(slab2) not in region:
                         continue
-                    for c2, tlab2 in self.image_of(slab2):
+                    for c2, tlab2 in image[slab2]:
                         key = (tlab2, b)
                         v = (rhs.get(key, 0) + c * c2) % p
                         if v:
@@ -669,12 +666,7 @@ def direct_sum(mods: list, name: str = "") -> Comodule:
     if not mods:
         raise ValueError("empty direct sum")
     preset = mods[0].preset
-    boxes = [M.box for M in mods if M.box is not None]
-    if boxes:
-        box = min(boxes)
-        margin = min(M.margin for M in mods if M.box is not None)
-    else:
-        box, margin = None, 0
+    box, margin = _joint_truncation(mods)
     components: dict = {}
     coaction: dict = {}
     for i, M in enumerate(mods):
@@ -739,12 +731,16 @@ def steenrod_action(M: Comodule, lam: Monomial) -> dict:
         raise ValueError("actions are defined on singly graded comodules")
     shift = M.preset.total_degree(lam)
     p = M.p
-    # The degree-0 grouplike that pads coaction terms is u at odd primes
-    # and x0 for the p = 2 polynomial algebra.
-    pad_xi0 = M.preset.name == "b2"
-    if pad_xi0:
-        lam_rest = tuple((j, e) for j, e in lam.xi if j != 0)
-        lam_pad = dict(lam.xi).get(0, 0)
+    pad_u = M.preset.row.u
+
+    def split(m: Monomial):
+        """(exponent of the pad, rest of m): the degree-0 grouplike that
+        pads coaction terms is u, or x0 in a preset without u."""
+        if pad_u:
+            return m.u, (m.w, m.tau, m.xi)
+        return dict(m.xi).get(0, 0), (m.w, m.tau, m.u, tuple(x for x in m.xi if x[0]))
+
+    lam_pad, lam_rest = split(lam)
     out: dict = {}
     for d in M.degrees():
         src = M.basis(d)
@@ -756,16 +752,9 @@ def steenrod_action(M: Comodule, lam: Monomial) -> dict:
         index = {lab: i for i, lab in enumerate(tgt)}
         for j, lab in enumerate(src):
             for c, to_label, b in M.coaction[lab]:
-                if b.w != lam.w or b.tau != lam.tau:
+                pad, rest = split(b)
+                if rest != lam_rest or pad < lam_pad:
                     continue
-                if pad_xi0:
-                    if tuple((k, e) for k, e in b.xi if k != 0) != lam_rest:
-                        continue
-                    if dict(b.xi).get(0, 0) < lam_pad:
-                        continue
-                else:
-                    if b.xi != lam.xi or b.u < lam.u:
-                        continue
                 if to_label in index:
                     i = index[to_label]
                     mat.a[i, j] = (int(mat.a[i, j]) + c) % p

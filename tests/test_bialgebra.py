@@ -10,6 +10,7 @@ from supercomod.bialgebra import (
     ONE,
     Monomial,
     TensorSum,
+    add_deg,
     cache_stats,
     check_bialgebra_axioms,
     check_hopf_ideal,
@@ -35,6 +36,7 @@ B3 = get_preset("b", 3)
 BBAR3 = get_preset("bbar", 3)
 AT3 = get_preset("atilde", 3)
 B2 = get_preset("b2", 2)
+ODD_PRESETS = ("b", "bbar", "atilde", "bpp", "u_xi0", "u_only", "xi_poly")
 
 
 def ts(p, *terms):
@@ -235,6 +237,67 @@ def test_single_gradings():
     assert B2.right_degree(parse_monomial("x0^3*x2")) == 4
 
 
+# (left, right) degrees of each generator, written out by hand as an oracle
+# independent of the preset table; t and x take their index j
+_BIGRADED = {
+    "w": lambda p, j: ((1, 0), (0, 1)),
+    "u": lambda p, j: ((1, 0), (1, 0)),
+    "t": lambda p, j: ((0, p**j), (1, 0)),
+    "x": lambda p, j: ((0, p**j), (0, 1)),
+}
+_SINGLY = {  # a bidegree (a, b) read as a + 2b
+    "u": lambda p, j: (1, 1),
+    "t": lambda p, j: (2 * p**j, 1),
+    "x": lambda p, j: (2 * p**j, 2),
+}
+GENERATOR_DEGREES = {  # preset: (generator degrees, generators it has)
+    "b": (_BIGRADED, {"w", "u", "t0", "t1", "x0", "x1"}),
+    "bbar": (_BIGRADED, {"u", "t0", "t1", "x0", "x1"}),
+    "atilde": (_SINGLY, {"u", "t0", "t1", "x1"}),
+    "bpp": (_SINGLY, {"u", "x1"}),
+    "u_xi0": (_BIGRADED, {"u", "x0"}),
+    "u_only": (_SINGLY, {"u"}),
+    "xi_poly": (_BIGRADED, {"x0", "x1"}),
+    "b2": ({"x": lambda p, j: (2**j, 1)}, {"x0", "x1", "x2", "x3"}),
+}
+
+
+def _generators(m):
+    """The factors of m as (generator, index, exponent)."""
+    out = [("w", 0, m.w), ("u", 0, m.u)] + [("t", i, 1) for i in m.tau]
+    return [(g, j, e) for g, j, e in out + [("x", j, e) for j, e in m.xi] if e]
+
+
+def _oracle_degrees(name, p, m):
+    table = GENERATOR_DEGREES[name][0]
+    left = right = (0, 0) if table is _BIGRADED else 0
+    for g, j, e in _generators(m):
+        for _ in range(e):
+            gl, gr = table[g](p, j)
+            left, right = add_deg(left, gl), add_deg(right, gr)
+    return left, right
+
+
+@pytest.mark.parametrize(
+    "name,p", [(name, 3) for name in ODD_PRESETS] + [("b2", 2), ("bbar", 5), ("atilde", 5)]
+)
+def test_degrees_match_the_generator_oracle(name, p):
+    preset = get_preset(name, p)
+    monomials = enumerate_box(preset, 12)
+    present = {g if g in "wu" else f"{g}{j}" for m in monomials for g, j, _ in _generators(m)}
+    assert present == GENERATOR_DEGREES[name][1]
+    for m in monomials:
+        assert (preset.left_degree(m), preset.right_degree(m)) == _oracle_degrees(name, p, m), m
+    # degrees add along products
+    for m1 in monomials[:40]:
+        for m2 in monomials[:40]:
+            s, m12 = product(m1, m2)
+            if s:
+                (l1, r1), (l2, r2) = _oracle_degrees(name, p, m1), _oracle_degrees(name, p, m2)
+                assert preset.left_degree(m12) == add_deg(l1, l2), (m1, m2)
+                assert preset.right_degree(m12) == add_deg(r1, r2), (m1, m2)
+
+
 def test_preset_validation():
     with pytest.raises(ValueError):
         BBAR3.validate_monomial(mono_w())
@@ -364,21 +427,19 @@ def test_enumerate_box_counts_small():
     assert got == {"1", "u", "t0", "x0", "u^2"}
 
 
-@pytest.mark.parametrize("name,p", [("bbar", 3), ("atilde", 3), ("bbar", 5), ("atilde", 5)])
+@pytest.mark.parametrize(
+    "name,p",
+    [(name, 3) for name in ODD_PRESETS] + [("b2", 2), ("bbar", 5), ("atilde", 5)],
+)
 def test_enumerate_right_matches_box_filter(name, p):
     preset = get_preset(name, p)
     box = 24
-    every = enumerate_box(preset, box)
+    every = [m for m in enumerate_box(preset, box) if not m.w]
     rights = [(a, b) for a in range(4) for b in range(4)] if preset.bigraded else range(10)
     for right in rights:
         want = sorted((m for m in every if preset.right_degree(m) == right),
                       key=Monomial.sort_key)
         assert enumerate_right(preset, right, box) == want, right
-
-
-def test_enumerate_right_rejects_other_gradings():
-    with pytest.raises(ValueError):
-        enumerate_right(B2, 2, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +519,55 @@ def test_quotient_maps():
     assert quotient_map(AT3, get_preset("u_only", 3), parse_monomial("u^5*x1")) == []
     with pytest.raises(ValueError):
         quotient_map(AT3, B3, mono_u())
+    # a monomial outside the source preset is rejected, not sent to 0
+    with pytest.raises(ValueError, match="has w, not permitted in preset bbar"):
+        quotient_map(BBAR3, get_preset("u_xi0", 3), parse_monomial("w*t0"))
+
+
+# The quotient maps as a table of flags, (kill_w, kill_tau, kill_xi_ge1,
+# xi0_to_usq) per canonical pair: the reference the derived rule must match.
+QUOTIENT_FLAGS = {
+    ("b", "bbar"): (True, False, False, False),
+    ("b", "atilde"): (True, False, False, True),
+    ("b", "u_xi0"): (True, True, True, False),
+    ("b", "u_only"): (True, True, True, True),
+    ("bbar", "atilde"): (False, False, False, True),
+    ("bbar", "u_xi0"): (False, True, True, False),
+    ("bbar", "u_only"): (False, True, True, True),
+    ("atilde", "u_only"): (False, True, True, False),
+    ("u_xi0", "u_only"): (False, False, False, True),
+}
+
+
+def _reference_quotient(pair, m):
+    kill_w, kill_tau, kill_xi, xi0_usq = QUOTIENT_FLAGS[pair]
+    if (kill_w and m.w) or (kill_tau and m.tau):
+        return []
+    u, xi = m.u, []
+    for j, e in m.xi:
+        if j == 0 and xi0_usq:
+            u += 2 * e
+        elif j >= 1 and kill_xi:
+            return []
+        else:
+            xi.append((j, e))
+    return [(1, Monomial(m.w, m.tau, u, tuple(xi)))]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_quotient_map_matches_the_flag_table(p):
+    for src_name in ODD_PRESETS:
+        src = get_preset(src_name, p)
+        monomials = enumerate_box(src, 16)
+        for dst_name in ODD_PRESETS:
+            dst = get_preset(dst_name, p)
+            pair = (src_name, dst_name)
+            if pair not in QUOTIENT_FLAGS:
+                with pytest.raises(ValueError, match="no canonical quotient"):
+                    quotient_map(src, dst, ONE)
+                continue
+            for m in monomials:
+                assert quotient_map(src, dst, m) == _reference_quotient(pair, m), (pair, m)
 
 
 def test_hopf_ideal_w():

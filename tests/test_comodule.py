@@ -175,6 +175,23 @@ def test_tensor_poincare_is_product():
     assert T.poincare() == poincare_product(M.poincare(), N.poincare())
 
 
+def test_tensor_and_direct_sum_take_the_least_box_and_margin():
+    def unit(box, margin):
+        return Comodule(BBAR3, {(0, 0): ["e"]}, {"e": [(1, "e", Monomial())]},
+                        box=box, margin=margin)
+
+    cases = [  # (box, margin) of the two inputs, then of the result
+        ((None, 0), (None, 0), (None, 0)),
+        ((8, 2), (None, 0), (8, 2)),
+        ((None, 0), (6, 1), (6, 1)),
+        ((8, 1), (6, 2), (6, 1)),
+    ]
+    for first, second, want in cases:
+        M, N = unit(*first), unit(*second)
+        for out in (tensor(M, N), direct_sum([M, N])):
+            assert (out.box, out.margin) == want, (first, second)
+
+
 def test_suspend_shifts_dims():
     J = _J(3, 0, 1)
     S = suspend(J, (0, 1))
