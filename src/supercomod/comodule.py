@@ -44,6 +44,9 @@ from .fplinalg import FpMatrix
 
 Term = tuple[int, str, Monomial]
 
+# validate() and ComoduleMorphism.check() stop after this many problems
+MAX_PROBLEMS = 5
+
 
 def deg_key(d):
     return (total_of(d), d if isinstance(d, tuple) else (d,))
@@ -178,9 +181,10 @@ class Comodule:
 
     # ---- validation
 
-    def validate(self, max_problems: int = 5) -> list[str]:
+    def validate(self) -> list[str]:
         """Check homogeneity, counit, degree direction and coassociativity
-        inside the trusted region.  Returns a list of problems, empty if valid.
+        inside the trusted region.  Returns a list of at most MAX_PROBLEMS
+        problems, empty if valid.
         """
         problems: list[str] = []
         p = self.p
@@ -222,10 +226,10 @@ class Comodule:
                 problems.append(
                     f"{lab}: counit fails, (1 (x) eps) psi = {counit_part}, expected itself"
                 )
-            if len(problems) >= max_problems:
-                return problems[:max_problems]
-        problems.extend(self._coassoc_problems(max_problems - len(problems)))
-        return problems[:max_problems]
+            if len(problems) >= MAX_PROBLEMS:
+                return problems[:MAX_PROBLEMS]
+        problems.extend(self._coassoc_problems(MAX_PROBLEMS - len(problems)))
+        return problems[:MAX_PROBLEMS]
 
     def _coassoc_problems(self, budget: int) -> list[str]:
         if budget <= 0:
@@ -404,7 +408,6 @@ def tensor(M: Comodule, N: Comodule, name: str = "") -> Comodule:
     bound = None if box is None else box + margin
     components: dict = {}
     pair_label: dict[tuple[str, str], str] = {}
-    seen: set[str] = set()
     for dm in M.degrees():
         for dn in N.degrees():
             d = add_deg(dm, dn)
@@ -414,9 +417,6 @@ def tensor(M: Comodule, N: Comodule, name: str = "") -> Comodule:
             for lm in M.components[dm]:
                 for ln in N.components[dn]:
                     lab = f"{lm}|{ln}"
-                    if lab in seen:
-                        raise ValueError(f"label collision {lab!r}")
-                    seen.add(lab)
                     pair_label[(lm, ln)] = lab
                     labs.append(lab)
     coaction: dict[str, list[Term]] = {}
@@ -551,12 +551,13 @@ class ComoduleMorphism:
         tgt = self.target.basis(d)
         return [(int(col[i]), tgt[i]) for i in np.flatnonzero(col)]
 
-    def check(self) -> list[str]:
+    def check(self, box: int | None = None) -> list[str]:
         """Verify psi_target(f(m)) = (f (x) 1)(psi_source(m)) inside the
-        region both sides can see.  Returns a list of discrepancies."""
+        region both sides can see, cut at `box` when one is given.  Returns
+        a list of at most MAX_PROBLEMS discrepancies."""
         problems = []
         p = self.p
-        region = TrustedRegion(self.source, self.target)
+        region = TrustedRegion(self.source, self.target, box=box)
         image = {lab: self.image_of(lab) for d in self.source.degrees() if d in region
                  for lab in self.source.basis(d)}
         for d in self.source.degrees():
@@ -593,12 +594,9 @@ class ComoduleMorphism:
                         f"{lab}: psi f - (f x 1) psi has term {bad[0]} (x) {bad[1]} "
                         f"with coeffs {lhs.get(bad, 0)} vs {rhs.get(bad, 0)}"
                     )
-                    if len(problems) >= 5:
+                    if len(problems) >= MAX_PROBLEMS:
                         return problems
         return problems
-
-    def is_comodule_map(self) -> bool:
-        return not self.check()
 
     def compose(self, other: "ComoduleMorphism") -> "ComoduleMorphism":
         """self after other (other first)."""
@@ -695,7 +693,7 @@ def summand_inclusion(S: Comodule, mods: list, i: int) -> ComoduleMorphism:
     assign = {}
     for d in M.degrees():
         for lab in M.basis(d):
-            if f"{i}:{lab}" in S._deg_of:
+            if f"{i}:{lab}" in S.coaction:
                 assign[lab] = [(1, f"{i}:{lab}")]
     return morphism_from_assignment(M, S, assign)
 
@@ -707,7 +705,7 @@ def summand_projection(S: Comodule, mods: list, i: int) -> ComoduleMorphism:
     for d in M.degrees():
         for lab in M.basis(d):
             key = f"{i}:{lab}"
-            if key in S._deg_of:
+            if key in S.coaction:
                 assign[key] = [(1, lab)]
     return morphism_from_assignment(S, M, assign)
 
@@ -777,16 +775,16 @@ def action_composite(M: Comodule, lam1: Monomial, lam2: Monomial) -> dict:
     return out
 
 
-def instability_check(M: Comodule, imax: int = 6) -> list[str]:
+def instability_check(M: Comodule) -> list[str]:
     """validate() plus operation-level spot checks: the i-th power operation
-    vanishes below degree 2i (degree i at p=2), and the Bockstein squares
-    to zero."""
+    vanishes below degree 2i (degree i at p=2) for i <= 6, and the Bockstein
+    squares to zero."""
     problems = M.validate()
     if problems:
         return problems
     p = M.p
     threshold = (lambda i: i) if p == 2 else (lambda i: 2 * i)
-    for i in range(1, imax + 1):
+    for i in range(1, 7):
         blocks = steenrod_action(M, Monomial(xi=((1, i),)))
         for d, mat in blocks.items():
             if d < threshold(i) and not mat.is_zero():

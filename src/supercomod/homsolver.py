@@ -1,6 +1,6 @@
 """Morphism spaces between truncated comodules, and the derived
 constructions built from them: kernels, images, cokernels, equalizers,
-exactness reports and isomorphism certification.
+exactness reports and isomorphism verdicts.
 
 A degree-preserving linear map f: M -> N is a comodule morphism when
 psi_N(f(m)) = (f (x) 1)(psi_M(m)) for every basis element m.  Over a
@@ -20,6 +20,13 @@ Kernels, images and cokernels (and equalizers, as kernels) come from one
 builder of induced comodules: per degree, one rref of the map's block
 gives the new basis vectors inside the ambient comodule and a coordinate
 map onto them, and the ambient coaction is pushed through that map.
+
+Exactness has one per-degree rank rule, `is_exact`; a short exact sequence
+is an exact sequence padded by zero objects.  An isomorphism is a
+degreewise bijection that is a comodule map (`is_isomorphism`), and
+`find_isomorphism` decides, with no search, whether one exists: it answers
+"iso" with a certified isomorphism, "none" only with a proof, and
+"undecided" when the morphism space has dimension 2 or more.
 """
 from __future__ import annotations
 
@@ -28,7 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comodule import Comodule, ComoduleMorphism, TrustedRegion
+from .comodule import (
+    Comodule,
+    ComoduleMorphism,
+    TrustedRegion,
+    zero_comodule,
+    zero_morphism,
+)
 from .fplinalg import FpMatrix, sparse_kernel_basis
 
 log = logging.getLogger(__name__)
@@ -263,20 +276,17 @@ def is_exact(maps: list, box: int | None = None) -> ExactnessReport:
 
 def is_short_exact(f: ComoduleMorphism, g: ComoduleMorphism,
                    box: int | None = None) -> ExactnessReport:
-    """0 -> A -f-> B -g-> C -> 0: injectivity, exactness, surjectivity."""
-    report = is_exact([f, g], box=box)
-    failures = list(report.failures)
-    region = TrustedRegion(f.source, f.target, g.target, box=box)
-    for d in f.source.degrees():
-        if d in region and f.block(d).rank() != f.source.dim(d):
-            failures.append(f"at {d}: first map is not injective")
-    for d in g.target.degrees():
-        if d in region and g.block(d).rank() != g.target.dim(d):
-            failures.append(f"at {d}: second map is not surjective")
-    return ExactnessReport(not failures, failures)
+    """0 -> A -f-> B -g-> C -> 0, as exactness of the padded sequence: at A
+    it says f is injective, at C that g is surjective."""
+    Z = zero_comodule(f.source.preset)
+    return is_exact([zero_morphism(Z, f.source), f, g, zero_morphism(g.target, Z)],
+                    box=box)
 
 
 def is_isomorphism(f: ComoduleMorphism, box: int | None = None) -> bool:
+    """Whether f is a comodule isomorphism in the trusted region: bijective
+    in every trusted degree, and a comodule map there (`check` finds
+    nothing)."""
     region = TrustedRegion(f.source, f.target, box=box)
     degs = set(f.source.degrees()) | set(f.target.degrees())
     for d in degs:
@@ -287,32 +297,28 @@ def is_isomorphism(f: ComoduleMorphism, box: int | None = None) -> bool:
             return False
         if m and f.block(d).rank() != m:
             return False
-    return True
+    return f.check(box=box) == []
 
 
-def find_isomorphism(M: Comodule, N: Comodule, box: int | None = None,
-                     tries: int = 64) -> ComoduleMorphism | None:
-    """Search the morphism space for an isomorphism M -> N.
+def find_isomorphism(M: Comodule, N: Comodule, box: int | None = None) -> tuple:
+    """Decide whether M and N are isomorphic in the trusted region.
 
-    Tries each basis morphism, then `tries` seeded random linear
-    combinations.  None means that this search found no isomorphism, not
-    that none exists; it is a proof of absence only when the space is 0.
+    Returns a verdict (kind, f):
+      ("iso", f)          f: M -> N is an isomorphism;
+      ("none", None)      proof that none exists: the Poincare tables differ
+                          in the trusted region, or the morphism space is at
+                          most one line, so every morphism is a multiple of
+                          one candidate and that candidate is not an
+                          isomorphism;
+      ("undecided", None) the morphism space has dimension 2 or more; no
+                          search is made, so this is neither answer.
     """
+    region = TrustedRegion(M, N, box=box)
+    if ({d: n for d, n in M.poincare().items() if d in region}
+            != {d: n for d, n in N.poincare().items() if d in region}):
+        return "none", None
     space = hom_space(M, N, box=box)
-    for f in space.basis:
-        if is_isomorphism(f, box=box):
-            return f
     if space.dim > 1:
-        rng = np.random.default_rng(20259)
-        p = M.p
-        for _ in range(tries):
-            coeffs = rng.integers(0, p, size=space.dim)
-            if not coeffs.any():
-                continue
-            f = space.basis[0].scale(int(coeffs[0]))
-            for c, g in zip(coeffs[1:], space.basis[1:]):
-                if c:
-                    f = f.add(g.scale(int(c)))
-            if is_isomorphism(f, box=box):
-                return f
-    return None
+        return "undecided", None
+    f = space.basis[0] if space.basis else zero_morphism(M, N)
+    return ("iso", f) if is_isomorphism(f, box=box) else ("none", None)

@@ -300,7 +300,7 @@ def mu_quotient(p: int, n: int, a: int, b: int, box: int,
     assign: dict = {}
     for m in enumerate_right(get_preset("atilde", p), n, box):
         pre = _xi0_rewrite_preimage(m, a, b)
-        if pre is not None and format_monomial(pre) in target._deg_of:
+        if pre is not None and format_monomial(pre) in target.coaction:
             assign[format_monomial(m)] = [(1, format_monomial(pre))]
     return morphism_from_assignment(source, target, assign)
 
@@ -323,7 +323,7 @@ def _divide_by_grouplike(p: int, a: int, b: int, box: int, shift,
         xi[0] = xi.get(0, 0) - db
         quo = _monomial(m.w, m.tau, m.u - da, tuple(sorted((j, e) for j, e in xi.items() if e)))
         tl = f"s|{format_monomial(quo)}"
-        if tl in target._deg_of:
+        if tl in target.coaction:
             assign[format_monomial(m)] = [(1, tl)]
     return morphism_from_assignment(source, target, assign)
 

@@ -192,6 +192,16 @@ def test_tensor_and_direct_sum_take_the_least_box_and_margin():
             assert (out.box, out.margin) == want, (first, second)
 
 
+def test_tensor_rejects_colliding_labels():
+    # a|b (x) c and a (x) b|c both join to a|b|c
+    def units(*labels):
+        return Comodule(BBAR3, {(0, 0): list(labels)},
+                        {lab: [(1, lab, Monomial())] for lab in labels}, box=None)
+
+    with pytest.raises(ValueError, match="duplicate label 'a|b|c'"):
+        tensor(units("a|b", "a"), units("c", "b|c"))
+
+
 def test_suspend_shifts_dims():
     J = _J(3, 0, 1)
     S = suspend(J, (0, 1))
@@ -320,7 +330,7 @@ def test_json_roundtrip_single_graded():
 
 def test_identity_is_comodule_map():
     J = _J(3, 0, 4)
-    assert identity_morphism(J).is_comodule_map()
+    assert identity_morphism(J).check() == []
 
 
 def test_assignment_rejects_degree_mismatch():
@@ -346,7 +356,7 @@ def test_direct_sum_and_projections():
     assert S.total_dim() == A.total_dim() + B.total_dim()
     inc = summand_inclusion(S, [A, B], 1)
     prj = summand_projection(S, [A, B], 1)
-    assert inc.is_comodule_map() and prj.is_comodule_map()
+    assert inc.check() == [] and prj.check() == []
     assert prj.compose(inc).blocks == identity_morphism(B).blocks
 
 

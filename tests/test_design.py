@@ -18,20 +18,22 @@ ALLOWED_NAME_CHECKS = {
 }
 
 
-def _name_comparisons(path: Path):
-    """(file, enclosing function, line) of each `x.name ==`, `x.name !=`,
-    `x.name in` or `x.name not in` comparison in the file."""
+# Every answer the engine reports is decided; the only sampled check is the
+# multiplicativity sample of the bialgebra axioms.
+ALLOWED_RANDOM_USES = {("bialgebra.py", "check_bialgebra_axioms")}
+
+
+def _find(path: Path, match):
+    """(file, enclosing function, line) of each node of the file for which
+    match(node) holds."""
     tree = ast.parse(path.read_text())
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-            if any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops) \
-                    and any(isinstance(x, ast.Attribute) and x.attr == "name" for x in operands):
-                found.append((path.name, func, node.lineno))
+        if match(node):
+            found.append((path.name, func, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -39,7 +41,36 @@ def _name_comparisons(path: Path):
     return found
 
 
+def _is_name_comparison(node) -> bool:
+    """`x.name ==`, `x.name !=`, `x.name in` or `x.name not in`."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops) \
+        and any(isinstance(x, ast.Attribute) and x.attr == "name" for x in operands)
+
+
+def _is_random_use(node) -> bool:
+    """An attribute of the `random` module, `np.random` / `numpy.random`, or
+    an import of names from either (a plain `import random` is not a use)."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "random" or (
+            node.attr == "random" and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.ImportFrom):
+        return node.module in ("random", "numpy.random") or (
+            node.module == "numpy" and any(a.name == "random" for a in node.names))
+    if isinstance(node, ast.Import):
+        return any(a.name == "numpy.random" or (a.name == "random" and a.asname)
+                   for a in node.names)
+    return False
+
+
 def test_no_branch_on_a_preset_name():
-    found = [c for path in sorted(SRC.glob("*.py")) for c in _name_comparisons(path)]
+    found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_name_comparison)]
     assert {(f, func) for f, func, _ in found} == ALLOWED_NAME_CHECKS, found
     assert len(found) == len(ALLOWED_NAME_CHECKS), found
+
+
+def test_random_generator_only_in_the_sampled_axiom_check():
+    found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_random_use)]
+    assert {(f, func) for f, func, _ in found} == ALLOWED_RANDOM_USES, found

@@ -1,5 +1,5 @@
 """Morphism-space solver: hom bases, kernels/images/cokernels with induced
-coactions, exactness reports, isomorphism search."""
+coactions, exactness reports, isomorphism verdicts."""
 from __future__ import annotations
 
 import logging
@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from supercomod.bialgebra import get_preset
 from supercomod.comodule import (
     Comodule,
+    ComoduleMorphism,
     direct_sum,
     identity_morphism,
     simple_comodule,
     tensor,
     zero_morphism,
 )
+from supercomod.fplinalg import FpMatrix
 from supercomod.homsolver import (
     _induced,
     cokernel,
@@ -202,17 +204,64 @@ def test_isomorphism_predicate():
     assert is_isomorphism(u_suspension_iso(3, 2))
 
 
+def test_isomorphism_requires_a_comodule_map():
+    # J(0,1) does not split, so identity blocks onto the split sum of its
+    # two simples are a degreewise bijection but not a comodule map
+    J = build_J(3, 0, 1)
+    S = direct_sum([simple_comodule(BBAR3, (0, 1)), simple_comodule(BBAR3, (1, 0))])
+    f = ComoduleMorphism(J, S, {d: FpMatrix.identity(3, 1) for d in J.degrees()})
+    assert all(f.block(d).rank() == S.dim(d) == J.dim(d) for d in S.degrees())
+    assert f.check() != []
+    assert not is_isomorphism(f)
+
+
 def test_tensor_splitting_J11():
     T = tensor(build_J(3, 1, 0), build_J(3, 0, 1))
-    iso = find_isomorphism(build_J(3, 1, 1), T)
-    assert iso is not None
+    verdict, iso = find_isomorphism(build_J(3, 1, 1), T)
+    assert verdict == "iso"
     assert iso.check() == []
     assert is_isomorphism(iso)
 
 
 def test_brown_gitler_even_instance():
-    iso = find_isomorphism(theta_J(3, 0, 2), build_Jn(3, 4))
-    assert iso is not None and is_isomorphism(iso)
+    # the "iso" verdict: Theta J(0,2) -> J(4)
+    verdict, iso = find_isomorphism(theta_J(3, 0, 2), build_Jn(3, 4))
+    assert verdict == "iso" and is_isomorphism(iso)
+
+
+def test_verdict_iso_inside_a_smaller_box():
+    # the morphisms solved below box 6 vanish above it, so the comodule-map
+    # check must stop at the same box or it would report a false "none"
+    F = build_F(3, 1, 1, 10)
+    T = tensor(build_F(3, 1, 0, 10), build_F(3, 0, 1, 10))
+    for box in (None, 6):
+        verdict, iso = find_isomorphism(F, T, box=box)
+        assert verdict == "iso" and iso.check(box=box) == []
+
+
+def test_verdict_none_by_poincare_tables():
+    assert build_J(3, 0, 2).poincare() != build_J(3, 0, 3).poincare()
+    assert find_isomorphism(build_J(3, 0, 2), build_J(3, 0, 3)) == ("none", None)
+
+
+def test_verdict_none_by_a_one_line_hom():
+    # equal tables, and every morphism is a multiple of one that is not
+    # bijective
+    J = build_J(3, 0, 1)
+    S = direct_sum([simple_comodule(BBAR3, (0, 1)), simple_comodule(BBAR3, (1, 0))])
+    assert J.poincare() == S.poincare()
+    hs = hom_space(J, S)
+    assert hs.dim == 1 and not is_isomorphism(hs.basis[0])
+    assert find_isomorphism(J, S) == ("none", None)
+
+
+def test_verdict_undecided_is_not_none():
+    J = build_J(3, 0, 1)
+    D = direct_sum([J, J])
+    assert hom_space(D, D).dim == 4
+    assert find_isomorphism(D, D) == ("undecided", None)
+    # an isomorphism exists all the same
+    assert is_isomorphism(identity_morphism(D))
 
 
 def test_brown_gitler_n32_is_certified():
