@@ -85,7 +85,15 @@ def _joint_truncation(mods) -> tuple[int | None, int]:
 
 
 class Comodule:
-    """A truncated right comodule with a chosen homogeneous basis."""
+    """A truncated right comodule with a chosen homogeneous basis.
+
+    `cofree_on` is the degree d on which the comodule is cofree on one
+    cogenerator, so that a morphism into it is the same thing as a
+    functional on the source's degree-d part; only the J builder sets it,
+    and every other construction leaves it None.
+    """
+
+    cofree_on = None
 
     def __init__(
         self,
@@ -447,10 +455,17 @@ def suspend(M: Comodule, d, name: str = "") -> Comodule:
 
 def _push_coaction(M: Comodule, dst: CoalgebraPreset) -> dict:
     """M's coaction with each algebra factor sent through the quotient
-    M.preset -> dst."""
+    M.preset -> dst, each distinct monomial once."""
+    images: dict = {}
+
+    def image(b):
+        if b not in images:
+            images[b] = quotient_map(M.preset, dst, b)
+        return images[b]
+
     return {
         lab: [(c * c2, to_label, b2) for c, to_label, b in terms
-              for c2, b2 in quotient_map(M.preset, dst, b)]
+              for c2, b2 in image(b)]
         for lab, terms in M.coaction.items()
     }
 

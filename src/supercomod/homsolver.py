@@ -26,7 +26,13 @@ is an exact sequence padded by zero objects.  An isomorphism is a
 degreewise bijection that is a comodule map (`is_isomorphism`), and
 `find_isomorphism` decides, with no search, whether one exists: it answers
 "iso" with a certified isomorphism, "none" only with a proof, and
-"undecided" when the morphism space has dimension 2 or more.
+"undecided" when the morphism space has dimension 2 or more.  Into a
+target that is cofree on one cogenerator in degree d (a J), a morphism is
+a functional on the source's degree-d part, so when that part is one line
+the candidate comes in closed form from the coaction and is certified with
+no linear system; only when it fails is the morphism space solved, and
+"none" and "undecided" always come from the solver.  `supercomod.homsolver`
+logs at DEBUG which route each verdict took.
 """
 from __future__ import annotations
 
@@ -35,10 +41,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bialgebra import format_monomial
 from .comodule import (
     Comodule,
     ComoduleMorphism,
     TrustedRegion,
+    morphism_from_assignment,
     zero_comodule,
     zero_morphism,
 )
@@ -300,6 +308,17 @@ def is_isomorphism(f: ComoduleMorphism, box: int | None = None) -> bool:
     return f.check(box=box) == []
 
 
+def _cofree_candidate(M: Comodule, N: Comodule, g: str) -> ComoduleMorphism:
+    """The morphism M -> N given by the functional g* on g's degree, for N a
+    J cofree on that degree: x goes to the sum of c * [b] over the coaction
+    terms (c, g, b) of x, where [b] is the basis element of N labelled by
+    the monomial b.  Coassociativity makes it a comodule map; whether it is
+    an isomorphism is for `is_isomorphism` to say."""
+    assign = {lab: [(c, format_monomial(b)) for c, x, b in terms if x == g]
+              for lab, terms in M.coaction.items()}
+    return morphism_from_assignment(M, N, assign)
+
+
 def find_isomorphism(M: Comodule, N: Comodule, box: int | None = None) -> tuple:
     """Decide whether M and N are isomorphic in the trusted region.
 
@@ -312,11 +331,28 @@ def find_isomorphism(M: Comodule, N: Comodule, box: int | None = None) -> tuple:
                           isomorphism;
       ("undecided", None) the morphism space has dimension 2 or more; no
                           search is made, so this is neither answer.
+
+    When N is cofree on a trusted degree d (`N.cofree_on`) and M_d is one
+    line <g>, the closed-form candidate of g* is tried first; it is returned
+    only when `is_isomorphism` certifies it, the same certificate the solver
+    route gives.  Otherwise, or when it fails, the verdict comes from
+    `hom_space`.
     """
     region = TrustedRegion(M, N, box=box)
     if ({d: n for d, n in M.poincare().items() if d in region}
             != {d: n for d, n in N.poincare().items() if d in region}):
         return "none", None
+    d = N.cofree_on
+    tried = d is not None and d in region and M.dim(d) == 1
+    if tried:
+        f = _cofree_candidate(M, N, M.basis(d)[0])
+        if is_isomorphism(f, box=box):
+            log.debug("find_isomorphism %s -> %s: cofree candidate certified, dim %d",
+                      M.name, N.name, M.total_dim())
+            return "iso", f
+    log.debug("find_isomorphism %s -> %s: solver%s, dim %d",
+              M.name, N.name, " after a failed cofree candidate" if tried else "",
+              M.total_dim())
     space = hom_space(M, N, box=box)
     if space.dim > 1:
         return "undecided", None

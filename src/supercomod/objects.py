@@ -51,7 +51,8 @@ from .comodule import (
 
 def _build_J_on(preset, left, name: str) -> Comodule:
     """Monomials of the given left degree, graded by right degree and
-    coacted on by the coproduct."""
+    coacted on by the coproduct: the comodule cofree on one cogenerator in
+    degree `left`."""
     span = enumerate_left(preset, left)
     labels = {m: format_monomial(m) for m in span}
     components: dict = {}
@@ -61,7 +62,9 @@ def _build_J_on(preset, left, name: str) -> Comodule:
         labels[m]: [(c, labels[m1], b2) for (m1, b2), c in coproduct(preset, m).items()]
         for m in span
     }
-    return Comodule(preset, components, coaction, box=None, name=name)
+    J = Comodule(preset, components, coaction, box=None, name=name)
+    J.cofree_on = left
+    return J
 
 
 def build_J(p: int, a: int, b: int) -> Comodule:

@@ -23,6 +23,18 @@ ALLOWED_NAME_CHECKS = {
 ALLOWED_RANDOM_USES = {("bialgebra.py", "check_bialgebra_axioms")}
 
 
+# A J is cofree on one degree, so a morphism into it comes in closed form;
+# `cofree_on` records that degree.  Only the J builder sets it (over the
+# class default of None), and only the isomorphism verdict reads it, whose
+# certificate does not depend on how its candidate was found: no check
+# whose claim is a hom dimension can take the closed form.
+ALLOWED_COFREE_USES = {
+    ("comodule.py", None, "store"),
+    ("objects.py", "_build_J_on", "store"),
+    ("homsolver.py", "find_isomorphism", "load"),
+}
+
+
 def _find(path: Path, match):
     """(file, enclosing function, line) of each node of the file for which
     match(node) holds."""
@@ -65,6 +77,18 @@ def _is_random_use(node) -> bool:
     return False
 
 
+def _cofree_use(node):
+    """"store" or "load" for a use of `cofree_on` (an attribute, a name, or a
+    string that getattr could take), else None."""
+    if isinstance(node, ast.Attribute) and node.attr == "cofree_on":
+        return "store" if isinstance(node.ctx, ast.Store) else "load"
+    if isinstance(node, ast.Name) and node.id == "cofree_on":
+        return "store" if isinstance(node.ctx, ast.Store) else "load"
+    if isinstance(node, ast.Constant) and node.value == "cofree_on":
+        return "load"
+    return None
+
+
 def test_no_branch_on_a_preset_name():
     found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_name_comparison)]
     assert {(f, func) for f, func, _ in found} == ALLOWED_NAME_CHECKS, found
@@ -74,3 +98,12 @@ def test_no_branch_on_a_preset_name():
 def test_random_generator_only_in_the_sampled_axiom_check():
     found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_random_use)]
     assert {(f, func) for f, func, _ in found} == ALLOWED_RANDOM_USES, found
+
+
+def test_cofree_label_set_by_the_J_builder_read_by_the_verdict_only():
+    found = {kind: [c for path in sorted(SRC.glob("*.py"))
+                    for c in _find(path, lambda node: _cofree_use(node) == kind)]
+             for kind in ("store", "load")}
+    uses = sorted(((f, func, kind) for kind, cs in found.items() for f, func, _ in cs),
+                  key=str)
+    assert uses == sorted(ALLOWED_COFREE_USES, key=str), found

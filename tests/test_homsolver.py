@@ -13,6 +13,7 @@ from supercomod.bialgebra import get_preset
 from supercomod.comodule import (
     Comodule,
     ComoduleMorphism,
+    TrustedRegion,
     direct_sum,
     identity_morphism,
     simple_comodule,
@@ -21,6 +22,7 @@ from supercomod.comodule import (
 )
 from supercomod.fplinalg import FpMatrix
 from supercomod.homsolver import (
+    _cofree_candidate,
     _induced,
     cokernel,
     equalizer,
@@ -223,10 +225,17 @@ def test_tensor_splitting_J11():
     assert is_isomorphism(iso)
 
 
-def test_brown_gitler_even_instance():
-    # the "iso" verdict: Theta J(0,2) -> J(4)
-    verdict, iso = find_isomorphism(theta_J(3, 0, 2), build_Jn(3, 4))
+def test_brown_gitler_even_instance(caplog):
+    # the "iso" verdict: Theta J(0,2) -> J(4); Theta J(0,2) has one line in
+    # degree 4, where J(4) is cofree, so the closed-form candidate is
+    # certified and no system is solved
+    with caplog.at_level(logging.DEBUG, logger="supercomod"):
+        verdict, iso = find_isomorphism(theta_J(3, 0, 2), build_Jn(3, 4))
     assert verdict == "iso" and is_isomorphism(iso)
+    (record,) = caplog.records
+    assert record.name == "supercomod.homsolver"
+    for word in ("cofree candidate certified", "Theta(J(0,2)) -> J4", "dim"):
+        assert word in record.getMessage()
 
 
 def test_verdict_iso_inside_a_smaller_box():
@@ -264,6 +273,21 @@ def test_verdict_undecided_is_not_none():
     assert is_isomorphism(identity_morphism(D))
 
 
+def test_failed_cofree_candidate_falls_back_to_the_solver(caplog):
+    # the simples with J(1,1)'s table: the candidate is not an isomorphism,
+    # and "none" is proven by the one-line hom space
+    J = build_J(3, 1, 1)
+    S = direct_sum([simple_comodule(BBAR3, d) for d, n in sorted(J.poincare().items())
+                    for _ in range(n)])
+    assert S.poincare() == J.poincare()
+    assert not is_isomorphism(_cofree_candidate(S, J, S.basis(J.cofree_on)[0]))
+    with caplog.at_level(logging.DEBUG, logger="supercomod.homsolver"):
+        assert find_isomorphism(S, J) == ("none", None)
+    route, hom = caplog.records
+    assert "solver after a failed cofree candidate" in route.getMessage()
+    assert hom.getMessage().startswith("hom_space")
+
+
 def test_brown_gitler_n32_is_certified():
     hs = hom_space(theta_J(3, 0, 32), build_Jn(3, 64))
     assert hs.dim == 1
@@ -293,7 +317,8 @@ def _standard_object(p: int, kind: str, a: int, b: int):
        a=st.integers(0, 2), b=st.integers(0, 3))
 def test_cofree_and_representability_oracles(p, parts, combine, a, b):
     """dim hom(M, J(a,b)) = dim M_(a,b) = dim hom(F(a,b), M), counted by a
-    route that shares no code with the solver."""
+    route that shares no code with the solver; and the closed-form maps
+    M -> J(a,b) of the dual basis of M_(a,b) span the solver's hom space."""
     mods = [_standard_object(p, *part) for part in parts]
     M = mods[0]
     if combine == "sum":
@@ -302,8 +327,20 @@ def test_cofree_and_representability_oracles(p, parts, combine, a, b):
         for N in mods[1:]:
             M = tensor(M, N)
     expected = M.dim((a, b))
-    assert hom_space(M, build_J(p, a, b)).dim == expected
+    J = build_J(p, a, b)
+    hs = hom_space(M, J)
+    assert hs.dim == expected
     assert hom_space(build_F(p, a, b, ORACLE_BOX), M).dim == expected
+    closed = [_cofree_candidate(M, J, g) for g in M.basis((a, b))]
+    degrees = [d for d in M.degrees() if d in TrustedRegion(M, J) and J.dim(d)]
+
+    def rank(maps):
+        if not maps:
+            return 0
+        rows = [np.concatenate([f.block(d).a.ravel() for d in degrees]) for f in maps]
+        return FpMatrix(p, np.array(rows, dtype=np.int64)).rank()
+
+    assert rank(closed) == rank(hs.basis) == rank(closed + hs.basis) == expected
 
 
 def test_phi_F2_sits_in_sequence():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from supercomod import homsolver
 from supercomod.verify import SUITES, SuiteReport, run_all, run_suite
 
 
@@ -142,4 +143,14 @@ def test_brown_gitler_small(p, n_max):
 
 def test_h_tensor_small():
     rep = run_suite("h_tensor", p=3, n_max=2, box=24)
+    assert rep.ok, failures(rep)
+
+
+def test_brown_gitler_is_certified_without_a_hom_solve(monkeypatch):
+    # every Theta J(eps,n) -> J(2n+eps) takes the closed-form candidate
+    def refuse(*args, **kwargs):
+        raise AssertionError("hom_space called")
+
+    monkeypatch.setattr(homsolver, "hom_space", refuse)
+    rep = run_suite("brown_gitler", p=3, n_max=4)
     assert rep.ok, failures(rep)
