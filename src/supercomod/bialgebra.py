@@ -22,17 +22,31 @@ Monomials are interned: equal monomials are one object, so comparing and
 hashing them is by identity.  Input is validated where it enters, by
 ``Monomial(...)``, the ``mono*`` helpers and ``parse_monomial``; products,
 coproduct recursion, quotient maps and ideal reductions build their results
-from valid operands with the private ``_monomial``, which does not check
-again.  No output may depend on the iteration order of a set of monomials
-(identity hashes vary from run to run), so such sets are sorted first.
-``cache_stats()`` reports the coproduct caches and the number of interned
-monomials.
+from valid operands with the private ``_monomial`` and ``_from_code``, which
+check only the packing limits below.  No output may depend on the iteration order of a set of
+monomials (identity hashes vary from run to run), so such sets are sorted
+first; ``sort_key`` orders them by the tuple (w, tau, u, xi).
+
+Each monomial carries one packed integer key, by which the intern table
+finds it.  Bit 0 is w and bit 1 + i is t_i, so the exterior letters form a
+bitmask.  Above them u has a field of 24 bits and each x_j, in order of j,
+a field of 16 bits, and every field has one guard bit on top.  A product is
+then a disjoint-mask test, one integer addition and one table lookup, with
+the sign of reordering the exterior letters counted from the two masks.  The limits are t_i for
+i <= MAX_TAU_INDEX, x_j for j <= MAX_XI_INDEX, a u exponent up to
+MAX_U_EXPONENT and an x_j exponent up to MAX_XI_EXPONENT; ``Monomial(...)``
+and ``parse_monomial`` reject more with a ValueError that names the limit,
+and a product whose sum sets a guard bit raises rather than carry into the
+next field.  Only this module reads the key.
+
+A preset memoises ``left_degree`` and ``right_degree`` per (name, p), keyed
+by the interned monomial.  ``cache_stats()`` reports the coproduct caches,
+the size of each degree memo and the number of interned monomials.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, groupby
@@ -44,6 +58,20 @@ ODD_PRIMES = (3, 5, 7)
 # ---------------------------------------------------------------------------
 # monomials
 
+MAX_TAU_INDEX = 15
+MAX_XI_INDEX = 31
+MAX_U_EXPONENT = 2**24 - 1
+MAX_XI_EXPONENT = 2**16 - 1
+
+# the packed key: exterior bitmask, then the u field, then one field per x_j
+_EXT = (1 << (MAX_TAU_INDEX + 2)) - 1
+_U_SHIFT = MAX_TAU_INDEX + 2
+_X_SHIFT = _U_SHIFT + MAX_U_EXPONENT.bit_length() + 1
+_X_WIDTH = MAX_XI_EXPONENT.bit_length() + 1
+_U_GUARD = 1 << (_X_SHIFT - 1)
+_GUARDS = _U_GUARD | sum(1 << (_X_SHIFT + _X_WIDTH * (j + 1) - 1)
+                         for j in range(MAX_XI_INDEX + 1))
+
 
 class Monomial:
     """w^w * t_{i in tau} * u^u * prod x_j^e  with tau, xi sorted.
@@ -52,17 +80,14 @@ class Monomial:
     validates its input, and an instance pickles back to the interned object.
     """
 
-    __slots__ = ("w", "tau", "u", "xi", "parity", "_key")
+    __slots__ = ("w", "tau", "u", "xi", "parity", "_code")
 
     def __new__(cls, w: int = 0, tau=(), u: int = 0, xi=()):
-        # plain int tuples, so that an interned key never holds a float,
-        # a bool or a numpy integer that later equal lookups would return
+        # plain int tuples, so that a monomial never holds a float, a bool
+        # or a numpy integer
         w, u = index(w), index(u)
         tau = tuple(map(index, tau))
         xi = tuple((index(j), index(e)) for j, e in xi)
-        m = _INTERNED.get((w, tau, u, xi))
-        if m is not None:
-            return m
         if w not in (0, 1):
             raise ValueError("w exponent must be 0 or 1")
         if list(tau) != sorted(set(tau)):
@@ -73,7 +98,7 @@ class Monomial:
             raise ValueError("xi indices must be strictly increasing")
         if u < 0:
             raise ValueError("u exponent must be nonnegative")
-        return _new_monomial((w, tau, u, xi))
+        return _monomial(w, tau, u, xi)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Monomial is immutable; cannot set {name!r}")
@@ -82,7 +107,7 @@ class Monomial:
         raise AttributeError(f"Monomial is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        return (Monomial, self._key)
+        return (Monomial, self.sort_key())
 
     def __repr__(self) -> str:
         return f"Monomial(w={self.w!r}, tau={self.tau!r}, u={self.u!r}, xi={self.xi!r})"
@@ -94,36 +119,80 @@ class Monomial:
         return self is ONE
 
     def sort_key(self):
-        return self._key
+        return (self.w, self.tau, self.u, self.xi)
 
     def __str__(self) -> str:
         return format_monomial(self)
 
 
-_INTERNED: dict[tuple, Monomial] = {}
+_INTERNED: dict[int, Monomial] = {}  # packed key -> monomial
+_XI_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}  # one (j, e) tuple each
 _set_slot = object.__setattr__
 
 
-def _new_monomial(key: tuple) -> Monomial:
-    """Intern a new monomial from a valid, not yet interned (w, tau, u, xi)."""
+def _pack(w: int, tau: tuple, u: int, xi: tuple) -> int:
+    """The packed key of (w, tau, u, xi); a ValueError names a limit that an
+    index or exponent exceeds."""
+    if u > MAX_U_EXPONENT:
+        raise ValueError(f"u exponent {u} exceeds the limit {MAX_U_EXPONENT}")
+    code = w | u << _U_SHIFT
+    for i in tau:
+        if not 0 <= i <= MAX_TAU_INDEX:
+            raise ValueError(f"t{i}: tau indices run from 0 to the limit {MAX_TAU_INDEX}")
+        code |= 2 << i
+    for j, e in xi:
+        if not 0 <= j <= MAX_XI_INDEX:
+            raise ValueError(f"x{j}: xi indices run from 0 to the limit {MAX_XI_INDEX}")
+        if e > MAX_XI_EXPONENT:
+            raise ValueError(f"x{j} exponent {e} exceeds the limit {MAX_XI_EXPONENT}")
+        code |= e << (_X_SHIFT + _X_WIDTH * j)
+    return code
+
+
+def _new_monomial(code: int, w: int, tau: tuple, u: int, xi: tuple) -> Monomial:
+    """Intern a new monomial from its packed key and valid parts."""
     m = object.__new__(Monomial)
-    w, tau, u, xi = key
     _set_slot(m, "w", w)
     _set_slot(m, "tau", tau)
     _set_slot(m, "u", u)
     _set_slot(m, "xi", xi)
     _set_slot(m, "parity", (w + len(tau)) % 2)
-    _set_slot(m, "_key", key)
-    _INTERNED[key] = m
+    _set_slot(m, "_code", code)
+    _INTERNED[code] = m
     return m
 
 
 def _monomial(w: int, tau: tuple, u: int, xi: tuple) -> Monomial:
     """Trusted constructor: the interned monomial of (w, tau, u, xi), which
-    the caller guarantees valid (tau and xi sorted tuples, exponents in
-    range).  Only for results built from monomials that are already valid."""
-    key = (w, tau, u, xi)
-    return _INTERNED.get(key) or _new_monomial(key)
+    the caller guarantees valid (tau and xi sorted tuples, exponents
+    positive).  Only the packing limits are checked."""
+    code = _pack(w, tau, u, xi)
+    return _INTERNED.get(code) or _new_monomial(code, w, tau, u, xi)
+
+
+def _from_code(code: int) -> Monomial:
+    """The interned monomial of a packed key built by adding or subtracting
+    the keys of valid monomials; a ValueError when a field overflowed."""
+    m = _INTERNED.get(code)
+    if m is not None:
+        return m
+    if code & _U_GUARD:
+        raise ValueError(f"u exponent of a product exceeds the limit {MAX_U_EXPONENT}")
+    if code & _GUARDS:
+        j = ((code & _GUARDS).bit_length() - _X_SHIFT) // _X_WIDTH - 1
+        raise ValueError(f"x{j} exponent of a product exceeds the limit {MAX_XI_EXPONENT}")
+    ext = code & _EXT
+    tau = tuple(i for i in range(ext.bit_length() - 1) if ext >> (i + 1) & 1)
+    xi = []
+    rest, j = code >> _X_SHIFT, 0
+    while rest:
+        e = rest & MAX_XI_EXPONENT
+        if e:
+            pair = (j, e)
+            xi.append(_XI_PAIRS.setdefault(pair, pair))
+        rest >>= _X_WIDTH
+        j += 1
+    return _new_monomial(code, ext & 1, tau, (code >> _U_SHIFT) & MAX_U_EXPONENT, tuple(xi))
 
 
 ONE = Monomial()
@@ -224,46 +293,20 @@ def parse_monomial(text: str) -> Monomial:
 
 def product(m1: Monomial, m2: Monomial) -> tuple[int, Monomial | None]:
     """Graded-commutative product; returns (sign, monomial) or (0, None)."""
-    w1, w2 = m1.w, m2.w
-    if w1 and w2:
+    c1, c2 = m1._code, m2._code
+    e1, e2 = c1 & _EXT, c2 & _EXT
+    if e1 & e2:
         return 0, None
-    # exterior letters ordered w < t0 < t1 < ...; the sign counts the pairs
-    # (a from m1, b from m2) with a > b: all of m1's tau against w2, and
-    # the inversions between the two tau tuples
-    t1, t2 = m1.tau, m2.tau
-    inversions = len(t1) if w2 else 0
-    if not t2:
-        tau = t1
-    elif not t1:
-        tau = t2
-    else:
-        tau = t1
-        for b in t2:
-            k = bisect_left(tau, b)
-            if k < len(tau) and tau[k] == b:
-                return 0, None
-            inversions += len(tau) - k
-            tau = tau[:k] + (b,) + tau[k:]
-    x1, x2 = m1.xi, m2.xi
-    if not x2:
-        xi = x1
-    elif not x1:
-        xi = x2
-    else:
-        xi = _xi_merge(x1, x2)
-    return (-1 if inversions & 1 else 1), _monomial(w1 + w2, tau, m1.u + m2.u, xi)
-
-
-def _xi_merge(x1: tuple, x2: tuple) -> tuple:
-    """The product of two nonempty xi parts, as one sorted xi tuple."""
-    xi = x1
-    for j, e in x2:
-        k = bisect_left(xi, (j,))
-        if k < len(xi) and xi[k][0] == j:
-            xi = xi[:k] + ((j, xi[k][1] + e),) + xi[k + 1:]
-        else:
-            xi = xi[:k] + ((j, e),) + xi[k:]
-    return xi
+    code = c1 + c2
+    m = _INTERNED.get(code) or _from_code(code)
+    # exterior letters ordered w < t0 < t1 < ... as bits; the sign counts the
+    # pairs (a from m1, b from m2) with a > b
+    inversions = 0
+    while e1 and e2:
+        low = e2 & -e2
+        inversions += (e1 & -(low << 1)).bit_count()
+        e2 ^= low
+    return (-1 if inversions & 1 else 1), m
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +366,9 @@ _PRESETS = {
 }
 PRESET_NAMES = tuple(_PRESETS)
 
+# (name, p) -> the memos of left and right degrees, keyed by monomial
+_DEGREE_MEMOS: dict[tuple[str, int], tuple[dict, dict]] = {}
+
 
 @dataclass(frozen=True)
 class CoalgebraPreset:
@@ -332,6 +378,8 @@ class CoalgebraPreset:
     name: str
     p: int
     row: PresetRow = field(init=False, repr=False, compare=False)
+    _left: dict = field(init=False, repr=False, compare=False)
+    _right: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         row = _PRESETS.get(self.name)
@@ -342,6 +390,9 @@ class CoalgebraPreset:
                 raise ValueError(f"preset {self.name!r} requires an odd prime in {ODD_PRIMES}")
             raise ValueError(f"preset {self.name} requires p = {row.primes[0]}")
         object.__setattr__(self, "row", row)
+        left, right = _DEGREE_MEMOS.setdefault((self.name, self.p), ({}, {}))
+        object.__setattr__(self, "_left", left)
+        object.__setattr__(self, "_right", right)
 
     @property
     def bigraded(self) -> bool:
@@ -367,13 +418,19 @@ class CoalgebraPreset:
         return [(deg - k * b, b) for b in range(deg // k + 1)]
 
     def left_degree(self, m: Monomial):
-        p = self.p
-        return self.collapse(
-            m.u + m.w, sum(p**i for i in m.tau) + sum(e * p**j for j, e in m.xi)
-        )
+        d = self._left.get(m)
+        if d is None:
+            p = self.p
+            d = self._left[m] = self.collapse(
+                m.u + m.w, sum(p**i for i in m.tau) + sum(e * p**j for j, e in m.xi)
+            )
+        return d
 
     def right_degree(self, m: Monomial):
-        return self.collapse(m.u + len(m.tau), m.w + sum(e for _, e in m.xi))
+        d = self._right.get(m)
+        if d is None:
+            d = self._right[m] = self.collapse(m.u + len(m.tau), m.w + sum(e for _, e in m.xi))
+        return d
 
     def total_degree(self, m: Monomial) -> int:
         return total_of(self.left_degree(m)) - total_of(self.right_degree(m))
@@ -537,13 +594,13 @@ def coproduct(preset: CoalgebraPreset, m: Monomial) -> TensorSum:
     preset.validate_monomial(m)
     if m.xi:
         j, e = m.xi[-1]
-        rest = _monomial(m.w, m.tau, m.u, m.xi[:-1])
+        rest = _from_code(m._code - (e << (_X_SHIFT + _X_WIDTH * j)))
         return coproduct(preset, rest).mul(_generator_power_coproduct(preset, "xi", j, e))
     if m.u:
-        rest = _monomial(m.w, m.tau, 0, ())
+        rest = _from_code(m._code & _EXT)
         return coproduct(preset, rest).mul(_generator_power_coproduct(preset, "u", 0, m.u))
     if m.tau:
-        rest = _monomial(m.w, m.tau[:-1], 0, ())
+        rest = _from_code(m._code ^ (2 << m.tau[-1]))
         return coproduct(preset, rest).mul(_generator_coproduct(preset, "tau", m.tau[-1]))
     if m.w:
         return _generator_coproduct(preset, "w")
@@ -559,21 +616,23 @@ _COPRODUCT_CACHES = (
 
 
 def cache_stats() -> dict:
-    """Hits, misses and size of the coproduct caches, and the number of
+    """Hits, misses and size of the coproduct caches, the size of each
+    degree memo (under "degree_memos", keyed "name p=p") and the number of
     interned monomials."""
     out: dict = {}
     for name, cached in _COPRODUCT_CACHES:
         info = cached.cache_info()
         out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+    out["degree_memos"] = {f"{name} p={p}": {"left": len(left), "right": len(right)}
+                           for (name, p), (left, right) in sorted(_DEGREE_MEMOS.items())}
     out["interned_monomials"] = len(_INTERNED)
     return out
 
 
 def counit(preset: CoalgebraPreset, m: Monomial) -> int:
     """epsilon(m): 1 on powers of the grouplike core (u and x0), else 0."""
-    if m.w or m.tau or any(j >= 1 for j, _ in m.xi):
-        return 0
-    return 1
+    code = m._code
+    return 0 if code & _EXT or code >> (_X_SHIFT + _X_WIDTH) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -811,9 +870,16 @@ _QUOTIENTS = frozenset({
 
 def _x0_to_u2(m: Monomial) -> Monomial:
     """m with its factor x0^e rewritten as u^(2e)."""
-    if m.xi and m.xi[0][0] == 0:
-        return _monomial(m.w, m.tau, m.u + 2 * m.xi[0][1], m.xi[1:])
-    return m
+    e = m._code >> _X_SHIFT & MAX_XI_EXPONENT
+    return _from_code(m._code + (2 * e << _U_SHIFT) - (e << _X_SHIFT)) if e else m
+
+
+def _divides(k: Monomial, m: Monomial) -> bool:
+    """Whether k divides m: m has every letter of k, each to at least k's
+    power.  Field-wise on the packed keys: with all guard bits of m set,
+    subtracting k clears the guard of exactly the fields where m is short."""
+    a, b = k._code, m._code
+    return not a & _EXT & ~b and ((b | _GUARDS) - a) & _GUARDS == _GUARDS
 
 
 def quotient_map(
@@ -845,37 +911,31 @@ class HopfIdealReport:
         return self.counit_vanishes and self.is_coideal
 
 
-def _ideal_reduction(preset: CoalgebraPreset, gens: tuple[str, ...]):
-    """Normal-form map q modulo the ideal, or None if unsupported.
+def _is_binomial(g: str) -> bool:
+    return g.replace(" ", "") == "x0-u^2"
 
-    Supported generators: single generator monomials ("w", "u", "t<i>",
-    "x<j>") and the binomial "x0-u^2".
+
+def _ideal_reduction(gens: tuple[str, ...]):
+    """The normal-form map q modulo the ideal: q(m) is the monomial that m
+    reduces to, or None when m lies in the ideal.  Each distinct m is
+    reduced once per map.
+
+    Generators are monomials in the ``parse_monomial`` syntax (a product of
+    letters is one monomial, not one generator per letter) and the binomial
+    "x0-u^2", which rewrites x0 as u^2 in m and in the monomial generators;
+    any other text raises ValueError.
     """
-    killed: list[Monomial] = []
-    xi0_usq = False
-    for g in gens:
-        if g.replace(" ", "") == "x0-u^2":
-            xi0_usq = True
-            continue
-        m = parse_monomial(g)
-        killed.append(m)
-
-    def killed_by(m: Monomial) -> bool:
-        for k in killed:
-            if k.w and m.w:
-                return True
-            if k.tau and set(k.tau) <= set(m.tau):
-                return True
-            if k.u and m.u >= k.u:
-                return True
-            if k.xi and all(m.xi_dict().get(j, 0) >= e for j, e in k.xi):
-                return True
-        return False
+    xi0_usq = any(_is_binomial(g) for g in gens)
+    killed = [parse_monomial(g) for g in gens if not _is_binomial(g)]
+    if xi0_usq:
+        killed = [_x0_to_u2(k) for k in killed]
+    memo: dict[Monomial, Monomial | None] = {}
 
     def q(m: Monomial) -> Monomial | None:
-        if xi0_usq:
-            m = _x0_to_u2(m)
-        return None if killed_by(m) else m
+        if m not in memo:
+            r = _x0_to_u2(m) if xi0_usq else m
+            memo[m] = None if any(_divides(k, r) for k in killed) else r
+        return memo[m]
 
     return q
 
@@ -888,24 +948,18 @@ def check_hopf_ideal(preset: CoalgebraPreset, gens, box: int) -> HopfIdealReport
     both tensor slots to normal form modulo I.
     """
     gens = tuple(gens)
-    q = _ideal_reduction(preset, gens)
+    q = _ideal_reduction(gens)
     p = preset.p
 
-    def gen_terms(g: str) -> list[tuple[int, Monomial]]:
-        if g.replace(" ", "") == "x0-u^2":
-            return [(1, mono_xi(0)), (-1, mono_u(2))]
-        return [(1, parse_monomial(g))]
-
-    counit_ok = True
-    for g in gens:
-        val = sum(c * counit(preset, m) for c, m in gen_terms(g)) % p
-        if val:
-            counit_ok = False
+    gen_terms = {g: [(1, mono_xi(0)), (-1, mono_u(2))] if _is_binomial(g)
+                 else [(1, parse_monomial(g))] for g in gens}
+    counit_ok = all(sum(c * counit(preset, m) for c, m in gen_terms[g]) % p == 0
+                    for g in gens)
     monomials = enumerate_box(preset, box)
     for g in gens:
         for m in monomials:
             residue: dict[tuple[Monomial, Monomial], int] = {}
-            for c, gm in gen_terms(g):
+            for c, gm in gen_terms[g]:
                 s, x = product(gm, m)
                 if not s:
                     continue

@@ -5,8 +5,14 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercomod.bialgebra import (
+    MAX_TAU_INDEX,
+    MAX_U_EXPONENT,
+    MAX_XI_EXPONENT,
+    MAX_XI_INDEX,
     ONE,
     Monomial,
     TensorSum,
@@ -162,8 +168,16 @@ def _reference_product(m1, m2):
     return (-1 if inversions % 2 else 1), out
 
 
+# monomials near the packing limits whose pairwise products stay inside them
+LARGE_MONOMIALS = [
+    Monomial(1, (0, MAX_TAU_INDEX), MAX_U_EXPONENT // 2, ((0, MAX_XI_EXPONENT // 2),)),
+    Monomial(0, (3, 9, 14), 1, ((2, 7), (MAX_XI_INDEX, MAX_XI_EXPONENT // 2))),
+    Monomial(0, (MAX_TAU_INDEX,), MAX_U_EXPONENT // 2, ((17, MAX_XI_EXPONENT // 2),)),
+]
+
+
 def test_product_matches_reference():
-    monomials = enumerate_box(B3, 9) + [parse_monomial("t0*t1*t2*x0*x1^2*x2")]
+    monomials = [*enumerate_box(B3, 9), parse_monomial("t0*t1*t2*x0*x1^2*x2"), *LARGE_MONOMIALS]
     for m1 in monomials:
         for m2 in monomials:
             assert product(m1, m2) == _reference_product(m1, m2), (m1, m2)
@@ -181,8 +195,65 @@ def test_cache_stats_reports_the_caches():
     assert after["coproduct"] == {"hits": info.hits, "misses": info.misses,
                                   "size": info.currsize}
     assert after["generator_power_coproduct"]["size"] > 0
-    Monomial(u=987654, xi=((7, 1),))
+    big = Monomial(u=987654, xi=((7, 1),))
     assert cache_stats()["interned_monomials"] == after["interned_monomials"] + 1
+    # one degree memo per (preset name, p), shared by equal presets
+    memo = cache_stats()["degree_memos"]["b p=3"]
+    B3.left_degree(big)
+    B3.left_degree(big)
+    get_preset("b", 3).right_degree(big)
+    assert cache_stats()["degree_memos"]["b p=3"] == {"left": memo["left"] + 1,
+                                                      "right": memo["right"] + 1}
+
+
+@pytest.mark.parametrize(
+    "kwargs, text, message",
+    [
+        ({"u": MAX_U_EXPONENT + 1}, f"u^{MAX_U_EXPONENT + 1}", f"limit {MAX_U_EXPONENT}"),
+        ({"tau": (MAX_TAU_INDEX + 1,)}, f"t{MAX_TAU_INDEX + 1}", f"limit {MAX_TAU_INDEX}"),
+        ({"xi": ((MAX_XI_INDEX + 1, 1),)}, f"x{MAX_XI_INDEX + 1}", f"limit {MAX_XI_INDEX}"),
+        ({"xi": ((2, MAX_XI_EXPONENT + 1),)}, f"x2^{MAX_XI_EXPONENT + 1}",
+         f"limit {MAX_XI_EXPONENT}"),
+        ({"tau": (-1,)}, "t-1", f"limit {MAX_TAU_INDEX}"),
+    ],
+)
+def test_monomials_beyond_the_packing_limits_are_rejected(kwargs, text, message):
+    with pytest.raises(ValueError, match=message):
+        Monomial(**kwargs)
+    with pytest.raises(ValueError, match=message):
+        parse_monomial(text)
+
+
+def test_monomials_at_the_packing_limits():
+    m = Monomial(1, (0, MAX_TAU_INDEX), MAX_U_EXPONENT, ((0, 1), (MAX_XI_INDEX, MAX_XI_EXPONENT)))
+    assert parse_monomial(format_monomial(m)) is m
+    assert m.sort_key() == (1, (0, MAX_TAU_INDEX), MAX_U_EXPONENT,
+                            ((0, 1), (MAX_XI_INDEX, MAX_XI_EXPONENT)))
+    # factors the parser adds up are checked as their sum
+    with pytest.raises(ValueError, match=f"limit {MAX_U_EXPONENT}"):
+        parse_monomial(f"u^{MAX_U_EXPONENT}*u")
+    assert product(mono_u(MAX_U_EXPONENT - 1), mono_u()) == (1, mono_u(MAX_U_EXPONENT))
+
+
+@pytest.mark.parametrize(
+    "m1, m2, message",
+    [
+        (mono_u(MAX_U_EXPONENT), mono_u(), f"u exponent of a product exceeds the limit "
+                                           f"{MAX_U_EXPONENT}"),
+        (mono_xi(3, MAX_XI_EXPONENT), parse_monomial("t1*x3*x4"),
+         f"x3 exponent of a product exceeds the limit {MAX_XI_EXPONENT}"),
+        (mono_xi(MAX_XI_INDEX, MAX_XI_EXPONENT), mono_xi(MAX_XI_INDEX, MAX_XI_EXPONENT),
+         f"x{MAX_XI_INDEX} exponent of a product exceeds the limit {MAX_XI_EXPONENT}"),
+        (mono_xi(0, MAX_XI_EXPONENT), mono_xi(0, 1),
+         f"x0 exponent of a product exceeds the limit {MAX_XI_EXPONENT}"),
+    ],
+)
+def test_product_overflow_raises(m1, m2, message):
+    # a field that overflows would otherwise carry into the next letter
+    with pytest.raises(ValueError, match=message):
+        product(m1, m2)
+    with pytest.raises(ValueError, match=message):
+        product(m2, m1)
 
 
 def test_product_signs():
@@ -200,6 +271,57 @@ def test_product_signs():
     # even factors commute freely
     s, m = product(parse_monomial("x1^2"), parse_monomial("u*x1"))
     assert s == 1 and m == parse_monomial("u*x1^3")
+
+
+# Draws for the kernel properties: high t indices and exponents up to a
+# third of each limit, so that a product of three stays representable.
+def _exponents(limit, low=0):
+    return st.sampled_from([*range(low, 4), *range(limit // 3 - 3, limit // 3 + 1)])
+
+
+monomials_drawn = st.builds(
+    lambda w, tau, u, xi: Monomial(w, sorted(set(tau)), u, sorted(dict(xi).items())),
+    st.integers(0, 1),
+    st.lists(st.sampled_from([0, 1, 2, MAX_TAU_INDEX - 1, MAX_TAU_INDEX]), max_size=3),
+    _exponents(MAX_U_EXPONENT),
+    st.lists(st.tuples(st.sampled_from([0, 1, 2, MAX_XI_INDEX - 1, MAX_XI_INDEX]),
+                       _exponents(MAX_XI_EXPONENT, low=1)), max_size=3),
+)
+
+
+def _times(x, y):
+    """(sign, monomial) times (sign, monomial), 0 standing for zero."""
+    (s, a), (t, b) = x, y
+    if not (s and t):
+        return 0, None
+    r, ab = product(a, b)
+    return s * t * r, ab
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(monomials_drawn, monomials_drawn, monomials_drawn)
+def test_product_is_associative_and_graded_commutative(m1, m2, m3):
+    assert _times(product(m1, m2), (1, m3)) == _times((1, m1), product(m2, m3))
+    for a, b in ((m1, m2), (m2, m3), (m1, m3)):
+        s, ab = product(a, b)
+        t, ba = product(b, a)
+        assert ab is ba and s == (-t if a.parity and b.parity else t)
+        assert (s, ab) == _reference_product(a, b)
+
+
+def _tensor_sums(monomials):
+    return st.lists(st.tuples(st.integers(1, 2), monomials, monomials), max_size=3).map(
+        lambda terms: TensorSum(3, {(a, b): c for c, a, b in terms}))
+
+
+coproducts_drawn = st.sampled_from(enumerate_box(B3, 8)).map(lambda m: coproduct(B3, m))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(*[coproducts_drawn] * 3, *[_tensor_sums(monomials_drawn)] * 3)
+def test_tensor_mul_is_associative(a, b, c, x, y, z):
+    assert a.mul(b).mul(c) == a.mul(b.mul(c))
+    assert x.mul(y).mul(z) == x.mul(y.mul(z))
 
 
 def test_triple_exterior_sign():
@@ -594,8 +716,21 @@ def test_non_hopf_ideals_rejected():
     report_u = check_hopf_ideal(B3, ["u"], box=6)
     assert not report_u.counit_vanishes
     assert not report_u.is_hopf_ideal
+    # a generator that is a product of letters kills only its multiples:
+    # D(w*t0) has the term 2 t0*u (x) w*u, in neither I (x) B nor B (x) I
+    report_wt0 = check_hopf_ideal(B3, ["w*t0"], box=12)
+    assert report_wt0.counit_vanishes and not report_wt0.is_coideal
+    assert report_wt0.counterexample == "D(w*t0 * 1) has residue 2*(t0*u)(x)(w*u) mod I"
 
 
 def test_xi0_minus_usq_alone_is_ideal_in_bbar():
     report = check_hopf_ideal(BBAR3, ["x0-u^2"], box=10)
     assert report.is_hopf_ideal, report.counterexample
+
+
+def test_binomial_rewrites_the_monomial_generators():
+    # modulo x0 - u^2 the generator x0 is u^2, so (x0 - u^2, x0) = (x0, u^2)
+    # contains u^2 (x) u^2 = D(x0) reduced: a coideal, though not counital
+    for gens in (["x0-u^2", "x0"], ["x0", "x0-u^2"]):
+        report = check_hopf_ideal(BBAR3, gens, box=8)
+        assert report.is_coideal and not report.counit_vanishes, report

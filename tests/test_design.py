@@ -35,6 +35,11 @@ ALLOWED_COFREE_USES = {
 }
 
 
+# A monomial's packed integer key is an encoding private to bialgebra: only
+# that module reads or sets the slot, so its layout can change in one place.
+PACKED_KEY_SLOT = "_code"
+
+
 def _find(path: Path, match):
     """(file, enclosing function, line) of each node of the file for which
     match(node) holds."""
@@ -89,6 +94,12 @@ def _cofree_use(node):
     return None
 
 
+def _is_packed_key_use(node) -> bool:
+    """The packed-key slot as an attribute, or as a string getattr could take."""
+    return (isinstance(node, ast.Attribute) and node.attr == PACKED_KEY_SLOT) or (
+        isinstance(node, ast.Constant) and node.value == PACKED_KEY_SLOT)
+
+
 def test_no_branch_on_a_preset_name():
     found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_name_comparison)]
     assert {(f, func) for f, func, _ in found} == ALLOWED_NAME_CHECKS, found
@@ -107,3 +118,8 @@ def test_cofree_label_set_by_the_J_builder_read_by_the_verdict_only():
     uses = sorted(((f, func, kind) for kind, cs in found.items() for f, func, _ in cs),
                   key=str)
     assert uses == sorted(ALLOWED_COFREE_USES, key=str), found
+
+
+def test_packed_monomial_key_read_only_in_bialgebra():
+    found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_packed_key_use)]
+    assert found and {f for f, _, _ in found} == {"bialgebra.py"}, found
