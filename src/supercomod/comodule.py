@@ -48,6 +48,13 @@ Term = tuple[int, str, Monomial]
 MAX_PROBLEMS = 5
 
 
+def _json_int(value, where: str) -> int:
+    """`value` if it is a plain int (a bool is not); else a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{where}: {value!r} is not an integer")
+    return value
+
+
 def deg_key(d):
     return (total_of(d), d if isinstance(d, tuple) else (d,))
 
@@ -326,23 +333,29 @@ class Comodule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Comodule":
-        preset = get_preset(data["preset"], data["p"])
+        """The comodule of a `to_dict` document.  Every number in it must be a
+        plain int: a float or a bool raises a ValueError naming its entry."""
+        box = data.get("box")
+        preset = get_preset(data["preset"], _json_int(data["p"], "p"))
         components = {}
-        for entry in data["components"]:
+        for i, entry in enumerate(data["components"]):
             d = entry["bidegree"]
-            d = tuple(d) if isinstance(d, list) else d
-            components[d] = list(entry["labels"])
+            for x in d if isinstance(d, list) else [d]:
+                _json_int(x, f"components[{i}] bidegree {d!r}")
+            components[tuple(d) if isinstance(d, list) else d] = list(entry["labels"])
         coaction: dict[str, list[Term]] = {}
-        for entry in data["coaction"]:
+        for i, entry in enumerate(data["coaction"]):
+            where = f"coaction[{i}] ({entry['from_label']} -> {entry['to_label']}) coeff"
             coaction.setdefault(entry["from_label"], []).append(
-                (entry["coeff"], entry["to_label"], parse_monomial(entry["monomial"]))
+                (_json_int(entry["coeff"], where), entry["to_label"],
+                 parse_monomial(entry["monomial"]))
             )
         return cls(
             preset,
             components,
             coaction,
-            box=data.get("box"),
-            margin=data.get("margin", 0),
+            box=None if box is None else _json_int(box, "box"),
+            margin=_json_int(data.get("margin", 0), "margin"),
             name=data.get("name", ""),
         )
 
@@ -539,14 +552,13 @@ class ComoduleMorphism:
         self.target = target
         self.blocks = {}
         for d, mat in blocks.items():
-            if mat.is_zero():
-                continue
             if mat.shape != (target.dim(d), source.dim(d)):
                 raise ValueError(
                     f"block at {d} has shape {mat.shape}, expected "
                     f"({target.dim(d)}, {source.dim(d)})"
                 )
-            self.blocks[d] = mat
+            if not mat.is_zero():
+                self.blocks[d] = mat
 
     @property
     def p(self) -> int:

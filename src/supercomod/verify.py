@@ -146,7 +146,7 @@ def suite_axioms(p: int = 3, box: int = 30) -> SuiteReport:
     if p != 2:
         B = get_preset("b", p)
         for gens in (["w"], ["w", "x0-u^2"]):
-            r = check_hopf_ideal(B, gens, box=min(box, 30))
+            r = check_hopf_ideal(B, gens)
             rep.add(
                 f"hopf_ideal({', '.join(gens)})",
                 r.is_hopf_ideal,

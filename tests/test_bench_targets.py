@@ -1,19 +1,25 @@
-"""The benchmark's tracer patches package names from outside; each name it
-lists must still exist, or `perfbench/run.py --trace 1` breaks."""
+"""The benchmark reaches into the package from outside: the tracer patches
+names it lists, and the workloads call functions with the keywords they
+pass.  Each must still resolve, or `perfbench/run.py` breaks."""
 from __future__ import annotations
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    """perfbench/<name>.py as a module, read from its path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("tracer")
 
 
 def _lookup(module: str, attr: str):
@@ -36,3 +42,12 @@ def test_traced_caches_resolve():
     missing = [(module, attr) for module, attr in tracer.CACHES.values()
                if not hasattr(_lookup(module, attr), "cache_info")]
     assert not missing
+
+
+def test_axioms_workload_runs():
+    # the axioms workload calls the bialgebra checks with `seed=` and `box=`
+    workloads = _load("workloads")
+    [items] = workloads.plan("axioms", seed=1, smoke=True)
+    checks = [check for item in items for check in workloads.run_item(item)]
+    assert len(checks) == len(items)
+    assert all(status == "pass" for _, status, _ in checks), checks

@@ -14,8 +14,10 @@ from supercomod.bialgebra import (
     MAX_XI_EXPONENT,
     MAX_XI_INDEX,
     ONE,
+    HopfIdealReport,
     Monomial,
     TensorSum,
+    _ideal_reduction,
     add_deg,
     cache_stats,
     check_bialgebra_axioms,
@@ -584,7 +586,7 @@ def test_enumerate_right_matches_box_filter(name, p):
 )
 def test_axioms_pass(name, p, box):
     preset = get_preset(name, p)
-    assert check_bialgebra_axioms(preset, box, sample_pairs=60) is None
+    assert check_bialgebra_axioms(preset, box) is None
 
 
 def test_axioms_catch_corrupted_coproduct():
@@ -618,10 +620,109 @@ def test_axioms_catch_wrong_sign():
             return flipped
         return out
 
+    # the letters keep their coproducts, so the peel of t0*t1 = t0 * t1
+    # is the first check to see the flip
     failure = check_bialgebra_axioms(BBAR3, 10, coproduct_fn=corrupted)
     assert failure is not None
-    assert failure.axiom == "coassociativity"
-    assert failure.monomials == (parse_monomial("t0*t1"),)
+    assert failure.axiom == "multiplicativity"
+    assert failure.monomials == (mono_tau(0), mono_tau(1))
+    assert "D(t0*t1)" in failure.detail
+
+
+def _swept_axioms(preset, box, cop=coproduct):
+    """The exhaustive reference for the letter proof: the first of
+    coassociativity on every monomial of the box, then multiplicativity and
+    graded commutativity on every pair of them, that fails; None if none."""
+    p, monomials = preset.p, enumerate_box(preset, box)
+
+    def apply(ts, slot):  # (D (x) 1) for slot 0, (1 (x) D) for slot 1
+        out: dict = {}
+        for (b1, b2), c in ts.items():
+            for (a1, a2), d in cop(preset, b2 if slot else b1).items():
+                key = (b1, a1, a2) if slot else (a1, a2, b2)
+                out[key] = (out.get(key, 0) + c * d) % p
+        return {k: v for k, v in out.items() if v}
+
+    if any(apply(cop(preset, m), 0) != apply(cop(preset, m), 1) for m in monomials):
+        return "coassociativity"
+    for m1 in monomials:
+        for m2 in monomials:
+            s, m12 = product(m1, m2)
+            want = TensorSum(p, {k: s * c for k, c in cop(preset, m12).items()} if s else {})
+            if cop(preset, m1).mul(cop(preset, m2)) != want:
+                return "multiplicativity"
+            t, m21 = product(m2, m1)
+            if m12 is not m21 or s != (-t if m1.parity and m2.parity else t):
+                return "graded-commutativity"
+    return None
+
+
+@pytest.mark.parametrize(
+    "name,p,box",
+    [("b", 3, 8), ("bbar", 3, 10), ("atilde", 3, 12), ("bpp", 3, 16), ("u_xi0", 3, 12),
+     ("u_only", 3, 16), ("xi_poly", 3, 16), ("b2", 2, 10)],
+)
+def test_letter_proof_agrees_with_the_exhaustive_sweep(name, p, box):
+    preset = get_preset(name, p)
+    assert _swept_axioms(preset, box) is None
+    assert check_bialgebra_axioms(preset, box) is None
+
+
+def _mutant(change):
+    """A coproduct that differs from the true one where change(m, D(m))
+    returns a replacement."""
+    def cop(preset, m):
+        true = coproduct(preset, m)
+        new = change(m, TensorSum(preset.p, dict(true.terms)))
+        return true if new is None else new
+    return cop
+
+
+def test_letter_proof_catches_a_dropped_term():
+    # x1^3 (x) t0*x0^2 is invisible to both counits, so only the peel of
+    # t1*x1^2 = x1 * t1*x1 can see it go
+    m = parse_monomial("t1*x1^2")
+    key = (parse_monomial("x1^3"), parse_monomial("t0*x0^2"))
+
+    def drop(m1, ts):
+        if m1 is m:
+            del ts.terms[key]
+            return ts
+
+    failure = check_bialgebra_axioms(BBAR3, 20, coproduct_fn=_mutant(drop))
+    assert failure is not None and failure.axiom == "multiplicativity"
+    assert failure.monomials == (mono_xi(1), parse_monomial("t1*x1"))
+    assert "D(t1*x1^2)" in failure.detail
+
+
+def test_letter_proof_catches_an_exchange_of_equal_bidegrees():
+    # t0*u*x1 and t1*u*x0 share their left and right bidegrees, so the
+    # exchange keeps every coproduct homogeneous
+    a, b = parse_monomial("t0*u*x1"), parse_monomial("t1*u*x0")
+    swap = _mutant(lambda m, ts: coproduct(BBAR3, b) if m is a
+                   else coproduct(BBAR3, a) if m is b else None)
+    for box in (8, 9, 12):  # the box + 1 reaches them from box 8 on
+        failure = check_bialgebra_axioms(BBAR3, box, coproduct_fn=swap)
+        assert failure is not None and failure.monomials[0] in (a, b), box
+    assert _swept_axioms(BBAR3, 9, swap) is not None
+
+
+def test_letter_proof_catches_a_sign_flip_deep_in_the_box():
+    # one term of D(t0*t1*u*x0*x1), left total 17 of 20, that neither
+    # counit sees, with its sign flipped
+    m = parse_monomial("t0*t1*u*x0*x1")
+    key = min((k for k in coproduct(BBAR3, m).terms
+               if not counit(BBAR3, k[0]) and not counit(BBAR3, k[1])),
+              key=lambda k: (k[0].sort_key(), k[1].sort_key()))
+
+    def flip(m1, ts):
+        if m1 is m:
+            ts.terms[key] = -ts.terms[key] % 3
+            return ts
+
+    failure = check_bialgebra_axioms(BBAR3, 20, coproduct_fn=_mutant(flip))
+    assert failure is not None and failure.axiom == "multiplicativity"
+    assert f"D({m})" in failure.detail
 
 
 # ---------------------------------------------------------------------------
@@ -734,3 +835,40 @@ def test_binomial_rewrites_the_monomial_generators():
     for gens in (["x0-u^2", "x0"], ["x0", "x0-u^2"]):
         report = check_hopf_ideal(BBAR3, gens, box=8)
         assert report.is_coideal and not report.counit_vanishes, report
+
+
+def _hopf_by_box_sweep(preset, gens, box):
+    """The exhaustive reference for the generator check: reduce D(g*m)
+    modulo I for every generator g and every monomial m of the box."""
+    gens, q, p = tuple(gens), _ideal_reduction(tuple(gens)), preset.p
+    terms = {g: [(1, mono_xi(0)), (-1, mono_u(2))] if g == "x0-u^2"
+             else [(1, parse_monomial(g))] for g in gens}
+    counit_ok = all(sum(c * counit(preset, x) for c, x in terms[g]) % p == 0 for g in gens)
+    for g in gens:
+        for m in enumerate_box(preset, box):
+            residue = TensorSum(p)
+            for c, x in terms[g]:
+                s, gm = product(x, m)
+                for (b1, b2), d in (coproduct(preset, gm).items() if s else ()):
+                    if q(b1) is not None and q(b2) is not None:
+                        residue.add_term(q(b1), q(b2), c * s * d)
+            if not residue.is_zero():
+                (b1, b2), c = next(iter(residue.items()))
+                return HopfIdealReport(gens, counit_ok, False,
+                                       f"D({g} * {m}) has residue {c}*({b1})(x)({b2}) mod I")
+    return HopfIdealReport(gens, counit_ok, True, None)
+
+
+# every input of the Hopf-ideal tests above
+HOPF_INPUTS = [
+    ("b", ["w"], 10), ("b", ["w", "x0-u^2"], 10), ("bbar", ["t0"], 10), ("b", ["x0"], 6),
+    ("b", ["u"], 6), ("b", ["w*t0"], 12), ("bbar", ["x0-u^2"], 10),
+    ("bbar", ["x0-u^2", "x0"], 8), ("bbar", ["x0", "x0-u^2"], 8),
+]
+
+
+@pytest.mark.parametrize("name, gens, box", HOPF_INPUTS,
+                         ids=[f"{name}:{','.join(gens)}" for name, gens, _ in HOPF_INPUTS])
+def test_hopf_ideal_from_the_generators_agrees_with_the_box_sweep(name, gens, box):
+    preset = get_preset(name, 3)
+    assert check_hopf_ideal(preset, gens) == _hopf_by_box_sweep(preset, gens, box)

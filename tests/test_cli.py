@@ -278,6 +278,33 @@ def test_load_broken_coaction(capsys, tmp_path):
     assert "invalid comodule" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("coeff", 1.0, "coeff: 1.0 is not an integer"),
+     ("coeff", True, "coeff: True is not an integer"),
+     ("coeff", 2.5, "coeff: 2.5 is not an integer"),
+     ("bidegree", 1.0, "bidegree [0, 1.0]: 1.0 is not an integer"),
+     ("bidegree", True, "bidegree [0, True]: True is not an integer")],
+)
+def test_load_rejects_inexact_numbers(capsys, tmp_path, field, value, message):
+    # J(0,1) with every coefficient, or the last component of each
+    # bidegree, rewritten as a float or a bool
+    rc, out, _ = run(capsys, "dump", "--object", "J:0,1")
+    doc = json.loads(out)
+    if field == "coeff":
+        for entry in doc["coaction"]:
+            entry["coeff"] = value
+    else:
+        for entry in doc["components"]:
+            if entry["bidegree"][-1] == 1:
+                entry["bidegree"][-1] = value
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "load", str(path))
+    assert rc == 1
+    assert "load failed" in err and message in err
+
+
 def test_load_missing_file(capsys, tmp_path):
     rc, _, err = run(capsys, "load", str(tmp_path / "does_not_exist.json"))
     assert rc == 1

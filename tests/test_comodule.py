@@ -339,6 +339,16 @@ def test_assignment_rejects_degree_mismatch():
         morphism_from_assignment(J, J, {"x0": [(1, "t0")]})
 
 
+def test_morphism_checks_the_shape_of_zero_blocks():
+    J = _J(3, 0, 2)
+    with pytest.raises(ValueError, match=r"block at \(1, 1\) has shape \(3, 5\), expected"):
+        ComoduleMorphism(J, J, {(1, 1): FpMatrix.zeros(3, 3, 5)})
+    # a zero block of the right shape is accepted and not stored
+    d = J.degrees()[0]
+    f = ComoduleMorphism(J, J, {d: FpMatrix.zeros(3, J.dim(d), J.dim(d))})
+    assert f.blocks == {} and f.is_zero()
+
+
 def test_compose_and_rank():
     from supercomod.objects import verschiebung, xi0_multiplication
 

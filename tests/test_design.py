@@ -18,11 +18,6 @@ ALLOWED_NAME_CHECKS = {
 }
 
 
-# Every answer the engine reports is decided; the only sampled check is the
-# multiplicativity sample of the bialgebra axioms.
-ALLOWED_RANDOM_USES = {("bialgebra.py", "check_bialgebra_axioms")}
-
-
 # A J is cofree on one degree, so a morphism into it comes in closed form;
 # `cofree_on` records that degree.  Only the J builder sets it (over the
 # class default of None), and only the isomorphism verdict reads it, whose
@@ -68,8 +63,8 @@ def _is_name_comparison(node) -> bool:
 
 
 def _is_random_use(node) -> bool:
-    """An attribute of the `random` module, `np.random` / `numpy.random`, or
-    an import of names from either (a plain `import random` is not a use)."""
+    """An attribute of the `random` module or of `np.random` / `numpy.random`,
+    or an import of either module or of names from it."""
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
         return node.value.id == "random" or (
             node.attr == "random" and node.value.id in ("np", "numpy"))
@@ -77,8 +72,7 @@ def _is_random_use(node) -> bool:
         return node.module in ("random", "numpy.random") or (
             node.module == "numpy" and any(a.name == "random" for a in node.names))
     if isinstance(node, ast.Import):
-        return any(a.name == "numpy.random" or (a.name == "random" and a.asname)
-                   for a in node.names)
+        return any(a.name in ("random", "numpy.random") for a in node.names)
     return False
 
 
@@ -106,9 +100,11 @@ def test_no_branch_on_a_preset_name():
     assert len(found) == len(ALLOWED_NAME_CHECKS), found
 
 
-def test_random_generator_only_in_the_sampled_axiom_check():
+def test_no_random_generator_in_src():
+    # every answer the engine reports is decided: no check samples and no
+    # search is random
     found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_random_use)]
-    assert {(f, func) for f, func, _ in found} == ALLOWED_RANDOM_USES, found
+    assert not found, found
 
 
 def test_cofree_label_set_by_the_J_builder_read_by_the_verdict_only():
