@@ -40,8 +40,10 @@ and a product whose sum sets a guard bit raises rather than carry into the
 next field.  Only this module reads the key.
 
 A preset memoises ``left_degree`` and ``right_degree`` per (name, p), keyed
-by the interned monomial.  ``cache_stats()`` reports the coproduct caches,
-the size of each degree memo and the number of interned monomials.
+by the interned monomial, and enumeration memoises the xi partitions of each
+total.  ``cache_stats()`` reports the coproduct caches, the partition memo,
+the size of each degree memo and the number of interned monomials.  A preset
+row tests membership with one mask on the packed key.
 """
 
 from __future__ import annotations
@@ -338,6 +340,16 @@ class PresetRow:
     weight: int | None
     x0_is_u2: bool
     primes: tuple[int, ...]
+    # the packed-key bits and fields of the generators the row lacks
+    _lacking: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mask = (0 if self.w else 1) | (0 if self.tau else _EXT - 1)
+        mask |= 0 if self.u else MAX_U_EXPONENT << _U_SHIFT
+        for j in range(MAX_XI_INDEX + 1):
+            if not self.allows_xi(j):
+                mask |= MAX_XI_EXPONENT << (_X_SHIFT + _X_WIDTH * j)
+        object.__setattr__(self, "_lacking", mask)
 
     def allows_xi(self, j: int) -> bool:
         if self.xi is None:
@@ -346,7 +358,11 @@ class PresetRow:
         return lo <= j and (hi is None or j <= hi)
 
     def lacks(self, m: Monomial) -> str | None:
-        """The first generator of m that the preset does not have, or None."""
+        """The first generator of m that the preset does not have, or None:
+        one AND of m's packed key against the row's mask, and a search for
+        the generator's name only when it hits."""
+        if not m._code & self._lacking:
+            return None
         if m.w and not self.w:
             return "w"
         if m.tau and not self.tau:
@@ -623,11 +639,11 @@ _COPRODUCT_CACHES = (
 
 
 def cache_stats() -> dict:
-    """Hits, misses and size of the coproduct caches, the size of each
-    degree memo (under "degree_memos", keyed "name p=p") and the number of
-    interned monomials."""
+    """Hits, misses and size of the coproduct caches and of the xi-partition
+    memo, the size of each degree memo (under "degree_memos", keyed
+    "name p=p") and the number of interned monomials."""
     out: dict = {}
-    for name, cached in _COPRODUCT_CACHES:
+    for name, cached in _COPRODUCT_CACHES + (("xi_partitions", _xi_partitions),):
         info = cached.cache_info()
         out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
     out["degree_memos"] = {f"{name} p={p}": {"left": len(left), "right": len(right)}
@@ -646,7 +662,8 @@ def counit(preset: CoalgebraPreset, m: Monomial) -> int:
 # enumeration
 
 
-def _xi_partitions(row: PresetRow, p: int, total: int):
+@lru_cache(maxsize=None)
+def _xi_partitions(row: PresetRow, p: int, total: int) -> tuple:
     """All xi exponent tuples over the row's xi indices with sum e_j p^j == total."""
     # p >= 2, so p^j <= total implies j < total.bit_length()
     usable = [j for j in range(total.bit_length()) if p**j <= total and row.allows_xi(j)]
@@ -662,7 +679,7 @@ def _xi_partitions(row: PresetRow, p: int, total: int):
             for rest in rec(rem - e * pw, pos - 1):
                 yield rest + (((usable[pos], e),) if e else ())
 
-    yield from rec(total, len(usable) - 1)
+    return tuple(rec(total, len(usable) - 1))
 
 
 def _tau_subsets(p: int, bound: int):

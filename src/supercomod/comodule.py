@@ -147,6 +147,24 @@ class Comodule:
         for lab in self._deg_of:
             self.coaction.setdefault(lab, ())
 
+    @classmethod
+    def _trusted(cls, preset, components: dict, coaction: dict, box, margin=0,
+                 name: str = "") -> "Comodule":
+        """Trusted constructor: the comodule that `Comodule(...)` would build
+        from these arguments, which the caller guarantees are already in its
+        stored form (no empty component, no repeated label, and for every
+        label a tuple of merged terms with coefficients nonzero mod p, each
+        hitting a label).  Nothing is checked or merged; only builders whose
+        output is that form by construction may use it."""
+        M = cls.__new__(cls)
+        M.preset, M.box, M.margin, M.name = preset, box, margin, name
+        M.components = components
+        M._deg_of = {lab: d for d, labels in components.items() for lab in labels}
+        M._index_of = {lab: i for labels in components.values()
+                       for i, lab in enumerate(labels)}
+        M.coaction = coaction
+        return M
+
     # ---- basic queries
 
     @property
@@ -468,19 +486,22 @@ def suspend(M: Comodule, d, name: str = "") -> Comodule:
 
 def _push_coaction(M: Comodule, dst: CoalgebraPreset) -> dict:
     """M's coaction with each algebra factor sent through the quotient
-    M.preset -> dst, each distinct monomial once."""
+    M.preset -> dst, each distinct monomial once, and the terms that land
+    on one (label, image) merged in the same pass, as `Comodule` would."""
     images: dict = {}
-
-    def image(b):
-        if b not in images:
-            images[b] = quotient_map(M.preset, dst, b)
-        return images[b]
-
-    return {
-        lab: [(c * c2, to_label, b2) for c, to_label, b in terms
-              for c2, b2 in image(b)]
-        for lab, terms in M.coaction.items()
-    }
+    p = M.p
+    out = {}
+    for lab, terms in M.coaction.items():
+        merged: dict = {}
+        for c, to_label, b in terms:
+            image = images.get(b)
+            if image is None:
+                image = images[b] = quotient_map(M.preset, dst, b)
+            for c2, b2 in image:
+                key = (to_label, b2)
+                merged[key] = (merged.get(key, 0) + c * c2) % p
+        out[lab] = tuple([(c, to_label, b2) for (to_label, b2), c in merged.items() if c])
+    return out
 
 
 def corestrict_psi(M: Comodule, name: str = "") -> Comodule:
@@ -488,8 +509,9 @@ def corestrict_psi(M: Comodule, name: str = "") -> Comodule:
     if M.preset.name != "b":
         raise ValueError("corestrict_psi starts from preset b")
     dst = get_preset("bbar", M.p)
-    return Comodule(dst, M.components, _push_coaction(M, dst), box=M.box,
-                    margin=M.margin, name=name or f"Psi({M.name})")
+    return Comodule._trusted(dst, {d: list(labs) for d, labs in M.components.items()},
+                             _push_coaction(M, dst), box=M.box, margin=M.margin,
+                             name=name or f"Psi({M.name})")
 
 
 def corestrict_theta(M: Comodule, name: str = "") -> Comodule:
@@ -504,8 +526,8 @@ def corestrict_theta(M: Comodule, name: str = "") -> Comodule:
         components.setdefault(n, []).extend(M.components[d])
     for n in components:
         components[n].sort()
-    return Comodule(dst, components, _push_coaction(M, dst), box=M.box,
-                    margin=M.margin, name=name or f"Theta({M.name})")
+    return Comodule._trusted(dst, components, _push_coaction(M, dst), box=M.box,
+                             margin=M.margin, name=name or f"Theta({M.name})")
 
 
 def embed_xi_polynomial(M: Comodule, name: str = "") -> Comodule:

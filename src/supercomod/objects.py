@@ -52,17 +52,18 @@ from .comodule import (
 def _build_J_on(preset, left, name: str) -> Comodule:
     """Monomials of the given left degree, graded by right degree and
     coacted on by the coproduct: the comodule cofree on one cogenerator in
-    degree `left`."""
+    degree `left`.  Each coproduct key (m1, b2) is one term, so the
+    coaction is merged as built and goes through the trusted constructor."""
     span = enumerate_left(preset, left)
     labels = {m: format_monomial(m) for m in span}
     components: dict = {}
     for m in span:
         components.setdefault(preset.right_degree(m), []).append(labels[m])
     coaction = {
-        labels[m]: [(c, labels[m1], b2) for (m1, b2), c in coproduct(preset, m).items()]
+        labels[m]: tuple([(c, labels[m1], b2) for (m1, b2), c in coproduct(preset, m).items()])
         for m in span
     }
-    J = Comodule(preset, components, coaction, box=None, name=name)
+    J = Comodule._trusted(preset, components, coaction, box=None, name=name)
     J.cofree_on = left
     return J
 

@@ -13,7 +13,6 @@ import functools
 import inspect
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .bialgebra import (
@@ -562,10 +561,20 @@ def run_suite(name: str, **params) -> SuiteReport:
 
 
 def run_all(names=None, jobs: int = 1, **params) -> list:
+    """The reports of the named suites (all that run at p by default), in
+    order, run in min(jobs, number of suites) worker processes when that is
+    more than one."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not names:
         names = [n for n in SUITES if params.get("p") != 2 or n in P2_SUITES]
     run = functools.partial(run_suite, **params)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(names))
+    if workers > 1:
+        # imported here, so that importing this module does not load the
+        # process machinery that only this branch uses
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, names))
     return [run(name) for name in names]

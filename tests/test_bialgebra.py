@@ -872,3 +872,63 @@ HOPF_INPUTS = [
 def test_hopf_ideal_from_the_generators_agrees_with_the_box_sweep(name, gens, box):
     preset = get_preset(name, 3)
     assert check_hopf_ideal(preset, gens) == _hopf_by_box_sweep(preset, gens, box)
+
+
+# ---------------------------------------------------------------------------
+# preset membership by one mask on the packed key
+
+
+def _reference_lacks(row, m):
+    """The first generator of m that the row does not have, field by field."""
+    if m.w and not row.w:
+        return "w"
+    if m.tau and not row.tau:
+        return "tau"
+    if m.u and not row.u:
+        return "u"
+    return next((f"x{j}" for j, _ in m.xi if not row.allows_xi(j)), None)
+
+
+# one letter just outside each preset, and letters at the packing limits,
+# whose exponents set the top bit of their field alone or every bit
+LACKING_LETTERS = {"atilde": "x0", "bbar": "w", "bpp": "t0", "xi_poly": "u", "u_xi0": "x1"}
+EDGE_MONOMIALS = [
+    Monomial(tau=(MAX_TAU_INDEX,)),
+    Monomial(u=MAX_U_EXPONENT),
+    Monomial(u=(MAX_U_EXPONENT + 1) // 2),
+    Monomial(xi=((MAX_XI_INDEX, MAX_XI_EXPONENT),)),
+    *(Monomial(xi=((j, (MAX_XI_EXPONENT + 1) // 2),)) for j in (0, 1, MAX_XI_INDEX)),
+    Monomial(w=1, tau=(0, MAX_TAU_INDEX), u=3, xi=((0, 2), (1, 1), (MAX_XI_INDEX, 1))),
+]
+
+
+@pytest.mark.parametrize("name", ODD_PRESETS + ("b2",))
+def test_lacks_mask_agrees_with_the_field_rule(name):
+    preset = get_preset(name, 2 if name == "b2" else 3)
+    row = preset.row
+    monomials = enumerate_box(B3, 12) + EDGE_MONOMIALS + [
+        parse_monomial(text) for text in LACKING_LETTERS.values()]
+    for m in monomials:
+        gen = _reference_lacks(row, m)
+        assert row.lacks(m) == gen, (name, m)
+        if gen is None:
+            preset.validate_monomial(m)
+        else:
+            message = f"monomial {m} has {gen}, not permitted in preset {name}"
+            with pytest.raises(ValueError) as info:
+                preset.validate_monomial(m)
+            assert str(info.value) == message
+
+
+def test_lacking_letters_are_named_as_before():
+    for name, letter in LACKING_LETTERS.items():
+        gen = letter if letter in ("w", "u") or letter.startswith("x") else "tau"
+        with pytest.raises(ValueError) as info:
+            get_preset(name, 3).validate_monomial(parse_monomial(letter))
+        assert str(info.value) == f"monomial {letter} has {gen}, not permitted in preset {name}"
+    # quotient_map checks its source with the same message, and sends a
+    # monomial the target lacks to 0
+    with pytest.raises(ValueError) as info:
+        quotient_map(BBAR3, get_preset("u_xi0", 3), parse_monomial("w*t0*x1"))
+    assert str(info.value) == "monomial w*t0*x1 has w, not permitted in preset bbar"
+    assert quotient_map(BBAR3, get_preset("u_xi0", 3), parse_monomial("u*x0*x1")) == []

@@ -353,3 +353,10 @@ def test_env_bad_value(capsys, monkeypatch):
     rc, _, err = run(capsys, "basis", "--preset", "bbar", "--left", "0,0")
     assert rc == 2
     assert "SUPERCOMOD_P" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    rc, out, err = run(capsys, "verify", "--suite", "unstable", "--jobs", jobs)
+    assert rc == 2 and out == ""
+    assert f"jobs must be >= 1, got {jobs}" in err

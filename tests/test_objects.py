@@ -6,8 +6,18 @@ import math
 
 import pytest
 
-from supercomod.bialgebra import mono_tau, mono_u, mono_xi
-from supercomod.comodule import steenrod_action
+from supercomod.bialgebra import (
+    coproduct,
+    enumerate_left,
+    format_monomial,
+    get_preset,
+    mono_tau,
+    mono_u,
+    mono_xi,
+    quotient_map,
+    total_of,
+)
+from supercomod.comodule import Comodule, corestrict_theta, steenrod_action
 from supercomod.functorcomb import count_hom
 from supercomod.objects import (
     build_F,
@@ -23,6 +33,7 @@ from supercomod.objects import (
     cap_morphism,
     mu_quotient,
     parse_object_id,
+    psi_H,
     theta_J,
     theta_psi_H,
     u_suspension_iso,
@@ -398,3 +409,80 @@ def test_parse_object_id(text, name):
 def test_parse_object_id_rejects(bad):
     with pytest.raises(ValueError):
         parse_object_id(bad, 3, 16)
+
+
+# ---------------------------------------------------------------------------
+# the trusted constructor against the validating one
+
+
+def _validated_J(preset, left):
+    """J rebuilt from the coproduct through the validating `Comodule(...)`,
+    with the coaction as plain term lists for it to check and merge."""
+    span = enumerate_left(preset, left)
+    components: dict = {}
+    for m in span:
+        components.setdefault(preset.right_degree(m), []).append(format_monomial(m))
+    coaction = {format_monomial(m): [(c, format_monomial(m1), b2)
+                                     for (m1, b2), c in coproduct(preset, m).items()]
+                for m in span}
+    return Comodule(preset, components, coaction, box=None)
+
+
+def _validated_push(M, dst_name, regrade):
+    """M pushed term by term through the quotient to dst, unmerged, and
+    merged by the validating `Comodule(...)`; `regrade` collapses bidegrees
+    to total degrees with each component's labels sorted."""
+    dst = get_preset(dst_name, M.p)
+    coaction = {lab: [(c, t, b2) for c, t, b in terms
+                      for _, b2 in quotient_map(M.preset, dst, b)]
+                for lab, terms in M.coaction.items()}
+    components = M.components
+    if regrade:
+        components = {}
+        for d in M.degrees():
+            components.setdefault(total_of(d), []).extend(M.components[d])
+        components = {n: sorted(labs) for n, labs in components.items()}
+    return Comodule(dst, components, coaction, box=M.box, margin=M.margin)
+
+
+def _assert_same(trusted, validated):
+    assert trusted.matches(validated)
+    assert trusted.components == validated.components
+    # dump writes each coaction in its stored order
+    assert trusted.coaction == validated.coaction
+    assert all(type(terms) is tuple for terms in trusted.coaction.values())
+    assert (trusted.box, trusted.margin) == (validated.box, validated.margin)
+    for lab in validated.coaction:
+        assert trusted.degree_of(lab) == validated.degree_of(lab)
+        assert trusted.index_of(lab) == validated.index_of(lab)
+
+
+def test_corestriction_merges_terms_that_meet_in_the_quotient():
+    # not a valid comodule (x0 and u^2 differ in bidegree), so that x0 and
+    # u^2 meet under Theta: 1 + 1 stays, 1 + 2 cancels at p = 3
+    bbar = get_preset("bbar", 3)
+    x0, u2 = mono_xi(0), mono_u(2)
+    M = Comodule(bbar, {(0, 0): ["e"], (0, 1): ["f", "g"]},
+                 {"f": [(1, "e", x0), (1, "e", u2)], "g": [(1, "e", x0), (2, "e", u2)]},
+                 box=None)
+    _assert_same(corestrict_theta(M), _validated_push(M, "atilde", True))
+    assert corestrict_theta(M).coaction["f"] == ((2, "e", u2),)
+    assert corestrict_theta(M).coaction["g"] == ()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_trusted_builders_match_the_validating_constructor(p):
+    bbar, atilde = get_preset("bbar", p), get_preset("atilde", p)
+    for a in range(4):
+        for b in range(4):
+            _assert_same(build_J(p, a, b), _validated_J(bbar, (a, b)))
+    for n in range(13):
+        _assert_same(build_Jn(p, n), _validated_J(atilde, n))
+    for eps in (0, 1):
+        for n in range(7):
+            _assert_same(theta_J(p, eps, n),
+                         _validated_push(_validated_J(bbar, (eps, n)), "atilde", True))
+    H = build_H(p, 24)
+    _assert_same(psi_H(p, 24), _validated_push(H, "bbar", False))
+    _assert_same(theta_psi_H(p, 24),
+                 _validated_push(_validated_push(H, "bbar", False), "atilde", True))

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,3 +157,47 @@ def test_brown_gitler_is_certified_without_a_hom_solve(monkeypatch):
     monkeypatch.setattr(homsolver, "hom_space", refuse)
     rep = run_suite("brown_gitler", p=3, n_max=4)
     assert rep.ok, failures(rep)
+
+
+class _RecordingPool:
+    """Stands in for the process pool: records its size, maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, names):
+        return map(fn, names)
+
+
+def test_run_all_caps_the_workers_at_the_number_of_suites(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    reports = run_all(names=["mahowald", "brown_gitler"], jobs=64, p=3, n_max=1, m_max=2)
+    assert [r.suite for r in reports] == ["mahowald", "brown_gitler"]
+    assert _RecordingPool.sizes == [2]
+    # one suite runs in this process, whatever jobs asks for
+    assert run_all(names=["brown_gitler"], jobs=64, p=3, n_max=1)[0].ok
+    assert _RecordingPool.sizes == [2]
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_all(names=["brown_gitler"], jobs=jobs, p=3, n_max=1)
+
+
+def test_importing_verify_leaves_out_the_process_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, supercomod.verify; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
