@@ -351,31 +351,40 @@ class Comodule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Comodule":
-        """The comodule of a `to_dict` document.  Every number in it must be a
-        plain int: a float or a bool raises a ValueError naming its entry."""
-        box = data.get("box")
+        """The comodule of a `to_dict` document.  A malformed entry raises a
+        ValueError naming it: a number that is not a plain int (a float or a
+        bool), a negative box or margin, a bidegree not of the preset's
+        grading, labels that are not a list of strings, or a monomial that
+        is not a string."""
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {json.dumps(data)[:60]}")
+        box, margin = data.get("box"), _json_int(data.get("margin", 0), "margin")
+        for key, n in (("box", box), ("margin", margin)):
+            if n is not None and _json_int(n, key) < 0:
+                raise ValueError(f"{key}: {n} is negative")
         preset = get_preset(data["preset"], _json_int(data["p"], "p"))
         components = {}
         for i, entry in enumerate(data["components"]):
-            d = entry["bidegree"]
+            d, labels = entry["bidegree"], entry["labels"]
+            if isinstance(d, list) != preset.bigraded or preset.bigraded and len(d) != 2:
+                raise ValueError(f"components[{i}] bidegree {d!r} is not a "
+                                 f"{'bi' if preset.bigraded else ''}degree of {preset.name}")
             for x in d if isinstance(d, list) else [d]:
                 _json_int(x, f"components[{i}] bidegree {d!r}")
-            components[tuple(d) if isinstance(d, list) else d] = list(entry["labels"])
+            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+                raise ValueError(f"components[{i}] labels {labels!r}: not a list of strings")
+            components[tuple(d) if isinstance(d, list) else d] = labels
         coaction: dict[str, list[Term]] = {}
         for i, entry in enumerate(data["coaction"]):
-            where = f"coaction[{i}] ({entry['from_label']} -> {entry['to_label']}) coeff"
+            where = f"coaction[{i}] ({entry['from_label']} -> {entry['to_label']})"
+            if not isinstance(entry["monomial"], str):
+                raise ValueError(f"{where} monomial {entry['monomial']!r} is not a string")
             coaction.setdefault(entry["from_label"], []).append(
-                (_json_int(entry["coeff"], where), entry["to_label"],
+                (_json_int(entry["coeff"], f"{where} coeff"), entry["to_label"],
                  parse_monomial(entry["monomial"]))
             )
-        return cls(
-            preset,
-            components,
-            coaction,
-            box=None if box is None else _json_int(box, "box"),
-            margin=_json_int(data.get("margin", 0), "margin"),
-            name=data.get("name", ""),
-        )
+        return cls(preset, components, coaction, box=box, margin=margin,
+                   name=data.get("name", ""))
 
     @classmethod
     def from_json(cls, text: str) -> "Comodule":
@@ -848,52 +857,6 @@ def instability_check(M: Comodule) -> list[str]:
     return problems
 
 
-def operation_closure(M: Comodule, seeds: list, ops: list[Monomial]) -> dict:
-    """Smallest graded subspace of M containing the seed vectors and closed
-    under the given operations.  Seeds are (degree, coefficient_row) pairs;
-    returns {degree: FpMatrix of basis rows}.
-    """
-    p = M.p
-    actions = [(M.preset.total_degree(op), steenrod_action(M, op)) for op in ops]
-    span: dict = {}
-
-    def insert(d, row) -> bool:
-        cur = span.get(d)
-        if cur is None:
-            mat = FpMatrix.from_rows(p, [row])
-            if mat.rank() == 0:
-                return False
-            span[d] = mat.rref()[0]
-            return True
-        if cur.in_row_space(row) is not None:
-            return False
-        rows = [list(map(int, r)) for r in cur.a] + [row]
-        new = FpMatrix.from_rows(p, rows).rref()[0]
-        keep = [list(map(int, r)) for r in new.a if any(r)]
-        span[d] = FpMatrix.from_rows(p, keep)
-        return True
-
-    frontier = []
-    for d, row in seeds:
-        if insert(d, list(row)):
-            frontier.append((d, list(row)))
-    while frontier:
-        d, row = frontier.pop()
-        for shift, blocks in actions:
-            mat = blocks.get(d)
-            if mat is None or mat.rows == 0:
-                continue
-            out = mat.apply(row)
-            if any(out):
-                if insert(d + shift, list(map(int, out))):
-                    frontier.append((d + shift, list(map(int, out))))
-    return {d: m for d, m in span.items() if m.rows}
-
-
-def closure_dims(span: dict) -> dict:
-    return {d: m.rows for d, m in sorted(span.items())}
-
-
 # ---------------------------------------------------------------------------
 # Poincare tables
 
@@ -921,7 +884,3 @@ def poincare_theta(t: dict) -> dict:
     for d, c in t.items():
         out[total_of(d)] = out.get(total_of(d), 0) + c
     return out
-
-
-def poincare_shift(t: dict, d0) -> dict:
-    return {add_deg(d0, d): c for d, c in t.items()}

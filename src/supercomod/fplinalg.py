@@ -1,20 +1,18 @@
 """Exact linear algebra over prime fields F_p.
 
-`FpMatrix` is the dense path: matrices hold small nonnegative residues in
-int64 numpy arrays, every operation reduces mod p, and elimination uses
-first-nonzero pivoting, which makes rref/kernel/solve deterministic for a
-given input.  It serves the small per-degree blocks of morphisms (a few
-hundred rows/columns at most).
+There is one Gaussian elimination, `_reduce`.  It takes sparse rows, each
+scaled to be 1 at its leading column, eliminates column by column on the
+sparsest row leading there (structured Gaussian elimination, after
+LaMacchia-Odlyzko and Faugere-Lachartre), then back-substitutes.  The
+reduced row echelon form of a row space is unique for a fixed column
+order, so every result below is deterministic for a given input.
 
-`sparse_kernel_basis` is the sparse path for large, very sparse systems
-with many repeated rows, such as the global system of a hom space.  Rows
-are dicts {col: coeff}; each is scaled to be monic at its leading column
-and hashed, so duplicates and scalar multiples collapse before
-elimination, which then runs column by column on the sparsest row leading
-there (structured Gaussian elimination, after LaMacchia-Odlyzko and
-Faugere-Lachartre).  Since the reduced row echelon form of a row space is
-unique for a fixed column order, its result equals the dense
-`kernel_basis` of the same rows entry for entry.
+`FpMatrix` is a dense matrix of small nonnegative residues in an int64
+numpy array, for the small per-degree blocks of morphisms; its `rref`, and
+with it rank, echelon, kernel and solve, is `_reduce` of its rows.
+`sparse_kernel_basis` is for large, very sparse systems with many repeated
+rows, such as the global system of a hom space: duplicates and scalar
+multiples collapse to one monic row before `_reduce`.
 """
 
 from __future__ import annotations
@@ -52,19 +50,15 @@ class FpMatrix:
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        _check_prime(p)
         return cls(p, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
-        _check_prime(p)
         return cls(p, np.eye(n, dtype=np.int64))
 
     @classmethod
     def from_rows(cls, p: int, rows: list, cols: int | None = None) -> "FpMatrix":
-        if not rows:
-            return cls.zeros(p, 0, cols or 0)
-        return cls(p, np.array(rows, dtype=np.int64))
+        return cls(p, rows) if rows else cls.zeros(p, 0, cols or 0)
 
     # -- basic structure ----------------------------------------------
 
@@ -80,15 +74,10 @@ class FpMatrix:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    def copy(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.a.copy())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpMatrix):
             return NotImplemented
-        return self.p == other.p and self.shape == other.shape and bool(
-            np.array_equal(self.a, other.a)
-        )
+        return self.p == other.p and np.array_equal(self.a, other.a)
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.a.tolist()!r})"
@@ -109,10 +98,7 @@ class FpMatrix:
         return FpMatrix(self.p, self.a + other.a)
 
     def sub(self, other: "FpMatrix") -> "FpMatrix":
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return FpMatrix(self.p, self.a - other.a)
+        return self.add(other.scale(-1))
 
     def scale(self, c: int) -> "FpMatrix":
         return FpMatrix(self.p, self.a * (c % self.p))
@@ -133,33 +119,17 @@ class FpMatrix:
     # -- elimination ----------------------------------------------------
 
     def rref(self) -> tuple["FpMatrix", list[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
-        p = self.p
-        a = self.a.copy()
-        m, n = a.shape
-        pivots: list[int] = []
-        r = 0
-        for c in range(n):
-            pivot = -1
-            for i in range(r, m):
-                if a[i, c]:
-                    pivot = i
-                    break
-            if pivot < 0:
-                continue
-            if pivot != r:
-                a[[r, pivot], :] = a[[pivot, r], :]
-            inv = pow(int(a[r, c]), -1, p)
-            a[r, :] = (a[r, :] * inv) % p
-            nz = np.nonzero(a[:, c])[0]
-            for i in nz:
-                if i != r:
-                    a[i, :] = (a[i, :] - a[i, c] * a[r, :]) % p
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        return FpMatrix(p, a), pivots
+        """Reduced row echelon form, by `_reduce` of the rows, and its pivots."""
+        (m, n), p = self.shape, self.p
+        reduced = _reduce(p, filter(None, (_monic_row(p, enumerate(row))
+                                           for row in self.a.tolist())), n)
+        pivots = sorted(reduced)
+        red = [[0] * n for _ in range(m)]
+        for row, c in zip(red, pivots):
+            row[c] = 1
+            for j, w in reduced[c].items():
+                row[j] = w
+        return FpMatrix(p, np.array(red, dtype=np.int64).reshape(m, n)), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -201,8 +171,7 @@ class FpMatrix:
         if self.cols in pivots:
             return None
         x = np.zeros(self.cols, dtype=np.int64)
-        for r, c in enumerate(pivots):
-            x[c] = red.a[r, self.cols]
+        x[pivots] = red.a[:len(pivots), self.cols]
         return x
 
     def row_space_basis(self) -> "FpMatrix":
@@ -211,52 +180,35 @@ class FpMatrix:
 
     def in_row_space(self, vec) -> np.ndarray | None:
         """Coordinates of vec in terms of this matrix's rows, or None."""
-        sol = FpMatrix(self.p, self.a.T).solve(vec)
-        return sol
+        return FpMatrix(self.p, self.a.T).solve(vec)
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination
+# elimination on sparse rows
 
 
-def _monic_row(p: int, row: dict) -> tuple | None:
-    """`row` ({col: coeff}) reduced mod p and scaled to be 1 at its leading
-    (smallest) column, as (col, coeff) pairs of Python ints sorted by
-    column; None for a zero row.  Scalar multiples of one row give the
-    same tuple."""
-    items = [(c, x) for c, v in sorted(row.items()) if (x := int(v) % p)]
+def _monic_row(p: int, row) -> tuple | None:
+    """`row`, (col, coeff) pairs in increasing column order, reduced mod p
+    and scaled to be 1 at its leading column, as a tuple of pairs of Python
+    ints; None for a zero row.  Scalar multiples of one row give the same
+    tuple."""
+    items = [(c, x) for c, v in row if (x := int(v) % p)]
     if not items:
         return None
     inv = pow(items[0][1], -1, p)
-    if inv == 1:
-        return tuple(items)
-    return tuple((c, v * inv % p) for c, v in items)
+    return tuple(items) if inv == 1 else tuple((c, v * inv % p) for c, v in items)
 
 
-def sparse_kernel_basis(p: int, rows, ncols: int) -> FpMatrix:
-    """Canonical basis of the right null space of the matrix whose rows are
-    `rows` (a list of dicts {col: coeff}, columns in range(ncols)).
-
-    Returns exactly `FpMatrix(p, dense).kernel_basis()` for the dense
-    matrix with these rows: one vector per non-pivot column j, with a 1 at
-    j.  Zero, repeated and proportional rows may be given; they are
-    dropped before elimination.  Coefficients may be any integers,
-    numpy scalars included.  At DEBUG level the `supercomod.fplinalg`
-    logger reports the rows given, the unique nonzero rows and their
-    nonzeros.
-    """
-    _check_prime(p)
-    unique = {_monic_row(p, row) for row in rows}
-    unique.discard(None)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("sparse kernel: %d rows given, %d unique, %d nnz, %d columns",
-                  len(rows), len(unique), sum(map(len, unique)), ncols)
+def _reduce(p: int, rows, ncols: int) -> dict[int, dict]:
+    """The one Gaussian elimination: the reduced row echelon form of the
+    span of `rows` (monic rows from `_monic_row`, columns in range(ncols))
+    as {pivot column c: {j: coeff}}, the entries of the reduced row with
+    pivot c other than its 1 at c; every such j is a non-pivot column."""
     by_lead: dict[int, list[dict]] = {}
-    for key in unique:
-        if key[0][0] < 0 or key[-1][0] >= ncols:
+    for row in rows:
+        if row[0][0] < 0 or row[-1][0] >= ncols:
             raise ValueError(f"row has a column outside range({ncols})")
-        by_lead.setdefault(key[0][0], []).append(dict(key))
-    del unique
+        by_lead.setdefault(row[0][0], []).append(dict(row))
 
     # Forward elimination to echelon form: every row in by_lead[c] is monic
     # at c, so reducing one by the pivot is a plain subtraction.
@@ -284,8 +236,7 @@ def sparse_kernel_basis(p: int, rows, ncols: int) -> FpMatrix:
                         row[k] = row[k] * inv % p
                 by_lead.setdefault(lead, []).append(row)
 
-    # Back-substitution from the last pivot: reduced[c] holds the entries of
-    # the reduced row with pivot c off its pivot, all at non-pivot columns.
+    # Back-substitution from the last pivot.
     reduced: dict[int, dict] = {}
     for c in sorted(pivot_rows, reverse=True):
         out: dict = {}
@@ -298,12 +249,30 @@ def sparse_kernel_basis(p: int, rows, ncols: int) -> FpMatrix:
             else:
                 out[k] = (out.get(k, 0) + v) % p
         reduced[c] = {j: w for j, w in out.items() if w}
+    return reduced
 
-    free = [j for j in range(ncols) if j not in pivot_rows]
+
+def sparse_kernel_basis(p: int, rows, ncols: int) -> FpMatrix:
+    """Canonical basis of the right null space of the matrix whose rows are
+    `rows` (a list of dicts {col: coeff}, columns in range(ncols)).
+
+    This is `FpMatrix(p, dense).kernel_basis()` of the dense matrix with
+    these rows.  Coefficients may be any integers, numpy scalars included;
+    zero, repeated and proportional rows are dropped before elimination.
+    At DEBUG level the `supercomod.fplinalg` logger reports the rows given,
+    the unique nonzero rows, their nonzeros and the columns.
+    """
+    _check_prime(p)
+    unique = {_monic_row(p, sorted(row.items())) for row in rows}
+    unique.discard(None)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("sparse kernel: %d rows given, %d unique, %d nnz, %d columns",
+                  len(rows), len(unique), sum(map(len, unique)), ncols)
+    reduced = _reduce(p, unique, ncols)
+    free = [j for j in range(ncols) if j not in reduced]
     slot = {j: k for k, j in enumerate(free)}
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for j, k in slot.items():
-        basis[k, j] = 1
+    basis[range(len(free)), free] = 1
     for c, entries in reduced.items():
         for j, w in entries.items():
             basis[slot[j], c] = -w % p

@@ -10,8 +10,9 @@ The solver sets up one global linear system over F_p whose unknowns are
 the entries of all blocks of f and returns a basis of its solution space.
 The system is emitted as sparse rows {unknown: coeff}, one per coordinate
 of N (x) monomial, and solved by `fplinalg.sparse_kernel_basis`; its rows
-have about two nonzeros each and many repeat, which the solver removes
-before eliminating.  Set the `supercomod` logger to DEBUG to see
+have about two nonzeros each and many repeat, which it drops before the
+one elimination of `fplinalg`, the same that reduces every dense block
+below.  Set the `supercomod` logger to DEBUG to see
 each system's size: `supercomod.fplinalg` reports its unique rows and
 nonzeros, then `supercomod.homsolver` the unknowns, rows emitted, rank and
 dimension.

@@ -16,10 +16,8 @@ from supercomod.bialgebra import (
     mono_xi,
 )
 from supercomod.comodule import (
-    closure_dims,
     corestrict_psi,
     corestrict_theta,
-    operation_closure,
     steenrod_action,
     truncate,
 )
@@ -38,6 +36,8 @@ from supercomod.objects import (
     xi0_multiplication,
 )
 from supercomod.verify import run_suite
+
+from support import closure_dims, operation_closure
 
 
 def suite_ok(name, **params):

@@ -256,12 +256,38 @@ def test_verify_json_independent_of_hash_seed():
         assert json.loads(outs[0][0])[0]["status"] == "pass"
 
 
-def test_load_garbage(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "edit, message",
+    [("not json at all", "load failed"),
+     ("[]", "expected a JSON object, got []"),
+     ('"x"', 'expected a JSON object, got "x"'),
+     ("null", "expected a JSON object, got null"),
+     ({"coaction": {"monomial": 5}}, "coaction[0] (t0 -> x0) monomial 5 is not a string"),
+     ({"box": -5}, "box: -5 is negative"),
+     ({"margin": -1}, "margin: -1 is negative"),
+     ({"components": {"bidegree": [0, 1, 2]}},
+      "components[0] bidegree [0, 1, 2] is not a bidegree of bbar"),
+     ({"components": {"labels": "ab"}}, "components[0] labels 'ab': not a list of strings")],
+    ids=["not-json", "list", "string", "null", "monomial-int", "box-negative",
+         "margin-negative", "bidegree-three", "labels-string"],
+)
+def test_load_garbage(capsys, tmp_path, edit, message):
+    # a text as it stands, or J(0,1) with top-level keys (or keys of the
+    # first entry of a list) rewritten
     path = tmp_path / "bad.json"
-    path.write_text("not json at all")
+    if isinstance(edit, str):
+        path.write_text(edit)
+    else:
+        doc = json.loads(run(capsys, "dump", "--object", "J:0,1")[1])
+        for key, value in edit.items():
+            if isinstance(value, dict):
+                doc[key][0].update(value)
+            else:
+                doc[key] = value
+        path.write_text(json.dumps(doc))
     rc, _, err = run(capsys, "load", str(path))
     assert rc == 1
-    assert "load failed" in err
+    assert "load failed" in err and message in err
 
 
 def test_load_broken_coaction(capsys, tmp_path):

@@ -19,7 +19,6 @@ from supercomod.comodule import (
     Comodule,
     ComoduleMorphism,
     action_composite,
-    closure_dims,
     corestrict_psi,
     corestrict_theta,
     direct_sum,
@@ -28,9 +27,7 @@ from supercomod.comodule import (
     identity_morphism,
     instability_check,
     morphism_from_assignment,
-    operation_closure,
     poincare_product,
-    poincare_shift,
     poincare_theta,
     simple_comodule,
     steenrod_action,
@@ -42,6 +39,8 @@ from supercomod.comodule import (
     zero_comodule,
 )
 from supercomod.fplinalg import FpMatrix
+
+from support import closure_dims, operation_closure, poincare_shift
 
 BBAR3 = get_preset("bbar", 3)
 AT3 = get_preset("atilde", 3)

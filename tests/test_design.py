@@ -35,6 +35,15 @@ ALLOWED_COFREE_USES = {
 PACKED_KEY_SLOT = "_code"
 
 
+# Gaussian elimination over F_p has one home, fplinalg._reduce; a row is made
+# monic by _monic_row.  A modular inverse anywhere else in src/ is a second
+# eliminator in the making.
+ALLOWED_INVERSES = {
+    ("fplinalg.py", "_monic_row"),
+    ("fplinalg.py", "_reduce"),
+}
+
+
 def _find(path: Path, match):
     """(file, enclosing function, line) of each node of the file for which
     match(node) holds."""
@@ -94,6 +103,12 @@ def _is_packed_key_use(node) -> bool:
         isinstance(node, ast.Constant) and node.value == PACKED_KEY_SLOT)
 
 
+def _is_modular_power(node) -> bool:
+    """A call `pow(x, e, m)`: a modular power, `pow(x, -1, p)` the inverse."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == "pow" and len(node.args) == 3
+
+
 def test_no_branch_on_a_preset_name():
     found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_name_comparison)]
     assert {(f, func) for f, func, _ in found} == ALLOWED_NAME_CHECKS, found
@@ -119,3 +134,9 @@ def test_cofree_label_set_by_the_J_builder_read_by_the_verdict_only():
 def test_packed_monomial_key_read_only_in_bialgebra():
     found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_packed_key_use)]
     assert found and {f for f, _, _ in found} == {"bialgebra.py"}, found
+
+
+def test_modular_inverses_only_in_the_one_elimination():
+    found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_modular_power)]
+    assert {(f, func) for f, func, _ in found} == ALLOWED_INVERSES, found
+    assert len(found) == len(ALLOWED_INVERSES), found

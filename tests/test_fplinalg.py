@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercomod.fplinalg import SUPPORTED_PRIMES, FpMatrix, sparse_kernel_basis
+
+from support import kernel_reference, rref_reference
 
 
 def test_kernel_frozen_example():
@@ -122,9 +126,26 @@ def test_sparse_kernel_matches_dense(system):
     for i, row in enumerate(rows):
         for j, v in row.items():
             dense[i, j] = v
-    assert sparse_kernel_basis(p, rows, ncols) == FpMatrix(p, dense).kernel_basis()
+    # against the test-only reference elimination: FpMatrix.kernel_basis
+    # shares the eliminator under test
+    assert np.array_equal(sparse_kernel_basis(p, rows, ncols).a, kernel_reference(p, dense))
 
 
 def test_sparse_kernel_rejects_out_of_range_columns():
     with pytest.raises(ValueError):
         sparse_kernel_basis(5, [{0: 1, 2: 3}], 2)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_rref_matches_reference(p):
+    # every shape up to 12 x 12, empty ones included: a random matrix and one
+    # of rank at most 2, each with zero rows and zero columns mixed in
+    rng = np.random.default_rng(2024 + p)
+    for m, n in itertools.product(range(13), repeat=2):
+        for a in (rng.integers(0, p, size=(m, n)),
+                  rng.integers(0, p, size=(m, 2)) @ rng.integers(0, p, size=(2, n))):
+            a[rng.random(m) < 0.25, :] = 0
+            a[:, rng.random(n) < 0.25] = 0
+            red, pivots = FpMatrix(p, a).rref()
+            ref, ref_pivots = rref_reference(p, a)
+            assert pivots == ref_pivots and np.array_equal(red.a, ref), a.tolist()
