@@ -55,6 +55,16 @@ def _json_int(value, where: str) -> int:
     return value
 
 
+def _json_objects(value, where: str) -> list:
+    """`value` if it is a list of JSON objects; else a ValueError naming it."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: {json.dumps(value)[:60]} is not a list")
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}[{i}]: {json.dumps(entry)[:60]} is not an object")
+    return value
+
+
 def deg_key(d):
     return (total_of(d), d if isinstance(d, tuple) else (d,))
 
@@ -96,11 +106,13 @@ class Comodule:
 
     `cofree_on` is the degree d on which the comodule is cofree on one
     cogenerator, so that a morphism into it is the same thing as a
-    functional on the source's degree-d part; only the J builder sets it,
-    and every other construction leaves it None.
+    functional on the source's degree-d part; `free_on` is the degree d on
+    which it is free, so that a morphism out of it is the same thing as an
+    element of the target's degree-d part.  Only the J and F builders set
+    them, and every other construction leaves them None.
     """
 
-    cofree_on = None
+    cofree_on = free_on = None
 
     def __init__(
         self,
@@ -354,8 +366,8 @@ class Comodule:
         """The comodule of a `to_dict` document.  A malformed entry raises a
         ValueError naming it: a number that is not a plain int (a float or a
         bool), a negative box or margin, a bidegree not of the preset's
-        grading, labels that are not a list of strings, or a monomial that
-        is not a string."""
+        grading, a list of entries that are not objects, or a name, label or
+        monomial that is not a string."""
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {json.dumps(data)[:60]}")
         box, margin = data.get("box"), _json_int(data.get("margin", 0), "margin")
@@ -363,8 +375,11 @@ class Comodule:
             if n is not None and _json_int(n, key) < 0:
                 raise ValueError(f"{key}: {n} is negative")
         preset = get_preset(data["preset"], _json_int(data["p"], "p"))
+        name = data.get("name", "")
+        if not isinstance(name, str):
+            raise ValueError(f"name: {name!r} is not a string")
         components = {}
-        for i, entry in enumerate(data["components"]):
+        for i, entry in enumerate(_json_objects(data["components"], "components")):
             d, labels = entry["bidegree"], entry["labels"]
             if isinstance(d, list) != preset.bigraded or preset.bigraded and len(d) != 2:
                 raise ValueError(f"components[{i}] bidegree {d!r} is not a "
@@ -375,16 +390,16 @@ class Comodule:
                 raise ValueError(f"components[{i}] labels {labels!r}: not a list of strings")
             components[tuple(d) if isinstance(d, list) else d] = labels
         coaction: dict[str, list[Term]] = {}
-        for i, entry in enumerate(data["coaction"]):
+        for i, entry in enumerate(_json_objects(data["coaction"], "coaction")):
             where = f"coaction[{i}] ({entry['from_label']} -> {entry['to_label']})"
-            if not isinstance(entry["monomial"], str):
-                raise ValueError(f"{where} monomial {entry['monomial']!r} is not a string")
+            for key in ("from_label", "to_label", "monomial"):
+                if not isinstance(entry[key], str):
+                    raise ValueError(f"{where} {key} {entry[key]!r} is not a string")
             coaction.setdefault(entry["from_label"], []).append(
                 (_json_int(entry["coeff"], f"{where} coeff"), entry["to_label"],
                  parse_monomial(entry["monomial"]))
             )
-        return cls(preset, components, coaction, box=box, margin=margin,
-                   name=data.get("name", ""))
+        return cls(preset, components, coaction, box=box, margin=margin, name=name)
 
     @classmethod
     def from_json(cls, text: str) -> "Comodule":

@@ -27,13 +27,15 @@ is an exact sequence padded by zero objects.  An isomorphism is a
 degreewise bijection that is a comodule map (`is_isomorphism`), and
 `find_isomorphism` decides, with no search, whether one exists: it answers
 "iso" with a certified isomorphism, "none" only with a proof, and
-"undecided" when the morphism space has dimension 2 or more.  Into a
-target that is cofree on one cogenerator in degree d (a J), a morphism is
-a functional on the source's degree-d part, so when that part is one line
-the candidate comes in closed form from the coaction and is certified with
-no linear system; only when it fails is the morphism space solved, and
-"none" and "undecided" always come from the solver.  `supercomod.homsolver`
-logs at DEBUG which route each verdict took.
+"undecided" when the morphism space has dimension 2 or more.  Two closed
+forms come from the universal properties: a morphism into a J cofree on
+degree d is one functional on the source's degree-d part (`cofree_map`),
+and one out of an F free on degree d is one element of the target's
+degree-d part (`free_map`).  The canonical maps of `objects` are such
+closed forms, and `find_isomorphism` certifies one with no linear system
+when that part is one line; only when it fails is the morphism space
+solved, and "none" and "undecided" always come from the solver.
+`supercomod.homsolver` logs at DEBUG which route each verdict took.
 """
 from __future__ import annotations
 
@@ -309,15 +311,25 @@ def is_isomorphism(f: ComoduleMorphism, box: int | None = None) -> bool:
     return f.check(box=box) == []
 
 
-def _cofree_candidate(M: Comodule, N: Comodule, g: str) -> ComoduleMorphism:
-    """The morphism M -> N given by the functional g* on g's degree, for N a
+def cofree_map(M: Comodule, J: Comodule, g: str) -> ComoduleMorphism:
+    """The morphism M -> J given by the functional g* on g's degree, for J a
     J cofree on that degree: x goes to the sum of c * [b] over the coaction
-    terms (c, g, b) of x, where [b] is the basis element of N labelled by
-    the monomial b.  Coassociativity makes it a comodule map; whether it is
-    an isomorphism is for `is_isomorphism` to say."""
+    terms (c, g, b) of x, where [b] is the basis element of J labelled by
+    the monomial b.  Coassociativity makes it a comodule map."""
     assign = {lab: [(c, format_monomial(b)) for c, x, b in terms if x == g]
               for lab, terms in M.coaction.items()}
-    return morphism_from_assignment(M, N, assign)
+    return morphism_from_assignment(M, J, assign)
+
+
+def free_map(F: Comodule, N: Comodule, n: str) -> ComoduleMorphism:
+    """The morphism F -> N given by the element n, for F an F free on n's
+    degree: the dual basis vector of the monomial m goes to the sum of
+    (-1)^{|m|} c * x over the coaction terms (c, x, m) of n; the sign undoes
+    the twist of `dualize_left`."""
+    assign: dict = {}
+    for c, x, b in N.coaction[n]:
+        assign.setdefault(format_monomial(b), []).append((-c if b.parity else c, x))
+    return morphism_from_assignment(F, N, assign)
 
 
 def find_isomorphism(M: Comodule, N: Comodule, box: int | None = None) -> tuple:
@@ -333,26 +345,30 @@ def find_isomorphism(M: Comodule, N: Comodule, box: int | None = None) -> tuple:
       ("undecided", None) the morphism space has dimension 2 or more; no
                           search is made, so this is neither answer.
 
-    When N is cofree on a trusted degree d (`N.cofree_on`) and M_d is one
-    line <g>, the closed-form candidate of g* is tried first; it is returned
-    only when `is_isomorphism` certifies it, the same certificate the solver
-    route gives.  Otherwise, or when it fails, the verdict comes from
-    `hom_space`.
+    A closed-form candidate is tried first: `cofree_map` of g* when N is
+    cofree on a trusted degree d (`N.cofree_on`) and M_d = <g>, else
+    `free_map` of n when M is free on a trusted d (`M.free_on`) and
+    N_d = <n>.  It is returned only when `is_isomorphism` certifies it, the
+    same certificate the solver route gives; otherwise the verdict comes
+    from `hom_space`.
     """
     region = TrustedRegion(M, N, box=box)
     if ({d: n for d, n in M.poincare().items() if d in region}
             != {d: n for d, n in N.poincare().items() if d in region}):
         return "none", None
+    route = None
     d = N.cofree_on
-    tried = d is not None and d in region and M.dim(d) == 1
-    if tried:
-        f = _cofree_candidate(M, N, M.basis(d)[0])
-        if is_isomorphism(f, box=box):
-            log.debug("find_isomorphism %s -> %s: cofree candidate certified, dim %d",
-                      M.name, N.name, M.total_dim())
-            return "iso", f
+    if d is not None and d in region and M.dim(d) == 1:
+        route, f = "cofree", cofree_map(M, N, M.basis(d)[0])
+    d = M.free_on
+    if route is None and d is not None and d in region and N.dim(d) == 1:
+        route, f = "free", free_map(M, N, N.basis(d)[0])
+    if route and is_isomorphism(f, box=box):
+        log.debug("find_isomorphism %s -> %s: %s candidate certified, dim %d",
+                  M.name, N.name, route, M.total_dim())
+        return "iso", f
     log.debug("find_isomorphism %s -> %s: solver%s, dim %d",
-              M.name, N.name, " after a failed cofree candidate" if tried else "",
+              M.name, N.name, f" after a failed {route} candidate" if route else "",
               M.total_dim())
     space = hom_space(M, N, box=box)
     if space.dim > 1:

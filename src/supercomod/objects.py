@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from .bialgebra import (
     Monomial,
-    _monomial,
     coproduct,
     enumerate_left,
     enumerate_right,
@@ -37,13 +36,15 @@ from .comodule import (
     Comodule,
     ComoduleMorphism,
     dualize_left,
-    morphism_from_assignment,
+    identity_morphism,
     simple_comodule,
     suspend,
     corestrict_psi,
     corestrict_theta,
     tensor,
+    zero_morphism,
 )
+from .homsolver import cofree_map, free_map, kernel
 
 # ---------------------------------------------------------------------------
 # J-type objects
@@ -95,7 +96,9 @@ def _build_F_on(preset, right, box: int, name: str) -> Comodule:
                     if m2 in labels]
         for m in span
     }
-    return dualize_left(preset, components, coaction, box=box, name=name)
+    F = dualize_left(preset, components, coaction, box=box, name=name)
+    F.free_on = right
+    return F
 
 
 def build_F(p: int, a: int, b: int, box: int) -> Comodule:
@@ -208,6 +211,13 @@ def theta_psi_H(p: int, box: int) -> Comodule:
 # canonical morphisms
 
 
+def _from_element(source: Comodule, target: Comodule, d) -> ComoduleMorphism:
+    """`free_map` of the one basis element of the target in the source's free
+    degree d; the zero map when the target's box leaves none."""
+    gens = target.basis(d)
+    return free_map(source, target, gens[0]) if gens else zero_morphism(source, target)
+
+
 def cap_morphism(p: int, lam: Monomial | str) -> ComoduleMorphism:
     """Contraction against lam: J(0, m) -> J(right(lam)) for left(lam) = (0, m),
     sending m' to the coefficient of lam (x) - in the coproduct of m'."""
@@ -217,17 +227,8 @@ def cap_morphism(p: int, lam: Monomial | str) -> ComoduleMorphism:
     la, lb = preset.left_degree(lam)
     if la != 0:
         raise ValueError(f"contraction element must have left bidegree (0, m), got {lam}")
-    source = build_J(p, 0, lb)
-    ra, rb = preset.right_degree(lam)
-    target = build_J(p, ra, rb)
-    assign: dict = {}
-    for mp in enumerate_left(preset, (0, lb)):
-        terms = []
-        for (b1, b2), c in coproduct(preset, mp).items():
-            if b1 == lam:
-                terms.append((c, format_monomial(b2)))
-        assign[format_monomial(mp)] = terms
-    return morphism_from_assignment(source, target, assign)
+    return cofree_map(build_J(p, 0, lb), build_J(p, *preset.right_degree(lam)),
+                      format_monomial(lam))
 
 
 def verschiebung(p: int, n: int) -> ComoduleMorphism:
@@ -246,42 +247,17 @@ def xi0_multiplication(p: int, m: int) -> ComoduleMorphism:
     """Multiplication by x0, as S^{(0,1)} J(0, m-1) -> J(0, m)."""
     if m < 1:
         raise ValueError("need m >= 1")
-    source_core = build_J(p, 0, m - 1)
-    source = suspend(source_core, (0, 1))
-    target = build_J(p, 0, m)
-    assign = {}
-    for mp in enumerate_left(get_preset("bbar", p), (0, m - 1)):
-        s, prod = product(mono_xi(0), mp)
-        assign[f"s|{format_monomial(mp)}"] = [(s, format_monomial(prod))]
-    return morphism_from_assignment(source, target, assign)
+    source = suspend(build_J(p, 0, m - 1), (0, 1))
+    return cofree_map(source, build_J(p, 0, m), source.basis((0, m))[0])
 
 
 def u_suspension_iso(p: int, n: int) -> ComoduleMorphism:
     """The canonical identification S^{(1,0)} J(0, n) -> J(1, n), s|m -> u*m."""
     source = suspend(build_J(p, 0, n), (1, 0))
-    target = build_J(p, 1, n)
-    assign = {}
-    for mp in enumerate_left(get_preset("bbar", p), (0, n)):
-        s, prod = product(mono_u(), mp)
-        assign[f"s|{format_monomial(mp)}"] = [(s, format_monomial(prod))]
-    return morphism_from_assignment(source, target, assign)
+    return cofree_map(source, build_J(p, 1, n), source.basis((1, n))[0])
 
 
 # ---- the mu family and the canonical l / r maps
-
-
-def _xi0_rewrite_preimage(m: Monomial, a: int, b: int) -> Monomial | None:
-    """The unique monomial with right bidegree (a, b) mapping to m under the
-    x0 -> u^2 rewrite, if any."""
-    e_high = sum(e for j, e in m.xi)
-    e0 = b - e_high
-    if e0 < 0:
-        return None
-    u = m.u - 2 * e0
-    if u < 0 or u + len(m.tau) != a:
-        return None
-    xi = tuple(sorted(([(0, e0)] if e0 else []) + list(m.xi)))
-    return _monomial(m.w, m.tau, u, xi)
 
 
 def theta_F(p: int, a: int, b: int, box: int) -> Comodule:
@@ -299,37 +275,8 @@ def mu_quotient(p: int, n: int, a: int, b: int, box: int,
     right-(a, b) monomials, for a + 2b = n."""
     if a + 2 * b != n:
         raise ValueError("need a + 2b = n")
-    source = source or build_Fn(p, n, box)
-    target = target or theta_F(p, a, b, box)
-    assign: dict = {}
-    for m in enumerate_right(get_preset("atilde", p), n, box):
-        pre = _xi0_rewrite_preimage(m, a, b)
-        if pre is not None and format_monomial(pre) in target.coaction:
-            assign[format_monomial(m)] = [(1, format_monomial(pre))]
-    return morphism_from_assignment(source, target, assign)
-
-
-def _divide_by_grouplike(p: int, a: int, b: int, box: int, shift,
-                         source: Comodule | None,
-                         target: Comodule | None) -> ComoduleMorphism:
-    """F(a,b) -> S^shift F((a,b) - shift) for shift = (da, db), dual to
-    multiplying the right-((a,b) - shift) span by the grouplike u^da x0^db:
-    it sends the dual of m to the dual of m / (u^da x0^db), and to 0 when
-    that division leaves no monomial."""
-    da, db = shift
-    source = source or build_F(p, a, b, box)
-    target = target or suspend(build_F(p, a - da, b - db, box), shift)
-    assign: dict = {}
-    for m in enumerate_right(get_preset("bbar", p), (a, b), box):
-        xi = m.xi_dict()
-        if m.u < da or xi.get(0, 0) < db:
-            continue
-        xi[0] = xi.get(0, 0) - db
-        quo = _monomial(m.w, m.tau, m.u - da, tuple(sorted((j, e) for j, e in xi.items() if e)))
-        tl = f"s|{format_monomial(quo)}"
-        if tl in target.coaction:
-            assign[format_monomial(m)] = [(1, tl)]
-    return morphism_from_assignment(source, target, assign)
+    return _from_element(source or build_Fn(p, n, box),
+                         target or theta_F(p, a, b, box), n)
 
 
 def canonical_l(p: int, a: int, b: int, box: int,
@@ -339,7 +286,8 @@ def canonical_l(p: int, a: int, b: int, box: int,
     right-(a-2, b) span by u^2; it divides the dual basis by u^2."""
     if a < 2:
         raise ValueError("need a >= 2")
-    return _divide_by_grouplike(p, a, b, box, (2, 0), source, target)
+    return _from_element(source or build_F(p, a, b, box),
+                         target or suspend(build_F(p, a - 2, b, box), (2, 0)), (a, b))
 
 
 def canonical_r(p: int, a: int, b: int, box: int,
@@ -349,7 +297,8 @@ def canonical_r(p: int, a: int, b: int, box: int,
     right-(a, b-1) span by x0; it divides the dual basis by x0."""
     if b < 1:
         raise ValueError("need b >= 1")
-    return _divide_by_grouplike(p, a, b, box, (0, 1), source, target)
+    return _from_element(source or build_F(p, a, b, box),
+                         target or suspend(build_F(p, a, b - 1, box), (0, 1)), (a, b))
 
 
 def canonical_u(p: int, a: int, b: int, box: int,
@@ -359,7 +308,8 @@ def canonical_u(p: int, a: int, b: int, box: int,
     right-(a-1, b) span by u; it divides the dual basis by u."""
     if a < 1:
         raise ValueError("need a >= 1")
-    return _divide_by_grouplike(p, a, b, box, (1, 0), source, target)
+    return _from_element(source or build_F(p, a, b, box),
+                         target or suspend(build_F(p, a - 1, b, box), (1, 0)), (a, b))
 
 
 def build_PhiF(p: int, a: int, box: int):
@@ -368,14 +318,8 @@ def build_PhiF(p: int, a: int, box: int):
     if a < 2:
         F = build_F(p, a, 0, box)
         F.name = f"PhiF({a})"
-        from .comodule import identity_morphism
-
         return F, identity_morphism(F)
-    from .homsolver import kernel
-
-    f = canonical_l(p, a, 0, box)
-    K, incl = kernel(f, name=f"PhiF({a})")
-    return K, incl
+    return kernel(canonical_l(p, a, 0, box), name=f"PhiF({a})")
 
 
 # ---------------------------------------------------------------------------

@@ -249,8 +249,8 @@ def suite_tensor_splittings(p: int = 3, a_max: int = 3, b_max: int = 3,
     )
     for a in range(a_max + 1):
         for b in range(b_max + 1):
+            # closed-form candidates into the cofree J(a,b) and out of the free F(a,b)
             J = build_J(p, a, b)
-            # into the cofree J(a,b), so the candidate comes in closed form
             verdict, _ = find_isomorphism(tensor(build_J(p, a, 0), build_J(p, 0, b)), J)
             rep.add(f"J({a},{b}) splits", verdict == "iso",
                     _fmt(J.poincare()) if verdict == "iso" else f"verdict {verdict}")

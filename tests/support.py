@@ -9,12 +9,28 @@ cleared.  It shares no code with the engine's one elimination
 as the closure of explicit classes under Steenrod operations, to
 cross-check the builders of F(n); `closure_dims` and `poincare_shift` read
 and move Poincare tables.
+
+The `*_assignment` functions write the canonical maps of `objects` out
+monomial by monomial, as label assignments for `morphism_from_assignment`:
+contraction by a coproduct, multiplication by a grouplike, the x0 -> u^2
+rewrite and division by a grouplike.  The engine builds each map instead
+as the closed form of one element (`homsolver.cofree_map`, `free_map`),
+and the tests check the two against each other.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from supercomod.bialgebra import Monomial, add_deg
+from supercomod.bialgebra import (
+    Monomial,
+    add_deg,
+    coproduct,
+    enumerate_left,
+    enumerate_right,
+    format_monomial,
+    get_preset,
+    product,
+)
 from supercomod.comodule import Comodule, steenrod_action
 from supercomod.fplinalg import FpMatrix
 
@@ -109,3 +125,62 @@ def closure_dims(span: dict) -> dict:
 
 def poincare_shift(t: dict, d0) -> dict:
     return {add_deg(d0, d): c for d, c in t.items()}
+
+
+def cap_assignment(p: int, lam: Monomial) -> dict:
+    """J(0, m) -> J(right(lam)): m' goes to the sum of c * b2 over the terms
+    c * lam (x) b2 of the coproduct of m'."""
+    preset = get_preset("bbar", p)
+    return {format_monomial(mp): [(c, format_monomial(b2))
+                                  for (b1, b2), c in coproduct(preset, mp).items() if b1 == lam]
+            for mp in enumerate_left(preset, preset.left_degree(lam))}
+
+
+def multiplication_assignment(p: int, g: Monomial, n: int) -> dict:
+    """S^{deg g} J(0, n) -> J(deg g + (0, n)), s|m -> g*m with its sign."""
+    out = {}
+    for mp in enumerate_left(get_preset("bbar", p), (0, n)):
+        s, prod = product(g, mp)
+        out[f"s|{format_monomial(mp)}"] = [(s, format_monomial(prod))]
+    return out
+
+
+def _xi0_rewrite_preimage(m: Monomial, a: int, b: int) -> Monomial | None:
+    """The unique monomial with right bidegree (a, b) mapping to m under the
+    x0 -> u^2 rewrite, if any."""
+    e0 = b - sum(e for j, e in m.xi)
+    u = m.u - 2 * e0
+    if e0 < 0 or u < 0 or u + len(m.tau) != a:
+        return None
+    return Monomial(m.w, m.tau, u, sorted(([(0, e0)] if e0 else []) + list(m.xi)))
+
+
+def mu_assignment(p: int, n: int, a: int, b: int, box: int, target: Comodule) -> dict:
+    """F(n) -> Theta F(a, b): the dual of m goes to the dual of its preimage
+    under the x0 -> u^2 rewrite on the right-(a, b) monomials, and to 0
+    when there is none in the target."""
+    out = {}
+    for m in enumerate_right(get_preset("atilde", p), n, box):
+        pre = _xi0_rewrite_preimage(m, a, b)
+        if pre is not None and format_monomial(pre) in target.coaction:
+            out[format_monomial(m)] = [(1, format_monomial(pre))]
+    return out
+
+
+def division_assignment(p: int, a: int, b: int, box: int, shift,
+                        target: Comodule) -> dict:
+    """F(a,b) -> S^shift F((a,b) - shift) for shift = (da, db): the dual of m
+    goes to the dual of m / (u^da x0^db), and to 0 when that division leaves
+    no monomial in the target."""
+    da, db = shift
+    out = {}
+    for m in enumerate_right(get_preset("bbar", p), (a, b), box):
+        xi = m.xi_dict()
+        if m.u < da or xi.get(0, 0) < db:
+            continue
+        xi[0] = xi.get(0, 0) - db
+        quo = Monomial(m.w, m.tau, m.u - da, sorted((j, e) for j, e in xi.items() if e))
+        label = f"s|{format_monomial(quo)}"
+        if label in target.coaction:
+            out[format_monomial(m)] = [(1, label)]
+    return out

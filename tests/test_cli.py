@@ -267,13 +267,24 @@ def test_verify_json_independent_of_hash_seed():
      ({"margin": -1}, "margin: -1 is negative"),
      ({"components": {"bidegree": [0, 1, 2]}},
       "components[0] bidegree [0, 1, 2] is not a bidegree of bbar"),
-     ({"components": {"labels": "ab"}}, "components[0] labels 'ab': not a list of strings")],
+     ({"components": {"labels": "ab"}}, "components[0] labels 'ab': not a list of strings"),
+     ({"name": 5}, "name: 5 is not a string"),
+     ({"components": [[1]]}, "components[0]: [1] is not an object"),
+     ({"components": ("set", {"a": 1})}, 'components: {"a": 1} is not a list'),
+     ({"coaction": ["x"]}, 'coaction[0]: "x" is not an object'),
+     ({"coaction": {"to_label": ["x0"]}},
+      "coaction[0] (t0 -> ['x0']) to_label ['x0'] is not a string"),
+     ({"coaction": {"from_label": ["t0"]}},
+      "coaction[0] (['t0'] -> x0) from_label ['t0'] is not a string")],
     ids=["not-json", "list", "string", "null", "monomial-int", "box-negative",
-         "margin-negative", "bidegree-three", "labels-string"],
+         "margin-negative", "bidegree-three", "labels-string", "name-int",
+         "component-list", "components-object", "coaction-string", "to-label-list",
+         "from-label-list"],
 )
 def test_load_garbage(capsys, tmp_path, edit, message):
     # a text as it stands, or J(0,1) with top-level keys (or keys of the
-    # first entry of a list) rewritten
+    # first entry of a list, or with ("set", value) the key itself when the
+    # value is an object) rewritten
     path = tmp_path / "bad.json"
     if isinstance(edit, str):
         path.write_text(edit)
@@ -283,7 +294,7 @@ def test_load_garbage(capsys, tmp_path, edit, message):
             if isinstance(value, dict):
                 doc[key][0].update(value)
             else:
-                doc[key] = value
+                doc[key] = value[1] if isinstance(value, tuple) else value
         path.write_text(json.dumps(doc))
     rc, _, err = run(capsys, "load", str(path))
     assert rc == 1

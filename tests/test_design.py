@@ -30,6 +30,22 @@ ALLOWED_COFREE_USES = {
 }
 
 
+# Dually, an F is free on one degree, so a morphism out of it comes in
+# closed form; `free_on` records that degree, set only by the F builder and
+# read only by the isomorphism verdict, for the same reason.
+ALLOWED_FREE_USES = {
+    ("comodule.py", None, "store"),
+    ("objects.py", "_build_F_on", "store"),
+    ("homsolver.py", "find_isomorphism", "load"),
+}
+
+
+# `_monomial` builds a monomial without validating it; only bialgebra, whose
+# arithmetic keeps its operands valid, may call it.  Everywhere else goes
+# through the validating `Monomial(...)`.
+TRUSTED_CONSTRUCTOR = "_monomial"
+
+
 # A monomial's packed integer key is an encoding private to bialgebra: only
 # that module reads or sets the slot, so its layout can change in one place.
 PACKED_KEY_SLOT = "_code"
@@ -85,16 +101,33 @@ def _is_random_use(node) -> bool:
     return False
 
 
-def _cofree_use(node):
-    """"store" or "load" for a use of `cofree_on` (an attribute, a name, or a
+def _attribute_use(node, attr: str):
+    """"store" or "load" for a use of `attr` (an attribute, a name, or a
     string that getattr could take), else None."""
-    if isinstance(node, ast.Attribute) and node.attr == "cofree_on":
+    if isinstance(node, ast.Attribute) and node.attr == attr:
         return "store" if isinstance(node.ctx, ast.Store) else "load"
-    if isinstance(node, ast.Name) and node.id == "cofree_on":
+    if isinstance(node, ast.Name) and node.id == attr:
         return "store" if isinstance(node.ctx, ast.Store) else "load"
-    if isinstance(node, ast.Constant) and node.value == "cofree_on":
+    if isinstance(node, ast.Constant) and node.value == attr:
         return "load"
     return None
+
+
+def _attribute_uses(attr: str) -> list:
+    """(file, function, "store" or "load") of each use of `attr` in src/."""
+    found = {kind: [c for path in sorted(SRC.glob("*.py"))
+                    for c in _find(path, lambda node: _attribute_use(node, attr) == kind)]
+             for kind in ("store", "load")}
+    return sorted(((f, func, kind) for kind, cs in found.items() for f, func, _ in cs),
+                  key=str)
+
+
+def _is_trusted_constructor_use(node) -> bool:
+    """`_monomial` as a name, an attribute, an imported name or a string."""
+    return (isinstance(node, ast.Name) and node.id == TRUSTED_CONSTRUCTOR) or (
+        isinstance(node, ast.Attribute) and node.attr == TRUSTED_CONSTRUCTOR) or (
+        isinstance(node, ast.alias) and node.name == TRUSTED_CONSTRUCTOR) or (
+        isinstance(node, ast.Constant) and node.value == TRUSTED_CONSTRUCTOR)
 
 
 def _is_packed_key_use(node) -> bool:
@@ -123,12 +156,17 @@ def test_no_random_generator_in_src():
 
 
 def test_cofree_label_set_by_the_J_builder_read_by_the_verdict_only():
-    found = {kind: [c for path in sorted(SRC.glob("*.py"))
-                    for c in _find(path, lambda node: _cofree_use(node) == kind)]
-             for kind in ("store", "load")}
-    uses = sorted(((f, func, kind) for kind, cs in found.items() for f, func, _ in cs),
-                  key=str)
-    assert uses == sorted(ALLOWED_COFREE_USES, key=str), found
+    assert _attribute_uses("cofree_on") == sorted(ALLOWED_COFREE_USES, key=str)
+
+
+def test_free_label_set_by_the_F_builder_read_by_the_verdict_only():
+    assert _attribute_uses("free_on") == sorted(ALLOWED_FREE_USES, key=str)
+
+
+def test_trusted_monomial_constructor_only_in_bialgebra():
+    found = [c for path in sorted(SRC.glob("*.py"))
+             for c in _find(path, _is_trusted_constructor_use)]
+    assert found and {f for f, _, _ in found} == {"bialgebra.py"}, found
 
 
 def test_packed_monomial_key_read_only_in_bialgebra():

@@ -22,11 +22,12 @@ from supercomod.comodule import (
 )
 from supercomod.fplinalg import FpMatrix
 from supercomod.homsolver import (
-    _cofree_candidate,
     _induced,
+    cofree_map,
     cokernel,
     equalizer,
     find_isomorphism,
+    free_map,
     hom_space,
     image,
     is_exact,
@@ -280,11 +281,36 @@ def test_failed_cofree_candidate_falls_back_to_the_solver(caplog):
     S = direct_sum([simple_comodule(BBAR3, d) for d, n in sorted(J.poincare().items())
                     for _ in range(n)])
     assert S.poincare() == J.poincare()
-    assert not is_isomorphism(_cofree_candidate(S, J, S.basis(J.cofree_on)[0]))
+    assert not is_isomorphism(cofree_map(S, J, S.basis(J.cofree_on)[0]))
     with caplog.at_level(logging.DEBUG, logger="supercomod.homsolver"):
         assert find_isomorphism(S, J) == ("none", None)
     route, hom = caplog.records
     assert "solver after a failed cofree candidate" in route.getMessage()
+    assert hom.getMessage().startswith("hom_space")
+
+
+def test_splitting_of_F_takes_the_free_candidate(caplog):
+    # F(1,1) is free on (1,1), where F(1,0) (x) F(0,1) is one line, so the
+    # closed-form map of that element is certified and no system is solved
+    T = tensor(build_F(3, 1, 0, 10), build_F(3, 0, 1, 10))
+    with caplog.at_level(logging.DEBUG, logger="supercomod"):
+        verdict, iso = find_isomorphism(build_F(3, 1, 1, 10), T)
+    assert verdict == "iso" and is_isomorphism(iso)
+    (record,) = caplog.records
+    assert "F(1,1) -> F(1,0)(x)F(0,1): free candidate certified" in record.getMessage()
+
+
+def test_failed_free_candidate_falls_back_to_the_solver(caplog):
+    # the simples with F(1,1)'s table: the candidate is not an isomorphism,
+    # and "none" is proven by the one-line hom space
+    F = build_F(3, 1, 1, 10)
+    S = direct_sum([simple_comodule(BBAR3, d) for d, n in sorted(F.poincare().items())
+                    for _ in range(n)])
+    assert not is_isomorphism(free_map(F, S, S.basis(F.free_on)[0]))
+    with caplog.at_level(logging.DEBUG, logger="supercomod.homsolver"):
+        assert find_isomorphism(F, S) == ("none", None)
+    route, hom = caplog.records
+    assert "solver after a failed free candidate" in route.getMessage()
     assert hom.getMessage().startswith("hom_space")
 
 
@@ -318,7 +344,8 @@ def _standard_object(p: int, kind: str, a: int, b: int):
 def test_cofree_and_representability_oracles(p, parts, combine, a, b):
     """dim hom(M, J(a,b)) = dim M_(a,b) = dim hom(F(a,b), M), counted by a
     route that shares no code with the solver; and the closed-form maps
-    M -> J(a,b) of the dual basis of M_(a,b) span the solver's hom space."""
+    M -> J(a,b) of the dual basis of M_(a,b), and F(a,b) -> M of its basis,
+    span the solver's hom spaces."""
     mods = [_standard_object(p, *part) for part in parts]
     M = mods[0]
     if combine == "sum":
@@ -327,20 +354,22 @@ def test_cofree_and_representability_oracles(p, parts, combine, a, b):
         for N in mods[1:]:
             M = tensor(M, N)
     expected = M.dim((a, b))
-    J = build_J(p, a, b)
-    hs = hom_space(M, J)
-    assert hs.dim == expected
-    assert hom_space(build_F(p, a, b, ORACLE_BOX), M).dim == expected
-    closed = [_cofree_candidate(M, J, g) for g in M.basis((a, b))]
-    degrees = [d for d in M.degrees() if d in TrustedRegion(M, J) and J.dim(d)]
+    J, F = build_J(p, a, b), build_F(p, a, b, ORACLE_BOX)
 
-    def rank(maps):
+    def rank(maps, degrees):
         if not maps:
             return 0
         rows = [np.concatenate([f.block(d).a.ravel() for d in degrees]) for f in maps]
         return FpMatrix(p, np.array(rows, dtype=np.int64)).rank()
 
-    assert rank(closed) == rank(hs.basis) == rank(closed + hs.basis) == expected
+    for solved, closed, source, target in (
+            (hom_space(M, J).basis, [cofree_map(M, J, g) for g in M.basis((a, b))], M, J),
+            (hom_space(F, M).basis, [free_map(F, M, n) for n in M.basis((a, b))], F, M)):
+        degrees = [d for d in source.degrees()
+                   if d in TrustedRegion(source, target) and target.dim(d)]
+        assert len(solved) == expected
+        assert rank(closed, degrees) == rank(solved, degrees) \
+            == rank(closed + solved, degrees) == expected
 
 
 def test_phi_F2_sits_in_sequence():

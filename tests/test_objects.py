@@ -2,8 +2,10 @@
 H, and the canonical maps between them."""
 from __future__ import annotations
 
+import functools
 import math
 
+import numpy as np
 import pytest
 
 from supercomod.bialgebra import (
@@ -17,7 +19,13 @@ from supercomod.bialgebra import (
     quotient_map,
     total_of,
 )
-from supercomod.comodule import Comodule, corestrict_theta, steenrod_action
+from supercomod.comodule import (
+    Comodule,
+    corestrict_theta,
+    morphism_from_assignment,
+    steenrod_action,
+    suspend,
+)
 from supercomod.functorcomb import count_hom
 from supercomod.objects import (
     build_F,
@@ -40,6 +48,12 @@ from supercomod.objects import (
     verschiebung,
     verschiebung_twisted,
     xi0_multiplication,
+)
+from support import (
+    cap_assignment,
+    division_assignment,
+    mu_assignment,
+    multiplication_assignment,
 )
 
 
@@ -374,6 +388,37 @@ def test_canonical_u_on_F20():
     assert f.check() == []
     with pytest.raises(ValueError):
         canonical_u(3, 0, 1, 24)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_canonical_maps_match_the_hand_written_formulas(p):
+    # each canonical map is the closed form of one element; the formulas of
+    # tests/support write it out monomial by monomial.  Weights a + 2b <= 8
+    # at box 30.
+    box, bbar = 30, get_preset("bbar", p)
+    F = functools.cache(lambda a, b: build_F(p, a, b, box))
+    pairs = [(cap_morphism(p, lam), cap_assignment(p, lam))
+             for b in range(5) for lam in enumerate_left(bbar, (0, b))]
+    pairs += [(xi0_multiplication(p, m), multiplication_assignment(p, mono_xi(0), m - 1))
+              for m in range(1, 5)]
+    pairs += [(u_suspension_iso(p, n), multiplication_assignment(p, mono_u(), n))
+              for n in range(4)]
+    for n in range(9):
+        Fn = build_Fn(p, n, box)
+        for b in range(n // 2 + 1):
+            a = n - 2 * b
+            f = mu_quotient(p, n, a, b, box, target=corestrict_theta(F(a, b)), source=Fn)
+            pairs.append((f, mu_assignment(p, n, a, b, box, f.target)))
+            for divide, shift in ((canonical_l, (2, 0)), (canonical_r, (0, 1)),
+                                  (canonical_u, (1, 0))):
+                q = (a - shift[0], b - shift[1])
+                if min(q) >= 0:
+                    f = divide(p, a, b, box, source=F(a, b), target=suspend(F(*q), shift))
+                    pairs.append((f, division_assignment(p, a, b, box, shift, f.target)))
+    for f, assign in pairs:
+        ref = morphism_from_assignment(f.source, f.target, assign)
+        for d in f.source.degrees():
+            assert np.array_equal(f.block(d).a, ref.block(d).a), (f.source.name, d)
 
 
 def test_phi_F_low_weights():

@@ -159,6 +159,17 @@ def test_brown_gitler_is_certified_without_a_hom_solve(monkeypatch):
     assert rep.ok, failures(rep)
 
 
+def test_tensor_splittings_are_certified_without_a_hom_solve(monkeypatch):
+    # J(a,0) (x) J(0,b) -> J(a,b) takes the closed form into the cofree
+    # J(a,b), and F(a,b) -> F(a,0) (x) F(0,b) the one out of the free F(a,b)
+    def refuse(*args, **kwargs):
+        raise AssertionError("hom_space called")
+
+    monkeypatch.setattr(homsolver, "hom_space", refuse)
+    rep = run_suite("tensor_splittings", p=3, a_max=2, b_max=2, box=24)
+    assert rep.ok, failures(rep)
+
+
 class _RecordingPool:
     """Stands in for the process pool: records its size, maps serially."""
 
