@@ -41,9 +41,13 @@ next field.  Only this module reads the key.
 
 A preset memoises ``left_degree`` and ``right_degree`` per (name, p), keyed
 by the interned monomial, and enumeration memoises the xi partitions of each
-total.  ``cache_stats()`` reports the coproduct caches, the partition memo,
-the size of each degree memo and the number of interned monomials.  A preset
-row tests membership with one mask on the packed key.
+total.  The coproduct is one memo: D of a monomial is the product of the
+memoised D of its last letter power and of the rest, D of a power that of
+the next lower power and of its letter, so the coproduct is an algebra map
+fixed by its four letter formulas.  ``cache_stats()`` reports that memo, the
+partition memo, the size of each degree memo and the number of interned
+monomials.  A preset row tests membership with one mask on the packed key.
+A canonical quotient sends a monomial to one monomial or to 0.
 """
 
 from __future__ import annotations
@@ -321,8 +325,6 @@ def _divides(k: Monomial, m: Monomial) -> bool:
 # ---------------------------------------------------------------------------
 # presets and gradings
 
-Deg = int | tuple[int, int]
-
 
 @dataclass(frozen=True)
 class PresetRow:
@@ -501,10 +503,6 @@ class TensorSum:
                 if c:
                     self.terms[key] = c
 
-    @classmethod
-    def unit(cls, p: int) -> "TensorSum":
-        return cls(p, {(ONE, ONE): 1})
-
     def items(self):
         return self.terms.items()
 
@@ -555,95 +553,84 @@ class TensorSum:
         return out
 
 
+def first_difference(p: int, lhs: dict, rhs: dict, order):
+    """The least key, by the sort key `order`, at which the sparse sums lhs
+    and rhs over F_p differ mod p, or None when they agree."""
+    return min((k for k in lhs.keys() | rhs.keys() if (lhs.get(k, 0) - rhs.get(k, 0)) % p),
+               key=order, default=None)
+
+
 # ---------------------------------------------------------------------------
 # coproduct, counit
 
 
-def _xi_power_rewritten(preset: CoalgebraPreset, j: int, e: int) -> Monomial:
-    """x_j^e, with x_0 rewritten to u^2 in the presets that identify them."""
-    if j == 0 and preset.row.x0_is_u2:
-        return Monomial(u=2 * e)
-    return Monomial(xi=((j, e),))
-
-
-def _generator_coproduct(preset: CoalgebraPreset, kind: str, idx: int = 0) -> TensorSum:
+def _letter_coproduct(preset: CoalgebraPreset, g: Monomial) -> TensorSum:
+    """D(g) of a letter g, by the formula of the module docstring for u, w,
+    t_i or x_j."""
     p = preset.p
-    has_w = preset.row.w
     ts = TensorSum(p)
-    if kind == "u":
-        ts.add_term(mono_u(), mono_u(), 1)
-        if has_w:
+
+    def x(j: int, e: int) -> Monomial:
+        """x_j^e, with x0 rewritten as u^2 where the preset identifies them."""
+        return _x0_to_u2(mono_xi(j, e)) if preset.row.x0_is_u2 else mono_xi(j, e)
+
+    if g.u:
+        ts.add_term(g, g, 1)
+        if preset.row.w:
             ts.add_term(mono_w(), mono_tau(0), 1)
-        return ts
-    if kind == "w":
-        if not has_w:
-            raise ValueError(f"no w in preset {preset.name}")
-        ts.add_term(mono_u(), mono_w(), 1)
-        ts.add_term(mono_w(), mono_xi(0), 1)
-        return ts
-    if kind == "tau":
-        i = idx
+    elif g.w:
+        ts.add_term(mono_u(), g, 1)
+        ts.add_term(g, mono_xi(0), 1)
+    elif g.tau:
+        i = g.tau[0]
         for s in range(i + 1):
-            ts.add_term(_xi_power_rewritten(preset, i - s, p**s), mono_tau(s), 1)
-        ts.add_term(mono_tau(i), mono_u(), 1)
-        return ts
-    if kind == "xi":
-        j = idx
+            ts.add_term(x(i - s, p**s), mono_tau(s), 1)
+        ts.add_term(g, mono_u(), 1)
+    else:
+        j = g.xi[0][0]
         for s in range(j + 1):
-            ts.add_term(
-                _xi_power_rewritten(preset, j - s, p**s),
-                _xi_power_rewritten(preset, s, 1),
-                1,
-            )
-        if has_w:
+            ts.add_term(x(j - s, p**s), x(s, 1), 1)
+        if preset.row.w:
             ts.add_term(mono_tau(j), mono_w(), 1)
-        return ts
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
-@lru_cache(maxsize=None)
-def _generator_power_coproduct(
-    preset: CoalgebraPreset, kind: str, idx: int, e: int
-) -> TensorSum:
-    if e == 1:
-        return _generator_coproduct(preset, kind, idx)
-    half = _generator_power_coproduct(preset, kind, idx, e - 1)
-    return half.mul(_generator_coproduct(preset, kind, idx))
+    return ts
 
 
 @lru_cache(maxsize=None)
 def coproduct(preset: CoalgebraPreset, m: Monomial) -> TensorSum:
-    """The coproduct of a basis monomial, as a TensorSum."""
+    """The coproduct of a basis monomial, as a TensorSum: D(m / g^e) D(g^e)
+    for the last letter power g^e of m (sign +1, as g^e comes last),
+    D(g^(e-1)) D(g) for a power, and the formula of a letter."""
     preset.validate_monomial(m)
+    code = m._code
     if m.xi:
         j, e = m.xi[-1]
-        rest = _from_code(m._code - (e << (_X_SHIFT + _X_WIDTH * j)))
-        return coproduct(preset, rest).mul(_generator_power_coproduct(preset, "xi", j, e))
-    if m.u:
-        rest = _from_code(m._code & _EXT)
-        return coproduct(preset, rest).mul(_generator_power_coproduct(preset, "u", 0, m.u))
-    if m.tau:
-        rest = _from_code(m._code ^ (2 << m.tau[-1]))
-        return coproduct(preset, rest).mul(_generator_coproduct(preset, "tau", m.tau[-1]))
-    if m.w:
-        return _generator_coproduct(preset, "w")
-    return TensorSum.unit(preset.p)
+        unit = 1 << (_X_SHIFT + _X_WIDTH * j)
+    elif m.u:
+        e, unit = m.u, 1 << _U_SHIFT
+    elif m.tau:
+        e, unit = 1, 2 << m.tau[-1]
+    else:
+        e, unit = m.w, 1
+    if code != e * unit:  # m = (m / g^e) * g^e
+        rest, last = _from_code(code - e * unit), _from_code(e * unit)
+    elif e > 1:  # m = g^(e-1) * g
+        rest, last = _from_code(code - unit), _from_code(unit)
+    else:
+        return _letter_coproduct(preset, m) if e else TensorSum(preset.p, {(ONE, ONE): 1})
+    return coproduct(preset, rest).mul(coproduct(preset, last))
 
 
-# bound here, so that the report still reaches the caches when a caller
-# has replaced the module's names by wrappers
-_COPRODUCT_CACHES = (
-    ("coproduct", coproduct),
-    ("generator_power_coproduct", _generator_power_coproduct),
-)
+# bound here, so that the report still reaches the cache when a caller has
+# replaced the module's name by a wrapper
+_COPRODUCT_CACHE = coproduct
 
 
 def cache_stats() -> dict:
-    """Hits, misses and size of the coproduct caches and of the xi-partition
+    """Hits, misses and size of the coproduct cache and of the xi-partition
     memo, the size of each degree memo (under "degree_memos", keyed
     "name p=p") and the number of interned monomials."""
     out: dict = {}
-    for name, cached in _COPRODUCT_CACHES + (("xi_partitions", _xi_partitions),):
+    for name, cached in (("coproduct", _COPRODUCT_CACHE), ("xi_partitions", _xi_partitions)):
         info = cached.cache_info()
         out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
     out["degree_memos"] = {f"{name} p={p}": {"left": len(left), "right": len(right)}
@@ -850,8 +837,7 @@ def check_bialgebra_axioms(preset: CoalgebraPreset, box: int, coproduct_fn=None,
         right_m = {}
         for (b1, b2), c in ts.items():
             if counit(preset, b1):
-                right_key = b2
-                left_m[right_key] = (left_m.get(right_key, 0) + c) % p
+                left_m[b2] = (left_m.get(b2, 0) + c) % p
             if counit(preset, b2):
                 right_m[b1] = (right_m.get(b1, 0) + c) % p
         left_m = {k: v for k, v in left_m.items() if v}
@@ -865,13 +851,12 @@ def check_bialgebra_axioms(preset: CoalgebraPreset, box: int, coproduct_fn=None,
         lhs = _coproduct_on_slot(preset, cop(preset, g), cop, 0)
         rhs = _coproduct_on_slot(preset, cop(preset, g), cop, 1)
         if lhs != rhs:
-            diff = {k: (lhs.get(k, 0) - rhs.get(k, 0)) % p for k in set(lhs) | set(rhs)}
-            diff = {k: v for k, v in diff.items() if v}
-            witness = next(iter(sorted(diff, key=lambda t: tuple(x.sort_key() for x in t))))
+            witness = first_difference(p, lhs, rhs, lambda t: tuple(x.sort_key() for x in t))
+            coeff = (lhs.get(witness, 0) - rhs.get(witness, 0)) % p
             return AxiomFailure(
                 "coassociativity",
                 (g,),
-                f"(D(x)1)D - (1(x)D)D has term {witness} with coeff {diff[witness]}",
+                f"(D(x)1)D - (1(x)D)D has term {witness} with coeff {coeff}",
             )
     for i, g in enumerate(letters):
         for h in letters[i:]:
@@ -910,10 +895,9 @@ def _x0_to_u2(m: Monomial) -> Monomial:
     return _from_code(m._code + (2 * e << _U_SHIFT) - (e << _X_SHIFT)) if e else m
 
 
-def quotient_map(
-    src: CoalgebraPreset, dst: CoalgebraPreset, m: Monomial
-) -> list[tuple[int, Monomial]]:
-    """Image of a monomial under the canonical bialgebra quotient src -> dst.
+def quotient_map(src: CoalgebraPreset, dst: CoalgebraPreset, m: Monomial) -> Monomial | None:
+    """Image of a monomial under the canonical bialgebra quotient src -> dst:
+    one monomial, or None when the image is 0.
 
     x0 goes to u^2 where dst identifies them and src does not; a monomial
     with a generator that dst lacks goes to 0."""
@@ -924,7 +908,7 @@ def quotient_map(
     src.validate_monomial(m)
     if dst.row.x0_is_u2 and not src.row.x0_is_u2:
         m = _x0_to_u2(m)
-    return [] if dst.row.lacks(m) else [(1, m)]
+    return None if dst.row.lacks(m) else m
 
 
 @dataclass

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .bialgebra import format_monomial, get_preset
+from .bialgebra import PRESET_NAMES, format_monomial, get_preset
 from .bialgebra import enumerate_box, enumerate_component, enumerate_left
 from .comodule import Comodule
 from .homsolver import hom_space
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("basis", parents=[common],
                        help="enumerate a bihomogeneous component")
     q.add_argument("--preset", required=True,
-                   help="b | bbar | atilde | bpp | u_xi0 | u_only | xi_poly | b2")
+                   help=" | ".join(PRESET_NAMES))
     q.add_argument("--left", help="left degree: 'a,b' (bigraded) or 'n'")
     q.add_argument("--right", help="right degree: 'a,b' (bigraded) or 'n'")
     q.set_defaults(fn=cmd_basis)

@@ -26,11 +26,11 @@ import numpy as np
 
 from .bialgebra import (
     CoalgebraPreset,
-    Deg,
     Monomial,
     add_deg,
     coproduct,
     counit,
+    first_difference,
     format_monomial,
     get_preset,
     mono_tau,
@@ -55,13 +55,23 @@ def _json_int(value, where: str) -> int:
     return value
 
 
-def _json_objects(value, where: str) -> list:
-    """`value` if it is a list of JSON objects; else a ValueError naming it."""
+def _json_keys(obj: dict, keys: tuple, where: str) -> None:
+    """A ValueError naming `where` and the first key of `keys` that `obj`
+    lacks, if any."""
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+
+
+def _json_objects(value, where: str, keys: tuple) -> list:
+    """`value` if it is a list of JSON objects, each with every key of
+    `keys`; else a ValueError naming the entry."""
     if not isinstance(value, list):
         raise ValueError(f"{where}: {json.dumps(value)[:60]} is not a list")
     for i, entry in enumerate(value):
         if not isinstance(entry, dict):
             raise ValueError(f"{where}[{i}]: {json.dumps(entry)[:60]} is not an object")
+        _json_keys(entry, keys, f"{where}[{i}]")
     return value
 
 
@@ -311,11 +321,8 @@ class Comodule:
                         else:
                             rhs.pop(key, None)
             if lhs != rhs:
-                keys = set(lhs) | set(rhs)
-                bad = sorted(
-                    (k for k in keys if (lhs.get(k, 0) - rhs.get(k, 0)) % p),
-                    key=lambda k: (k[0], k[1].sort_key(), k[2].sort_key()),
-                )[0]
+                bad = first_difference(p, lhs, rhs,
+                                       lambda k: (k[0], k[1].sort_key(), k[2].sort_key()))
                 problems.append(
                     f"{lab}: coassociativity fails at term "
                     f"{bad[0]} (x) {bad[1]} (x) {bad[2]}: "
@@ -364,12 +371,13 @@ class Comodule:
     @classmethod
     def from_dict(cls, data: dict) -> "Comodule":
         """The comodule of a `to_dict` document.  A malformed entry raises a
-        ValueError naming it: a number that is not a plain int (a float or a
-        bool), a negative box or margin, a bidegree not of the preset's
-        grading, a list of entries that are not objects, or a name, label or
-        monomial that is not a string."""
+        ValueError naming it: a missing key, a number that is not a plain int
+        (a float or a bool), a negative box or margin, a bidegree not of the
+        preset's grading, a list of entries that are not objects, or a name,
+        label or monomial that is not a string."""
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {json.dumps(data)[:60]}")
+        _json_keys(data, ("p", "preset", "components", "coaction"), "document")
         box, margin = data.get("box"), _json_int(data.get("margin", 0), "margin")
         for key, n in (("box", box), ("margin", margin)):
             if n is not None and _json_int(n, key) < 0:
@@ -379,7 +387,8 @@ class Comodule:
         if not isinstance(name, str):
             raise ValueError(f"name: {name!r} is not a string")
         components = {}
-        for i, entry in enumerate(_json_objects(data["components"], "components")):
+        for i, entry in enumerate(_json_objects(data["components"], "components",
+                                                ("bidegree", "labels"))):
             d, labels = entry["bidegree"], entry["labels"]
             if isinstance(d, list) != preset.bigraded or preset.bigraded and len(d) != 2:
                 raise ValueError(f"components[{i}] bidegree {d!r} is not a "
@@ -390,7 +399,8 @@ class Comodule:
                 raise ValueError(f"components[{i}] labels {labels!r}: not a list of strings")
             components[tuple(d) if isinstance(d, list) else d] = labels
         coaction: dict[str, list[Term]] = {}
-        for i, entry in enumerate(_json_objects(data["coaction"], "coaction")):
+        for i, entry in enumerate(_json_objects(data["coaction"], "coaction",
+                                                ("from_label", "to_label", "monomial", "coeff"))):
             where = f"coaction[{i}] ({entry['from_label']} -> {entry['to_label']})"
             for key in ("from_label", "to_label", "monomial"):
                 if not isinstance(entry[key], str):
@@ -456,8 +466,8 @@ def simple_comodule(preset: CoalgebraPreset, d, label: str = "e") -> Comodule:
     )
 
 
-def zero_comodule(preset: CoalgebraPreset, box: int | None = None) -> Comodule:
-    return Comodule(preset, {}, {}, box=box, name="0")
+def zero_comodule(preset: CoalgebraPreset) -> Comodule:
+    return Comodule(preset, {}, {}, box=None, name="0")
 
 
 def tensor(M: Comodule, N: Comodule, name: str = "") -> Comodule:
@@ -501,11 +511,9 @@ def tensor(M: Comodule, N: Comodule, name: str = "") -> Comodule:
                     name=name or f"{M.name}(x){N.name}")
 
 
-def suspend(M: Comodule, d, name: str = "") -> Comodule:
+def suspend(M: Comodule, d) -> Comodule:
     """Shift by tensoring with the simple comodule in degree d on the left."""
-    S = simple_comodule(M.preset, d, label="s")
-    out = tensor(S, M, name=name or f"S{d}{M.name}")
-    return out
+    return tensor(simple_comodule(M.preset, d, label="s"), M, name=f"S{d}{M.name}")
 
 
 def _push_coaction(M: Comodule, dst: CoalgebraPreset) -> dict:
@@ -518,27 +526,26 @@ def _push_coaction(M: Comodule, dst: CoalgebraPreset) -> dict:
     for lab, terms in M.coaction.items():
         merged: dict = {}
         for c, to_label, b in terms:
-            image = images.get(b)
-            if image is None:
-                image = images[b] = quotient_map(M.preset, dst, b)
-            for c2, b2 in image:
-                key = (to_label, b2)
-                merged[key] = (merged.get(key, 0) + c * c2) % p
+            if b not in images:
+                images[b] = quotient_map(M.preset, dst, b)
+            if images[b] is not None:
+                key = (to_label, images[b])
+                merged[key] = (merged.get(key, 0) + c) % p
         out[lab] = tuple([(c, to_label, b2) for (to_label, b2), c in merged.items() if c])
     return out
 
 
-def corestrict_psi(M: Comodule, name: str = "") -> Comodule:
+def corestrict_psi(M: Comodule) -> Comodule:
     """Push a comodule over the full algebra down to the quotient with w = 0."""
     if M.preset.name != "b":
         raise ValueError("corestrict_psi starts from preset b")
     dst = get_preset("bbar", M.p)
     return Comodule._trusted(dst, {d: list(labs) for d, labs in M.components.items()},
                              _push_coaction(M, dst), box=M.box, margin=M.margin,
-                             name=name or f"Psi({M.name})")
+                             name=f"Psi({M.name})")
 
 
-def corestrict_theta(M: Comodule, name: str = "") -> Comodule:
+def corestrict_theta(M: Comodule) -> Comodule:
     """Collapse a w=0 comodule to the single grading s + 2t, over the
     quotient that also identifies x0 with u^2."""
     if M.preset.name != "bbar":
@@ -551,20 +558,19 @@ def corestrict_theta(M: Comodule, name: str = "") -> Comodule:
     for n in components:
         components[n].sort()
     return Comodule._trusted(dst, components, _push_coaction(M, dst), box=M.box,
-                             margin=M.margin, name=name or f"Theta({M.name})")
+                             margin=M.margin, name=f"Theta({M.name})")
 
 
-def embed_xi_polynomial(M: Comodule, name: str = "") -> Comodule:
+def embed_xi_polynomial(M: Comodule) -> Comodule:
     """Reinterpret a comodule over the xi-polynomial subalgebra as one over
     the w = 0 algebra, along the inclusion of bialgebras."""
     if M.preset.name != "xi_poly":
         raise ValueError("embed_xi_polynomial starts from preset xi_poly")
     dst = get_preset("bbar", M.p)
-    return Comodule(dst, M.components, M.coaction, box=M.box, margin=M.margin,
-                    name=name or M.name)
+    return Comodule(dst, M.components, M.coaction, box=M.box, margin=M.margin, name=M.name)
 
 
-def truncate(M: Comodule, box: int, name: str = "") -> Comodule:
+def truncate(M: Comodule, box: int) -> Comodule:
     """Restrict a comodule to the sub-box `box`, keeping its margin."""
     if M.box is not None and box > M.box:
         raise ValueError(f"cannot grow the box from {M.box} to {box}")
@@ -580,8 +586,7 @@ def truncate(M: Comodule, box: int, name: str = "") -> Comodule:
         lab: [(c, t, b) for c, t, b in M.coaction[lab] if t in kept]
         for lab in kept
     }
-    return Comodule(M.preset, components, coaction, box=box, margin=M.margin,
-                    name=name or M.name)
+    return Comodule(M.preset, components, coaction, box=box, margin=M.margin, name=M.name)
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +665,7 @@ class ComoduleMorphism:
                         else:
                             rhs.pop(key, None)
                 if lhs != rhs:
-                    keys = sorted(set(lhs) | set(rhs),
-                                  key=lambda k: (k[0], k[1].sort_key()))
-                    bad = [k for k in keys if (lhs.get(k, 0) - rhs.get(k, 0)) % p][0]
+                    bad = first_difference(p, lhs, rhs, lambda k: (k[0], k[1].sort_key()))
                     problems.append(
                         f"{lab}: psi f - (f x 1) psi has term {bad[0]} (x) {bad[1]} "
                         f"with coeffs {lhs.get(bad, 0)} vs {rhs.get(bad, 0)}"
@@ -732,7 +735,7 @@ def morphism_from_assignment(M: Comodule, N: Comodule, assign: dict) -> Comodule
     return ComoduleMorphism(M, N, blocks)
 
 
-def direct_sum(mods: list, name: str = "") -> Comodule:
+def direct_sum(mods: list) -> Comodule:
     """Direct sum; labels are prefixed "i:" by summand position."""
     if not mods:
         raise ValueError("empty direct sum")
@@ -757,7 +760,7 @@ def direct_sum(mods: list, name: str = "") -> Comodule:
                 if box is None or total_of(M.degree_of(t)) <= box + margin
             ]
     return Comodule(preset, components, coaction, box=box, margin=margin,
-                    name=name or "(+)".join(M.name for M in mods))
+                    name="(+)".join(M.name for M in mods))
 
 
 def summand_inclusion(S: Comodule, mods: list, i: int) -> ComoduleMorphism:

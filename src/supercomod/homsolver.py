@@ -206,7 +206,7 @@ def kernel(f: ComoduleMorphism, name: str = ""):
     return _induced(f.source, vectors, coords, name or "ker", sub=True)
 
 
-def image(f: ComoduleMorphism, name: str = ""):
+def image(f: ComoduleMorphism):
     """Image subcomodule with its inclusion into the target; an image
     vector's coordinates are its entries at the pivot columns."""
     vectors, coords = {}, {}
@@ -214,10 +214,10 @@ def image(f: ComoduleMorphism, name: str = ""):
         if f.target.dim(d):
             vectors[d], pivots, _, _ = FpMatrix(f.p, f.block(d).a.T).echelon()
             coords[d] = np.eye(f.target.dim(d), dtype=np.int64)[pivots]
-    return _induced(f.target, vectors, coords, name or "im", sub=True)
+    return _induced(f.target, vectors, coords, "im", sub=True)
 
 
-def cokernel(f: ComoduleMorphism, name: str = ""):
+def cokernel(f: ComoduleMorphism):
     """Quotient of the target by the image, with the projection map.
 
     The quotient basis consists of the target coordinates away from the
@@ -228,16 +228,16 @@ def cokernel(f: ComoduleMorphism, name: str = ""):
     for d in f.target.degrees():
         _, _, free, coords[d] = FpMatrix(f.p, f.block(d).a.T).echelon()
         vectors[d] = np.eye(f.target.dim(d), dtype=np.int64)[free]
-    return _induced(f.target, vectors, coords, name or "coker", sub=False)
+    return _induced(f.target, vectors, coords, "coker", sub=False)
 
 
-def equalizer(f: ComoduleMorphism, g: ComoduleMorphism, name: str = ""):
+def equalizer(f: ComoduleMorphism, g: ComoduleMorphism):
     """Equalizer of a parallel pair, as the kernel of their difference."""
     if not f.source.matches(g.source):
         raise ValueError("equalizer needs a shared source")
     if not f.target.matches(g.target):
         raise ValueError("equalizer needs a shared target")
-    return kernel(f.sub(g), name or "eq")
+    return kernel(f.sub(g), name="eq")
 
 
 # ---------------------------------------------------------------------------

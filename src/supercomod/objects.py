@@ -199,12 +199,12 @@ def build_H_tensor(p: int, n: int, box: int) -> Comodule:
 
 def psi_H(p: int, box: int) -> Comodule:
     """H pushed down to the w = 0 quotient."""
-    return corestrict_psi(build_H(p, box), name="Psi(H)")
+    return corestrict_psi(build_H(p, box))
 
 
 def theta_psi_H(p: int, box: int) -> Comodule:
     """H pushed all the way down to the single-graded quotient."""
-    return corestrict_theta(psi_H(p, box), name="Theta(Psi(H))")
+    return corestrict_theta(psi_H(p, box))
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +261,11 @@ def u_suspension_iso(p: int, n: int) -> ComoduleMorphism:
 
 
 def theta_F(p: int, a: int, b: int, box: int) -> Comodule:
-    return corestrict_theta(build_F(p, a, b, box), name=f"Theta(F({a},{b}))")
+    return corestrict_theta(build_F(p, a, b, box))
 
 
 def theta_J(p: int, a: int, b: int) -> Comodule:
-    return corestrict_theta(build_J(p, a, b), name=f"Theta(J({a},{b}))")
+    return corestrict_theta(build_J(p, a, b))
 
 
 def mu_quotient(p: int, n: int, a: int, b: int, box: int,

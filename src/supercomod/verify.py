@@ -23,10 +23,12 @@ from .bialgebra import (
     mono_xi,
 )
 from .comodule import (
+    corestrict_psi,
     corestrict_theta,
     direct_sum,
     instability_check,
     morphism_from_assignment,
+    poincare_power,
     poincare_product,
     poincare_theta,
     steenrod_action,
@@ -34,6 +36,7 @@ from .comodule import (
     summand_projection,
     suspend,
     tensor,
+    truncate,
 )
 from .functorcomb import (
     count_distinct_powers,
@@ -53,7 +56,6 @@ from .objects import (
     build_F,
     build_Fn,
     build_H,
-    build_H_tensor,
     build_J,
     build_Jn,
     build_PhiF,
@@ -484,16 +486,12 @@ def suite_h_tensor(p: int = 3, n_max: int = 4, box: int = 40) -> SuiteReport:
             "standard objects"
         ),
     )
-    from .comodule import poincare_power
-
     H = build_H(p, box)
-    table1 = H.poincare()
+    T2 = tensor(H, H, name="H^(x)2") if n_max >= 2 else None
+    # the tables of H^(x)n for n <= 2 are read off the objects themselves
+    tables = [{(0, 0) if p != 2 else 0: 1}, H.poincare(), T2 and T2.poincare()]
     for n in range(n_max + 1):
-        if n <= 2:
-            T = build_H_tensor(p, n, box) if n else None
-            table = T.poincare() if n else ({(0, 0): 1} if p != 2 else {0: 1})
-        else:
-            table = poincare_power(table1, n, bound=box)
+        table = tables[n] if n <= 2 else poincare_power(tables[1], n, bound=box)
         bad = []
         if p == 2:
             for b in range(box + 1):
@@ -511,13 +509,10 @@ def suite_h_tensor(p: int = 3, n_max: int = 4, box: int = 40) -> SuiteReport:
                     b += 1
         rep.add(f"H^(x){n} dims are C({n},a) C(b+{n}-1,{n}-1)", not bad,
                 _fmt(bad[:4]))
-    if n_max >= 2 and p != 2:
-        T2 = build_H_tensor(p, 2, box)
+    if T2 is not None and p != 2:
         rep.add("witness dim H^(x)2 at (1,2) = 6", T2.dim((1, 2)) == 6,
                 str(T2.dim((1, 2))))
         probe_box = min(box, 20)
-        from .comodule import corestrict_psi, truncate
-
         PsiT2 = corestrict_psi(truncate(T2, probe_box))
         bad = []
         for (a, b) in [(1, 0), (0, 1), (1, 1), (2, 1)]:

@@ -275,16 +275,21 @@ def test_verify_json_independent_of_hash_seed():
      ({"coaction": {"to_label": ["x0"]}},
       "coaction[0] (t0 -> ['x0']) to_label ['x0'] is not a string"),
      ({"coaction": {"from_label": ["t0"]}},
-      "coaction[0] (['t0'] -> x0) from_label ['t0'] is not a string")],
+      "coaction[0] (['t0'] -> x0) from_label ['t0'] is not a string"),
+     ({"components": {"bidegree": ...}}, "components[0]: missing key 'bidegree'"),
+     ({"coaction": {"coeff": ...}}, "coaction[0]: missing key 'coeff'"),
+     ({"coaction": {"from_label": ...}}, "coaction[0]: missing key 'from_label'"),
+     ({"preset": ...}, "document: missing key 'preset'")],
     ids=["not-json", "list", "string", "null", "monomial-int", "box-negative",
          "margin-negative", "bidegree-three", "labels-string", "name-int",
          "component-list", "components-object", "coaction-string", "to-label-list",
-         "from-label-list"],
+         "from-label-list", "bidegree-missing", "coeff-missing", "from-label-missing",
+         "preset-missing"],
 )
 def test_load_garbage(capsys, tmp_path, edit, message):
     # a text as it stands, or J(0,1) with top-level keys (or keys of the
     # first entry of a list, or with ("set", value) the key itself when the
-    # value is an object) rewritten
+    # value is an object) rewritten, and deleted where the value is ...
     path = tmp_path / "bad.json"
     if isinstance(edit, str):
         path.write_text(edit)
@@ -292,9 +297,14 @@ def test_load_garbage(capsys, tmp_path, edit, message):
         doc = json.loads(run(capsys, "dump", "--object", "J:0,1")[1])
         for key, value in edit.items():
             if isinstance(value, dict):
-                doc[key][0].update(value)
+                target, changes = doc[key][0], value
             else:
-                doc[key] = value[1] if isinstance(value, tuple) else value
+                target, changes = doc, {key: value[1] if isinstance(value, tuple) else value}
+            for k, v in changes.items():
+                if v is ...:
+                    del target[k]
+                else:
+                    target[k] = v
         path.write_text(json.dumps(doc))
     rc, _, err = run(capsys, "load", str(path))
     assert rc == 1

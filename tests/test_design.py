@@ -178,3 +178,55 @@ def test_modular_inverses_only_in_the_one_elimination():
     found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_modular_power)]
     assert {(f, func) for f, func, _ in found} == ALLOWED_INVERSES, found
     assert len(found) == len(ALLOWED_INVERSES), found
+
+
+# Every top-level function, class and constant of src/ has a reader: a use
+# of it (a loaded name or attribute, or the string by which getattr or the
+# benchmark's tracer finds it) in src/, tests/ or perfbench/ outside its own
+# definition.  An import alone is not a use.  Dunder names are read by Python.
+READER_ROOTS = (SRC, SRC.parents[1] / "tests", SRC.parents[1] / "perfbench")
+
+
+def _top_level_definitions(tree) -> list:
+    """(name, node) of each top-level def, class and assigned name."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return [(name, node) for name, node in out if not name.startswith("__")]
+
+
+def _reads(tree) -> list:
+    """(name, node) of each read in the tree: a loaded name or attribute, or
+    a string constant."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, node))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append((node.value, node))
+    return out
+
+
+def test_every_src_name_has_a_reader():
+    trees = {path: ast.parse(path.read_text())
+             for root in READER_ROOTS for path in sorted(root.glob("*.py"))}
+    inside = {}  # id of a node -> the top-level definition of src/ around it
+    definitions = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for name, node in _top_level_definitions(tree):
+            definitions.append((path.name, name))
+            for sub in ast.walk(node):
+                inside[id(sub)] = (path.name, name)
+    read = {(name, inside.get(id(node))) for tree in trees.values()
+            for name, node in _reads(tree)}
+    unread = [(f, name) for f, name in definitions
+              if not any(n == name and where != (f, name) for n, where in read)]
+    assert not unread, unread

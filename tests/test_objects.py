@@ -42,6 +42,7 @@ from supercomod.objects import (
     mu_quotient,
     parse_object_id,
     psi_H,
+    theta_F,
     theta_J,
     theta_psi_H,
     u_suspension_iso,
@@ -450,6 +451,14 @@ def test_parse_object_id(text, name):
     assert M.name == name
 
 
+def test_constructions_name_their_results():
+    assert theta_F(3, 1, 1, 20).name == "Theta(F(1,1))"
+    assert theta_J(3, 1, 2).name == "Theta(J(1,2))"
+    assert psi_H(3, 12).name == "Psi(H)"
+    assert theta_psi_H(3, 12).name == "Theta(Psi(H))"
+    assert suspend(build_J(3, 0, 2), (0, 1)).name == "S(0, 1)J(0,2)"
+
+
 @pytest.mark.parametrize("bad", ["nope", "J:0", "F:", "H^", "Fn:x", ""])
 def test_parse_object_id_rejects(bad):
     with pytest.raises(ValueError):
@@ -478,8 +487,9 @@ def _validated_push(M, dst_name, regrade):
     merged by the validating `Comodule(...)`; `regrade` collapses bidegrees
     to total degrees with each component's labels sorted."""
     dst = get_preset(dst_name, M.p)
-    coaction = {lab: [(c, t, b2) for c, t, b in terms
-                      for _, b2 in quotient_map(M.preset, dst, b)]
+    images = {b: quotient_map(M.preset, dst, b) for terms in M.coaction.values()
+              for _, _, b in terms}
+    coaction = {lab: [(c, t, images[b]) for c, t, b in terms if images[b] is not None]
                 for lab, terms in M.coaction.items()}
     components = M.components
     if regrade:
