@@ -253,13 +253,14 @@ def cmd_load(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=None,
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--p", type=int, default=None,
                         help="prime (default: SUPERCOMOD_P or 3)")
-    common.add_argument("--max-degree", type=int, default=None,
+    params.add_argument("--max-degree", type=int, default=None,
                         help="total-degree box (default: SUPERCOMOD_MAX_DEGREE or 60)")
-    common.add_argument("--format", choices=["text", "json", "csv"],
-                        default="text", help="output format")
+    table = argparse.ArgumentParser(add_help=False, parents=[params])
+    table.add_argument("--format", choices=["text", "json", "csv"], default="text",
+                       help="output format")
 
     parser = argparse.ArgumentParser(
         prog="supercomod",
@@ -268,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("basis", parents=[common],
+    q = sub.add_parser("basis", parents=[table],
                        help="enumerate a bihomogeneous component")
     q.add_argument("--preset", required=True,
                    help=" | ".join(PRESET_NAMES))
@@ -276,21 +277,22 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--right", help="right degree: 'a,b' (bigraded) or 'n'")
     q.set_defaults(fn=cmd_basis)
 
-    q = sub.add_parser("poincare", parents=[common],
+    q = sub.add_parser("poincare", parents=[table],
                        help="dimension table of a standard object")
     q.add_argument("--object", required=True,
                    help="H | H^k | F:a,b | J:a,b | Fn:n | Jn:n | S:a,b | PhiF:a")
     q.set_defaults(fn=cmd_poincare)
 
-    q = sub.add_parser("hom", parents=[common],
+    q = sub.add_parser("hom", parents=[params],
                        help="dimension (and basis) of a comodule hom space")
+    q.add_argument("--format", choices=["text", "json"], default="text", help="output format")
     q.add_argument("--source", required=True, help="object id")
     q.add_argument("--target", required=True, help="object id")
     q.add_argument("--basis", action="store_true",
                    help="also print a basis of morphisms")
     q.set_defaults(fn=cmd_hom)
 
-    q = sub.add_parser("verify", parents=[common],
+    q = sub.add_parser("verify", parents=[table],
                        help="run a verification suite (or all of them)")
     q.add_argument("--suite", required=True,
                    help="suite name or 'all': " + ", ".join(sorted(SUITES)))
@@ -303,14 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", help="also write the JSON report to this file")
     q.set_defaults(fn=cmd_verify)
 
-    q = sub.add_parser("dump", parents=[common],
+    q = sub.add_parser("dump", parents=[params],
                        help="serialize a standard object to JSON")
     q.add_argument("--object", required=True, help="object id")
     q.add_argument("--out", help="write to this file instead of stdout")
     q.set_defaults(fn=cmd_dump)
 
-    q = sub.add_parser("load", parents=[common],
-                       help="load a comodule from JSON and validate it")
+    q = sub.add_parser("load", help="load a comodule from JSON and validate it")
     q.add_argument("path", help="JSON file written by dump")
     q.set_defaults(fn=cmd_load)
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-import numpy as np
-
 from .bialgebra import (
     CoalgebraPreset,
     Monomial,
@@ -625,9 +623,8 @@ class ComoduleMorphism:
         d = self.source.degree_of(label)
         if d not in self.blocks:
             return []
-        col = self.blocks[d].a[:, self.source.index_of(label)]
         tgt = self.target.basis(d)
-        return [(int(col[i]), tgt[i]) for i in np.flatnonzero(col)]
+        return [(c, tgt[i]) for i, c in self.blocks[d].column(self.source.index_of(label))]
 
     def check(self, box: int | None = None) -> list[str]:
         """Verify psi_target(f(m)) = (f (x) 1)(psi_source(m)) inside the
@@ -685,16 +682,11 @@ class ComoduleMorphism:
         return ComoduleMorphism(other.source, self.target, blocks)
 
     def add(self, other: "ComoduleMorphism") -> "ComoduleMorphism":
-        blocks = {}
-        for d in set(self.blocks) | set(other.blocks):
-            blocks[d] = self.block(d).add(other.block(d))
-        return ComoduleMorphism(self.source, self.target, blocks)
+        return ComoduleMorphism(self.source, self.target, {
+            d: self.block(d).add(other.block(d)) for d in set(self.blocks) | set(other.blocks)})
 
     def sub(self, other: "ComoduleMorphism") -> "ComoduleMorphism":
-        blocks = {}
-        for d in set(self.blocks) | set(other.blocks):
-            blocks[d] = self.block(d).sub(other.block(d))
-        return ComoduleMorphism(self.source, self.target, blocks)
+        return self.add(other.scale(-1))
 
     def scale(self, c: int) -> "ComoduleMorphism":
         return ComoduleMorphism(
@@ -724,14 +716,12 @@ def morphism_from_assignment(M: Comodule, N: Comodule, assign: dict) -> Comodule
         tgt = N.basis(d)
         if not src or not tgt:
             continue
-        mat = FpMatrix.zeros(p, len(tgt), len(src))
-        for j, lab in enumerate(src):
+        for lab in src:
             for c, tl in assign.get(lab, ()):
                 if N.degree_of(tl) != d:
                     raise ValueError(f"{lab} -> {tl} changes degree")
-                i = N.index_of(tl)
-                mat.a[i, j] = (int(mat.a[i, j]) + c) % p
-        blocks[d] = mat
+        blocks[d] = FpMatrix(p, len(tgt), [
+            [(N.index_of(tl), c) for c, tl in assign.get(lab, ())] for lab in src])
     return ComoduleMorphism(M, N, blocks)
 
 
@@ -815,6 +805,12 @@ def steenrod_action(M: Comodule, lam: Monomial) -> dict:
         return dict(m.xi).get(0, 0), (m.w, m.tau, m.u, tuple(x for x in m.xi if x[0]))
 
     lam_pad, lam_rest = split(lam)
+
+    def hits(b: Monomial) -> bool:
+        """Whether b is u^k * lam (x0^k * lam without u) for some k >= 0."""
+        pad, rest = split(b)
+        return rest == lam_rest and pad >= lam_pad
+
     out: dict = {}
     for d in M.degrees():
         src = M.basis(d)
@@ -822,17 +818,10 @@ def steenrod_action(M: Comodule, lam: Monomial) -> dict:
         tgt = M.basis(tgt_deg)
         if not src:
             continue
-        mat = FpMatrix.zeros(p, len(tgt), len(src))
         index = {lab: i for i, lab in enumerate(tgt)}
-        for j, lab in enumerate(src):
-            for c, to_label, b in M.coaction[lab]:
-                pad, rest = split(b)
-                if rest != lam_rest or pad < lam_pad:
-                    continue
-                if to_label in index:
-                    i = index[to_label]
-                    mat.a[i, j] = (int(mat.a[i, j]) + c) % p
-        out[d] = mat
+        out[d] = FpMatrix(p, len(tgt), [
+            [(index[t], c) for c, t, b in M.coaction[lab] if t in index and hits(b)]
+            for lab in src])
     return out
 
 

@@ -7,9 +7,10 @@ LaMacchia-Odlyzko and Faugere-Lachartre), then back-substitutes.  The
 reduced row echelon form of a row space is unique for a fixed column
 order, so every result below is deterministic for a given input.
 
-`FpMatrix` is a dense matrix of small nonnegative residues in an int64
-numpy array, for the small per-degree blocks of morphisms; its `rref`, and
-with it rank, echelon, kernel and solve, is `_reduce` of its rows.
+`FpMatrix` holds the small per-degree blocks of morphisms as Python ints
+mod p, stored as the nonzero entries of each column, so `add` and `mul` cost
+in proportion to the nonzeros; only this module reads that storage.  Its
+`rref`, and with it rank, echelon, kernel and solve, is `_reduce` of its rows.
 `sparse_kernel_basis` is for large, very sparse systems with many repeated
 rows, such as the global system of a hom space: duplicates and scalar
 multiples collapse to one monic row before `_reduce`.
@@ -18,8 +19,6 @@ multiples collapse to one monic row before `_reduce`.
 from __future__ import annotations
 
 import logging
-
-import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -31,110 +30,117 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"unsupported prime {p}; supported: {SUPPORTED_PRIMES}")
 
 
+def _transposed(columns, n: int) -> list[list]:
+    """The n rows of the matrix with these columns, each a list of
+    (col, coeff) pairs in increasing column order."""
+    rows: list[list] = [[] for _ in range(n)]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows[i].append((j, v))
+    return rows
+
+
 class FpMatrix:
-    """A rows x cols matrix over F_p."""
+    """A rows x cols matrix over F_p, built from one list of (row, coeff)
+    entries per column; entries at one row add up, and coefficients are
+    any ints, reduced mod p."""
 
-    __slots__ = ("p", "a")
+    __slots__ = ("p", "rows", "cols", "_columns")
 
-    def __init__(self, p: int, data):
+    def __init__(self, p: int, rows: int, columns):
         _check_prime(p)
         self.p = p
-        a = np.array(data, dtype=np.int64)
-        if a.ndim == 1:
-            a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
-        if a.ndim != 2:
-            raise ValueError(f"expected 2-d data, got ndim={a.ndim}")
-        self.a = a % p
+        self.rows = rows
+        # the nonzero entries {row: coeff} of each column
+        self._columns = []
+        for entries in columns:
+            col: dict = {}
+            for i, v in entries:
+                col[i] = (col.get(i, 0) + v) % p
+            self._columns.append({i: v for i, v in col.items() if v} if 0 in col.values() else col)
+        if not all(0 <= i < rows for col in self._columns for i in col):
+            raise ValueError(f"column entry outside range({rows})")
+        self.cols = len(self._columns)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
+        return cls(p, rows, [()] * cols)
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def from_rows(cls, p: int, rows: list, cols: int | None = None) -> "FpMatrix":
-        return cls(p, rows) if rows else cls.zeros(p, 0, cols or 0)
+        return cls(p, n, [[(j, 1)] for j in range(n)])
 
     # -- basic structure ----------------------------------------------
 
     @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
-        return self.a.shape
+        return self.rows, self.cols
+
+    def column(self, j: int) -> list[tuple[int, int]]:
+        """The nonzero entries (row, coeff) of column j, by increasing row."""
+        return sorted(self._columns[j].items())
+
+    def to_list(self) -> list[list[int]]:
+        """The entries as a list of rows of ints in range(p)."""
+        return [[entries.get(j, 0) for j in range(self.cols)]
+                for entries in map(dict, _transposed(self._columns, self.rows))]
+
+    def transpose(self) -> "FpMatrix":
+        return FpMatrix(self.p, self.cols, _transposed(self._columns, self.rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpMatrix):
             return NotImplemented
-        return self.p == other.p and np.array_equal(self.a, other.a)
+        return (self.p, self.rows, self._columns) == (other.p, other.rows, other._columns)
 
     def __repr__(self) -> str:
-        return f"FpMatrix(p={self.p}, {self.a.tolist()!r})"
+        return f"FpMatrix(p={self.p}, {self.to_list()!r})"
 
     def is_zero(self) -> bool:
-        return not self.a.any()
+        return not any(self._columns)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check_same_field(self, other: "FpMatrix") -> None:
-        if self.p != other.p:
-            raise ValueError(f"prime mismatch: {self.p} vs {other.p}")
-
     def add(self, other: "FpMatrix") -> "FpMatrix":
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return FpMatrix(self.p, self.a + other.a)
-
-    def sub(self, other: "FpMatrix") -> "FpMatrix":
-        return self.add(other.scale(-1))
+        if (self.p, self.shape) != (other.p, other.shape):
+            raise ValueError(f"mismatch: {self.shape} over F_{self.p} + "
+                             f"{other.shape} over F_{other.p}")
+        return FpMatrix(self.p, self.rows, [
+            [*a.items(), *b.items()] for a, b in zip(self._columns, other._columns)])
 
     def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.p, self.a * (c % self.p))
+        return FpMatrix(self.p, self.rows,
+                        [[(i, v * c) for i, v in col.items()] for col in self._columns])
 
     def mul(self, other: "FpMatrix") -> "FpMatrix":
-        self._check_same_field(other)
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch for mul: {self.shape} x {other.shape}")
-        return FpMatrix(self.p, (self.a @ other.a) % self.p)
-
-    def apply(self, vec) -> np.ndarray:
-        """Matrix times column vector (1-d array)."""
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        if v.shape != (self.cols,):
-            raise ValueError(f"vector length {v.shape} incompatible with {self.shape}")
-        return (self.a @ v) % self.p
+        if (self.p, self.cols) != (other.p, other.rows):
+            raise ValueError(f"mismatch: {self.shape} over F_{self.p} x "
+                             f"{other.shape} over F_{other.p}")
+        a = self._columns
+        return FpMatrix(self.p, self.rows, [
+            [(i, v * w) for k, v in b.items() for i, w in a[k].items()] for b in other._columns])
 
     # -- elimination ----------------------------------------------------
 
     def rref(self) -> tuple["FpMatrix", list[int]]:
         """Reduced row echelon form, by `_reduce` of the rows, and its pivots."""
         (m, n), p = self.shape, self.p
-        reduced = _reduce(p, filter(None, (_monic_row(p, enumerate(row))
-                                           for row in self.a.tolist())), n)
+        rows = _transposed(self._columns, m)
+        reduced = _reduce(p, filter(None, (_monic_row(p, row) for row in rows)), n)
         pivots = sorted(reduced)
-        red = [[0] * n for _ in range(m)]
-        for row, c in zip(red, pivots):
-            row[c] = 1
+        columns: list[list] = [[] for _ in range(n)]
+        for r, c in enumerate(pivots):
+            columns[c].append((r, 1))
             for j, w in reduced[c].items():
-                row[j] = w
-        return FpMatrix(p, np.array(red, dtype=np.int64).reshape(m, n)), pivots
+                columns[j].append((r, w))
+        return FpMatrix(p, m, columns), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def echelon(self) -> tuple[np.ndarray, list[int], list[int], np.ndarray]:
+    def echelon(self) -> tuple["FpMatrix", list[int], list[int], "FpMatrix"]:
         """One rref read four ways: (rows, pivots, free, null).
 
         `rows` is the rref basis of the row space and `pivots` its pivot
@@ -146,41 +152,39 @@ class FpMatrix:
         `free`.
         """
         red, pivots = self.rref()
-        rows = red.a[:len(pivots)]
         free = [j for j in range(self.cols) if j not in pivots]
-        null = np.zeros((len(free), self.cols), dtype=np.int64)
-        null[:, free] = np.eye(len(free), dtype=np.int64)
-        null[:, pivots] = -rows[:, free].T % self.p
-        return rows, pivots, free, null
+        null: list[list] = [[] for _ in range(self.cols)]
+        for r, j in enumerate(free):
+            null[j].append((r, 1))
+            for s, v in red._columns[j].items():
+                null[pivots[s]].append((r, -v))
+        return (FpMatrix(self.p, len(pivots), [c.items() for c in red._columns]), pivots,
+                free, FpMatrix(self.p, len(free), null))
 
     def kernel_basis(self) -> "FpMatrix":
-        """Rows form the canonical basis of the right null space.
+        """Rows form the canonical basis of the right null space."""
+        return self.echelon()[3]
 
-        For each non-pivot column j there is one basis vector with a 1 in
-        position j; rank + number of rows equals cols.
-        """
-        return FpMatrix(self.p, self.echelon()[3])
-
-    def solve(self, rhs) -> np.ndarray | None:
+    def solve(self, rhs) -> list[int] | None:
         """One particular solution x of A x = rhs, or None if inconsistent."""
-        b = np.asarray(rhs, dtype=np.int64).reshape(-1) % self.p
-        if b.shape != (self.rows,):
-            raise ValueError(f"rhs length {b.shape} incompatible with {self.shape}")
-        aug = FpMatrix(self.p, np.hstack([self.a, b.reshape(-1, 1)]))
-        red, pivots = aug.rref()
+        if len(rhs) != self.rows:
+            raise ValueError(f"rhs length {len(rhs)} incompatible with {self.shape}")
+        red, pivots = FpMatrix(self.p, self.rows, [*(c.items() for c in self._columns),
+                                                   enumerate(rhs)]).rref()
         if self.cols in pivots:
             return None
-        x = np.zeros(self.cols, dtype=np.int64)
-        x[pivots] = red.a[:len(pivots), self.cols]
+        x = [0] * self.cols
+        for s, v in red._columns[self.cols].items():
+            x[pivots[s]] = v
         return x
 
     def row_space_basis(self) -> "FpMatrix":
         """Rows form a basis of the row space (nonzero rows of rref)."""
-        return FpMatrix(self.p, self.echelon()[0])
+        return self.echelon()[0]
 
-    def in_row_space(self, vec) -> np.ndarray | None:
+    def in_row_space(self, vec) -> list[int] | None:
         """Coordinates of vec in terms of this matrix's rows, or None."""
-        return FpMatrix(self.p, self.a.T).solve(vec)
+        return self.transpose().solve(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +256,16 @@ def _reduce(p: int, rows, ncols: int) -> dict[int, dict]:
     return reduced
 
 
-def sparse_kernel_basis(p: int, rows, ncols: int) -> FpMatrix:
+def sparse_kernel_basis(p: int, rows, ncols: int) -> list[dict]:
     """Canonical basis of the right null space of the matrix whose rows are
-    `rows` (a list of dicts {col: coeff}, columns in range(ncols)).
+    `rows` (a list of dicts {col: coeff}, columns in range(ncols)), as
+    sparse vectors {col: coeff}.
 
-    This is `FpMatrix(p, dense).kernel_basis()` of the dense matrix with
-    these rows.  Coefficients may be any integers, numpy scalars included;
-    zero, repeated and proportional rows are dropped before elimination.
-    At DEBUG level the `supercomod.fplinalg` logger reports the rows given,
-    the unique nonzero rows, their nonzeros and the columns.
+    These are the rows of `kernel_basis` of the matrix with these rows.
+    Coefficients may be any integers; zero, repeated and proportional rows
+    are dropped before elimination.  At DEBUG level the
+    `supercomod.fplinalg` logger reports the rows given, the unique nonzero
+    rows, their nonzeros and the columns.
     """
     _check_prime(p)
     unique = {_monic_row(p, sorted(row.items())) for row in rows}
@@ -269,11 +274,8 @@ def sparse_kernel_basis(p: int, rows, ncols: int) -> FpMatrix:
         log.debug("sparse kernel: %d rows given, %d unique, %d nnz, %d columns",
                   len(rows), len(unique), sum(map(len, unique)), ncols)
     reduced = _reduce(p, unique, ncols)
-    free = [j for j in range(ncols) if j not in reduced]
-    slot = {j: k for k, j in enumerate(free)}
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    basis[range(len(free)), free] = 1
+    basis = {j: {j: 1} for j in range(ncols) if j not in reduced}
     for c, entries in reduced.items():
         for j, w in entries.items():
-            basis[slot[j], c] = -w % p
-    return FpMatrix(p, basis)
+            basis[j][c] = -w % p
+    return list(basis.values())

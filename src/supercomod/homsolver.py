@@ -11,7 +11,7 @@ the entries of all blocks of f and returns a basis of its solution space.
 The system is emitted as sparse rows {unknown: coeff}, one per coordinate
 of N (x) monomial, and solved by `fplinalg.sparse_kernel_basis`; its rows
 have about two nonzeros each and many repeat, which it drops before the
-one elimination of `fplinalg`, the same that reduces every dense block
+one elimination of `fplinalg`, the same that reduces every per-degree block
 below.  Set the `supercomod` logger to DEBUG to see
 each system's size: `supercomod.fplinalg` reports its unique rows and
 nonzeros, then `supercomod.homsolver` the unknowns, rows emitted, rank and
@@ -41,8 +41,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .bialgebra import format_monomial
 from .comodule import (
@@ -86,17 +84,12 @@ def hom_space(M: Comodule, N: Comodule, box: int | None = None) -> MorphismSpace
         raise ValueError("hom_space requires matching presets")
     p = M.p
     region = TrustedRegion(M, N, box=box)
-    shared = [d for d in M.degrees() if d in region and N.dim(d)]
-    offset: dict = {}
-    nvar = 0
-    for d in shared:
-        offset[d] = nvar
-        nvar += N.dim(d) * M.dim(d)
-    if nvar == 0:
+    # one unknown per entry (i, j) of the block f_d, for d in the region
+    place = [(d, i, j) for d in M.degrees() if d in region
+             for i in range(N.dim(d)) for j in range(M.dim(d))]
+    if not place:
         return MorphismSpace(M, N, [], region.bound)
-
-    def var(d, i, j) -> int:
-        return offset[d] + i * M.dim(d) + j
+    var = {key: v for v, key in enumerate(place)}
 
     rows: list[dict] = []
     for d in M.degrees():
@@ -104,39 +97,38 @@ def hom_space(M: Comodule, N: Comodule, box: int | None = None) -> MorphismSpace
             continue
         for j, mlab in enumerate(M.basis(d)):
             coords: dict = {}
-            if d in offset:
-                for i, nlab in enumerate(N.basis(d)):
-                    v = var(d, i, j)
-                    for c2, nlab2, b in N.coaction[nlab]:
-                        if N.degree_of(nlab2) not in region:
-                            continue
-                        row = coords.setdefault((nlab2, b), {})
-                        row[v] = row.get(v, 0) + c2
+            for i, nlab in enumerate(N.basis(d)):
+                v = var[d, i, j]
+                for c2, nlab2, b in N.coaction[nlab]:
+                    if N.degree_of(nlab2) not in region:
+                        continue
+                    row = coords.setdefault((nlab2, b), {})
+                    row[v] = row.get(v, 0) + c2
             for c, mlab2, b in M.coaction[mlab]:
                 d2 = M.degree_of(mlab2)
-                if d2 not in region or d2 not in offset:
+                if d2 not in region:
                     continue
                 j2 = M.index_of(mlab2)
                 for i2, nlab2 in enumerate(N.basis(d2)):
                     row = coords.setdefault((nlab2, b), {})
-                    v = var(d2, i2, j2)
+                    v = var[d2, i2, j2]
                     row[v] = row.get(v, 0) - c
             rows.extend(coords.values())
 
-    null = sparse_kernel_basis(p, rows, nvar)
+    null = sparse_kernel_basis(p, rows, len(place))
     log.debug("hom_space %s -> %s: %d unknowns, %d rows emitted, rank %d, dim %d",
-              M.name, N.name, nvar, len(rows), nvar - null.rows, null.rows)
+              M.name, N.name, len(place), len(rows), len(place) - len(null), len(null))
 
     basis = []
-    for k in range(null.rows):
-        v = null.a[k]
-        blocks = {}
-        for d in shared:
-            n, m = N.dim(d), M.dim(d)
-            mat = FpMatrix(p, v[offset[d]:offset[d] + n * m].reshape(n, m))
-            if not mat.is_zero():
-                blocks[d] = mat
-        basis.append(ComoduleMorphism(M, N, blocks))
+    for vec in null:
+        columns: dict = {}
+        for v, c in vec.items():
+            d, i, j = place[v]
+            if d not in columns:
+                columns[d] = [[] for _ in range(M.dim(d))]
+            columns[d][j].append((i, c))
+        basis.append(ComoduleMorphism(
+            M, N, {d: FpMatrix(p, N.dim(d), cols) for d, cols in columns.items()}))
     return MorphismSpace(M, N, basis, region.bound)
 
 
@@ -148,52 +140,50 @@ def _induced(M: Comodule, vectors: dict, coords: dict, name: str, sub: bool):
     """Comodule on new basis elements of M, with the coaction pushed through
     a coordinate map, and its map to or from M.
 
-    Per degree d, the rows of vectors[d] (numpy, one row per new basis
-    element) are vectors of M_d, and coords[d], of the same shape, takes a
-    vector of M_d to its coordinates in the new basis.  A subcomodule
-    (sub=True, labels v0, v1, ...) comes with its inclusion and raises if
-    its span is not closed under the coaction.  A quotient (sub=False,
-    labels q0, q1, ...) comes with the projection coords, which must
-    vanish on a subcomodule; its vectors are representatives.
+    Per degree d, the columns of the FpMatrix vectors[d] are the new basis
+    elements as vectors of M_d, and the FpMatrix coords[d] takes a vector of
+    M_d to its coordinates in the new basis.  A subcomodule (sub=True,
+    labels v0, v1, ...) comes with its inclusion and raises if its span is
+    not closed under the coaction.  A quotient (sub=False, labels q0, q1,
+    ...) comes with the projection coords, which must vanish on a
+    subcomodule; its vectors are representatives.
     """
-    p = M.p
     prefix = "v" if sub else "q"
     labels: dict = {}
     seq = 0
     for d in M.degrees():
-        if d in vectors and len(vectors[d]):
-            labels[d] = [f"{prefix}{seq + i}" for i in range(len(vectors[d]))]
-            seq += len(vectors[d])
+        if d in vectors and vectors[d].cols:
+            labels[d] = [f"{prefix}{seq + i}" for i in range(vectors[d].cols)]
+            seq += vectors[d].cols
     coaction: dict = {}
     for d, labs in labels.items():
         basis = M.basis(d)
-        for lab, v in zip(labs, vectors[d]):
+        for k, lab in enumerate(labs):
             out: dict = {}
-            for j in np.flatnonzero(v):
-                c = int(v[j])
+            for j, c in vectors[d].column(k):
                 for c2, mlab2, b in M.coaction[basis[j]]:
-                    d2 = M.degree_of(mlab2)
-                    vec = out.setdefault((d2, b), np.zeros(M.dim(d2), dtype=np.int64))
-                    vec[M.index_of(mlab2)] += c * c2
+                    out.setdefault((M.degree_of(mlab2), b), []).append(
+                        (M.index_of(mlab2), c * c2))
             terms = []
-            for (d2, b), w in sorted(out.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())):
-                w %= p
-                if not w.any():
+            for (d2, b), entries in sorted(out.items(),
+                                           key=lambda kv: (kv[0][0], kv[0][1].sort_key())):
+                w = FpMatrix(M.p, M.dim(d2), [entries])
+                if w.is_zero():
                     continue
                 if d2 not in labels:
                     if sub:
                         raise ValueError(f"span not closed under the coaction: {lab} "
                                          f"hits degree {d2} outside the span")
                     continue
-                x = coords[d2] @ w % p
-                if sub and ((vectors[d2].T @ x - w) % p).any():
+                x = coords[d2].mul(w)
+                if sub and vectors[d2].mul(x) != w:
                     raise ValueError(f"span not closed under the coaction at degree {d2}")
-                terms.extend((int(c), lab2, b) for c, lab2 in zip(x, labels[d2]) if c)
+                terms.extend((c, labels[d2][r], b) for r, c in x.column(0))
             coaction[lab] = terms
     S = Comodule(M.preset, labels, coaction, box=M.box, margin=M.margin, name=name)
     if sub:
-        return S, ComoduleMorphism(S, M, {d: FpMatrix(p, vectors[d].T) for d in labels})
-    return S, ComoduleMorphism(M, S, {d: FpMatrix(p, coords[d]) for d in labels})
+        return S, ComoduleMorphism(S, M, {d: vectors[d] for d in labels})
+    return S, ComoduleMorphism(M, S, {d: coords[d] for d in labels})
 
 
 def kernel(f: ComoduleMorphism, name: str = ""):
@@ -201,8 +191,9 @@ def kernel(f: ComoduleMorphism, name: str = ""):
     vector's coordinates are its entries at the free columns."""
     vectors, coords = {}, {}
     for d in f.source.degrees():
-        _, _, free, vectors[d] = f.block(d).echelon()
-        coords[d] = np.eye(f.source.dim(d), dtype=np.int64)[free]
+        _, _, free, null = f.block(d).echelon()
+        vectors[d] = null.transpose()
+        coords[d] = FpMatrix(f.p, f.source.dim(d), [[(j, 1)] for j in free]).transpose()
     return _induced(f.source, vectors, coords, name or "ker", sub=True)
 
 
@@ -212,8 +203,9 @@ def image(f: ComoduleMorphism):
     vectors, coords = {}, {}
     for d in f.source.degrees():
         if f.target.dim(d):
-            vectors[d], pivots, _, _ = FpMatrix(f.p, f.block(d).a.T).echelon()
-            coords[d] = np.eye(f.target.dim(d), dtype=np.int64)[pivots]
+            rows, pivots, _, _ = f.block(d).transpose().echelon()
+            vectors[d] = rows.transpose()
+            coords[d] = FpMatrix(f.p, f.target.dim(d), [[(j, 1)] for j in pivots]).transpose()
     return _induced(f.target, vectors, coords, "im", sub=True)
 
 
@@ -226,8 +218,8 @@ def cokernel(f: ComoduleMorphism):
     """
     vectors, coords = {}, {}
     for d in f.target.degrees():
-        _, _, free, coords[d] = FpMatrix(f.p, f.block(d).a.T).echelon()
-        vectors[d] = np.eye(f.target.dim(d), dtype=np.int64)[free]
+        _, _, free, coords[d] = f.block(d).transpose().echelon()
+        vectors[d] = FpMatrix(f.p, f.target.dim(d), [[(j, 1)] for j in free])
     return _induced(f.target, vectors, coords, "coker", sub=False)
 
 

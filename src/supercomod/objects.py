@@ -334,14 +334,17 @@ def parse_object_id(text: str, p: int, box: int) -> Comodule:
     text = text.strip()
     if text == "H":
         return build_H(p, box)
-    if text.startswith("H^"):
-        return build_H_tensor(p, int(text[2:]), box)
-    head, _, rest = text.partition(":")
+    head, sep, rest = text.partition("^" if text.startswith("H^") else ":")
     if not rest:
         raise ValueError(f"unrecognized object id {text!r}")
-    args = [int(x) for x in rest.split(",")]
+    try:
+        args = [int(x) for x in rest.split(",")]
+    except ValueError:
+        raise ValueError(f"object id {text!r}: indices must be integers") from None
     if any(x < 0 for x in args):
         raise ValueError(f"object id {text!r}: indices must be >= 0")
+    if sep == "^" and len(args) == 1:
+        return build_H_tensor(p, args[0], box)
     if head == "F" and len(args) == 2:
         return build_F(p, args[0], args[1], box)
     if head == "J" and len(args) == 2:

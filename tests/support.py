@@ -2,8 +2,10 @@
 
 `rref_reference` is the textbook Gauss-Jordan elimination over F_p on a
 dense numpy array: first nonzero pivot, a row swap, then every other row
-cleared.  It shares no code with the engine's one elimination
-(`fplinalg._reduce`), and the tests check that elimination against it.
+cleared.  It shares neither code nor storage with the engine's one
+elimination (`fplinalg._reduce` on Python int rows), and the tests check
+that elimination against it.  `fp_matrix` builds an `FpMatrix` from dense
+rows, and `apply` multiplies one by a vector, test-side.
 
 `operation_closure` recomputes a graded subspace from the coaction alone,
 as the closure of explicit classes under Steenrod operations, to
@@ -33,6 +35,17 @@ from supercomod.bialgebra import (
 )
 from supercomod.comodule import Comodule, steenrod_action
 from supercomod.fplinalg import FpMatrix
+
+
+def fp_matrix(p: int, a) -> FpMatrix:
+    """The FpMatrix of the dense 2-d array or list of rows `a`."""
+    a = np.array(a, dtype=np.int64)
+    return FpMatrix(p, a.shape[0], [list(enumerate(col)) for col in a.T.tolist()])
+
+
+def apply(mat: FpMatrix, vec) -> list[int]:
+    """mat times the column vector vec, as a list of ints in range(p)."""
+    return [sum(a * int(x) for a, x in zip(row, vec)) % mat.p for row in mat.to_list()]
 
 
 def rref_reference(p: int, a) -> tuple[np.ndarray, list[int]]:
@@ -89,17 +102,15 @@ def operation_closure(M: Comodule, seeds: list, ops: list[Monomial]) -> dict:
     def insert(d, row) -> bool:
         cur = span.get(d)
         if cur is None:
-            mat = FpMatrix.from_rows(p, [row])
+            mat = fp_matrix(p, [row])
             if mat.rank() == 0:
                 return False
             span[d] = mat.rref()[0]
             return True
         if cur.in_row_space(row) is not None:
             return False
-        rows = [list(map(int, r)) for r in cur.a] + [row]
-        new = FpMatrix.from_rows(p, rows).rref()[0]
-        keep = [list(map(int, r)) for r in new.a if any(r)]
-        span[d] = FpMatrix.from_rows(p, keep)
+        new = fp_matrix(p, cur.to_list() + [row]).rref()[0]
+        span[d] = fp_matrix(p, [r for r in new.to_list() if any(r)])
         return True
 
     frontier = []
@@ -112,7 +123,7 @@ def operation_closure(M: Comodule, seeds: list, ops: list[Monomial]) -> dict:
             mat = blocks.get(d)
             if mat is None or mat.rows == 0:
                 continue
-            out = mat.apply(row)
+            out = apply(mat, row)
             if any(out):
                 if insert(d + shift, list(map(int, out))):
                     frontier.append((d + shift, list(map(int, out))))

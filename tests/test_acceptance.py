@@ -65,7 +65,7 @@ def test_02_hopf_ideals():
 def test_03_steenrod_closed_forms():
     T = theta_psi_H(3, 40)
     beta = steenrod_action(T, mono_tau(0))
-    assert beta[1].a.tolist() == [[1]]  # beta(y) = x
+    assert beta[1].to_list() == [[1]]  # beta(y) = x
     for m in range(1, 20):
         assert beta[2 * m].is_zero()  # beta(x^m) = 0
     for i in range(1, 9):
@@ -73,10 +73,10 @@ def test_03_steenrod_closed_forms():
         for m in range(1, 20):
             if 2 * m + 4 * i > 40:
                 continue
-            assert blocks[2 * m].a.tolist() == [[math.comb(m, i) % 3]], (m, i)
+            assert blocks[2 * m].to_list() == [[math.comb(m, i) % 3]], (m, i)
     # named instances: P^1(x^2) = 2 x^4 and P^2(x^2) = x^6
-    assert steenrod_action(T, mono_xi(1, 1))[4].a.tolist() == [[2]]
-    assert steenrod_action(T, mono_xi(1, 2))[4].a.tolist() == [[1]]
+    assert steenrod_action(T, mono_xi(1, 1))[4].to_list() == [[2]]
+    assert steenrod_action(T, mono_xi(1, 2))[4].to_list() == [[1]]
 
 
 def test_04_cyclic_injective_dimensions():

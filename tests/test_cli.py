@@ -18,6 +18,14 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """(exit code, stdout, stderr) of an argv that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 # ---------------------------------------------------------------------------
 # basis
 
@@ -114,6 +122,10 @@ def test_poincare_bad_object(capsys):
         rc, out, err = run(capsys, "poincare", "--object", obj)
         assert (rc, out) == (2, ""), obj
         assert "indices must be >= 0" in err
+    for obj in ("J:1,x", "J:1,3,", "H^x"):
+        rc, out, err = run(capsys, "poincare", "--object", obj)
+        assert (rc, out) == (2, ""), obj
+        assert f"object id {obj!r}: indices must be integers" in err
     rc, out, err = run(capsys, "poincare", "--object", "J:1,0", "--max-degree", "-4")
     assert (rc, out) == (2, "")
     assert "--max-degree" in err
@@ -148,6 +160,23 @@ def test_hom_json(capsys):
     doc = json.loads(out)
     assert doc["dim"] == 1
     assert len(doc["basis"]) == 1
+
+
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, tmp_path):
+    # hom has no csv output, dump writes JSON only, and load reads its file
+    # alone: each rejects the options it would ignore
+    path = tmp_path / "j03.json"
+    assert run(capsys, "dump", "--object", "J:0,3", "--out", str(path))[0] == 0
+    code, out, err = usage_error(capsys, "hom", "--source", "F:1,1", "--target", "J:0,2",
+                                 "--format", "csv")
+    assert (code, out) == (2, "") and "invalid choice: 'csv'" in err
+    for option, argv in (("--format", ("dump", "--object", "J:0,3", "--format", "json")),
+                         ("--p", ("load", "--p", "5", str(path))),
+                         ("--max-degree", ("load", "--max-degree", "4", str(path))),
+                         ("--format", ("load", "--format", "json", str(path)))):
+        code, out, err = usage_error(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"unrecognized arguments: {option}" in err, argv
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,12 @@ ALLOWED_INVERSES = {
 }
 
 
+# Exact blocks are Python ints mod p, so the engine imports no numpy.  How an
+# FpMatrix stores them is private to fplinalg: everywhere else reads a block
+# through its methods, so the storage can change in one place.
+MATRIX_STORAGE = "_columns"
+
+
 def _find(path: Path, match):
     """(file, enclosing function, line) of each node of the file for which
     match(node) holds."""
@@ -136,6 +142,20 @@ def _is_packed_key_use(node) -> bool:
         isinstance(node, ast.Constant) and node.value == PACKED_KEY_SLOT)
 
 
+def _is_numpy_import(node) -> bool:
+    """`import numpy`, `import numpy.x` or `from numpy[.x] import ...`."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def _is_matrix_storage_use(node) -> bool:
+    """The storage slot of FpMatrix as an attribute, or as a string getattr
+    could take."""
+    return (isinstance(node, ast.Attribute) and node.attr == MATRIX_STORAGE) or (
+        isinstance(node, ast.Constant) and node.value == MATRIX_STORAGE)
+
+
 def _is_modular_power(node) -> bool:
     """A call `pow(x, e, m)`: a modular power, `pow(x, -1, p)` the inverse."""
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
@@ -172,6 +192,16 @@ def test_trusted_monomial_constructor_only_in_bialgebra():
 def test_packed_monomial_key_read_only_in_bialgebra():
     found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_packed_key_use)]
     assert found and {f for f, _, _ in found} == {"bialgebra.py"}, found
+
+
+def test_no_numpy_in_src():
+    found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_numpy_import)]
+    assert not found, found
+
+
+def test_matrix_storage_read_only_in_fplinalg():
+    found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_matrix_storage_use)]
+    assert found and {f for f, _, _ in found} == {"fplinalg.py"}, found
 
 
 def test_modular_inverses_only_in_the_one_elimination():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +46,8 @@ from supercomod.objects import (
     verschiebung,
     xi0_multiplication,
 )
+
+from support import fp_matrix
 
 BBAR3 = get_preset("bbar", 3)
 
@@ -125,7 +126,7 @@ def test_cokernel_of_xi0_multiplication():
 
 
 def test_hom_space_on_a_cokernel():
-    # The induced coaction of a quotient carries numpy integer coefficients.
+    # hom_space on a quotient whose coaction `_induced` pushed through a projection
     Q, _ = cokernel(xi0_multiplication(3, 3))
     hs = hom_space(Q, Q)
     assert hs.dim == 1
@@ -359,8 +360,9 @@ def test_cofree_and_representability_oracles(p, parts, combine, a, b):
     def rank(maps, degrees):
         if not maps:
             return 0
-        rows = [np.concatenate([f.block(d).a.ravel() for d in degrees]) for f in maps]
-        return FpMatrix(p, np.array(rows, dtype=np.int64)).rank()
+        rows = [[x for d in degrees for row in f.block(d).to_list() for x in row]
+                for f in maps]
+        return fp_matrix(p, rows).rank()
 
     for solved, closed, source, target in (
             (hom_space(M, J).basis, [cofree_map(M, J, g) for g in M.basis((a, b))], M, J),
@@ -453,11 +455,12 @@ def test_kernel_image_cokernel_of_drawn_morphisms(p, source, target, copies, dat
 
 def test_subcomodule_builder_rejects_a_span_not_closed():
     J = build_J(3, 0, 1)  # t0 in degree (1,0) coacts onto x0 in degree (0,1)
-    t0_only = {(1, 0): np.array([[1]])}
+    t0_only = {(1, 0): fp_matrix(3, [[1]])}
     with pytest.raises(ValueError, match="span not closed.*outside the span"):
         _induced(J, t0_only, t0_only, "S", sub=True)
     # both degrees meet the span, but 0:t0 coacts onto 0:x0, outside it
     J2 = direct_sum([J, J])
-    crossed = {(1, 0): np.array([[1, 0]]), (0, 1): np.array([[0, 1]])}
+    coords = {(1, 0): fp_matrix(3, [[1, 0]]), (0, 1): fp_matrix(3, [[0, 1]])}
+    vectors = {d: m.transpose() for d, m in coords.items()}
     with pytest.raises(ValueError, match="span not closed under the coaction at degree"):
-        _induced(J2, crossed, crossed, "S", sub=True)
+        _induced(J2, vectors, coords, "S", sub=True)
