@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -185,6 +186,13 @@ def cmd_verify(args) -> int:
                          f"{sorted(SUITES)} or 'all'")
     for value, flag in ((args.n, "--n"), (args.m, "--m")):
         _check_nonnegative(value, flag)
+    if args.suite != "all":
+        # a flag given must reach the suite; SUPERCOMOD_MAX_DEGREE is a default
+        accepted = inspect.signature(SUITES[args.suite]).parameters
+        for value, flag, param in ((args.n, "--n", "n_max"), (args.m, "--m", "m_max"),
+                                   (args.max_degree, "--max-degree", "box")):
+            if value is not None and param not in accepted:
+                raise ValueError(f"suite {args.suite!r} does not read {flag}")
     params = {
         "p": p,
         "box": _max_degree(args),

@@ -82,17 +82,15 @@ class TrustedRegion:
 
     A truncated comodule is complete up to total degree box + margin; a
     computation over several of them trusts the degrees that all of them
-    store completely, and no more than an extra `box` when one is given.
-    `bound` is that total degree, None when nothing bounds it; `d in
-    region` tests a degree.
+    store completely.  `bound` is that total degree, None when nothing
+    bounds it; `d in region` tests a degree.  A smaller region comes from
+    smaller objects: `truncate` them.
     """
 
     __slots__ = ("bound",)
 
-    def __init__(self, *objects: "Comodule", box: int | None = None):
+    def __init__(self, *objects: "Comodule"):
         bounds = [M.box + M.margin for M in objects if M.box is not None]
-        if box is not None:
-            bounds.append(box)
         self.bound = min(bounds) if bounds else None
 
     def __contains__(self, d) -> bool:
@@ -215,14 +213,16 @@ class Comodule:
     def matches(self, other: "Comodule") -> bool:
         """Whether `other` is this comodule: the same object, or the same
         preset, components and coaction, each label's coaction compared as
-        a multiset of terms so that term order does not matter."""
+        a multiset of terms so that term order does not matter (a coaction
+        equal term for term skips the multisets)."""
         if self is other:
             return True
         return (
             self.preset == other.preset
             and self.components == other.components
-            and all(Counter(terms) == Counter(other.coaction[lab])
-                    for lab, terms in self.coaction.items())
+            and (self.coaction == other.coaction
+                 or all(Counter(terms) == Counter(other.coaction[lab])
+                        for lab, terms in self.coaction.items()))
         )
 
     def __repr__(self) -> str:
@@ -626,13 +626,13 @@ class ComoduleMorphism:
         tgt = self.target.basis(d)
         return [(c, tgt[i]) for i, c in self.blocks[d].column(self.source.index_of(label))]
 
-    def check(self, box: int | None = None) -> list[str]:
+    def check(self) -> list[str]:
         """Verify psi_target(f(m)) = (f (x) 1)(psi_source(m)) inside the
-        region both sides can see, cut at `box` when one is given.  Returns
-        a list of at most MAX_PROBLEMS discrepancies."""
+        region both sides can see.  Returns a list of at most MAX_PROBLEMS
+        discrepancies."""
         problems = []
         p = self.p
-        region = TrustedRegion(self.source, self.target, box=box)
+        region = TrustedRegion(self.source, self.target)
         image = {lab: self.image_of(lab) for d in self.source.degrees() if d in region
                  for lab in self.source.basis(d)}
         for d in self.source.degrees():
@@ -694,7 +694,7 @@ class ComoduleMorphism:
         )
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.blocks.values())
+        return not self.blocks
 
 
 def identity_morphism(M: Comodule) -> ComoduleMorphism:

@@ -5,7 +5,9 @@ exactness reports and isomorphism verdicts.
 A degree-preserving linear map f: M -> N is a comodule morphism when
 psi_N(f(m)) = (f (x) 1)(psi_M(m)) for every basis element m.  Over a
 truncation both sides are compared only in the degrees that
-`comodule.TrustedRegion` trusts, the rule every computation here follows.
+`comodule.TrustedRegion` trusts, the rule every computation here follows;
+the region is read from the objects' box and margin alone, so a smaller
+one comes from `truncate`-ing the objects.
 The solver sets up one global linear system over F_p whose unknowns are
 the entries of all blocks of f and returns a basis of its solution space.
 The system is emitted as sparse rows {unknown: coeff}, one per coordinate
@@ -62,6 +64,8 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class MorphismSpace:
+    """A basis of hom(source, target), solved in their trusted region up to `box`."""
+
     source: Comodule
     target: Comodule
     basis: list = field(default_factory=list)
@@ -72,18 +76,18 @@ class MorphismSpace:
         return len(self.basis)
 
 
-def hom_space(M: Comodule, N: Comodule, box: int | None = None) -> MorphismSpace:
+def hom_space(M: Comodule, N: Comodule) -> MorphismSpace:
     """Basis of the space of comodule morphisms M -> N.
 
     Unknowns are the matrix entries of the blocks f_d for every degree d
-    inside the region where both objects live; equations equate the two
+    in the trusted region of M and N; equations equate the two
     routes around the coaction square, coordinate by coordinate in
     N (x) monomial.
     """
     if M.preset != N.preset:
         raise ValueError("hom_space requires matching presets")
     p = M.p
-    region = TrustedRegion(M, N, box=box)
+    region = TrustedRegion(M, N)
     # one unknown per entry (i, j) of the block f_d, for d in the region
     place = [(d, i, j) for d in M.degrees() if d in region
              for i in range(N.dim(d)) for j in range(M.dim(d))]
@@ -245,7 +249,7 @@ class ExactnessReport:
         return self.ok
 
 
-def is_exact(maps: list, box: int | None = None) -> ExactnessReport:
+def is_exact(maps: list) -> ExactnessReport:
     """Exactness at every interior joint of a composable sequence.
 
     At each joint, im(f) = ker(g) is certified per degree in the shared
@@ -259,7 +263,7 @@ def is_exact(maps: list, box: int | None = None) -> ExactnessReport:
             failures.append(f"joint {idx}: target/source mismatch")
             continue
         mid = f.target
-        region = TrustedRegion(f.source, mid, g.target, box=box)
+        region = TrustedRegion(f.source, mid, g.target)
         for d in mid.degrees():
             if d not in region:
                 continue
@@ -277,20 +281,18 @@ def is_exact(maps: list, box: int | None = None) -> ExactnessReport:
     return ExactnessReport(not failures, failures)
 
 
-def is_short_exact(f: ComoduleMorphism, g: ComoduleMorphism,
-                   box: int | None = None) -> ExactnessReport:
+def is_short_exact(f: ComoduleMorphism, g: ComoduleMorphism) -> ExactnessReport:
     """0 -> A -f-> B -g-> C -> 0, as exactness of the padded sequence: at A
     it says f is injective, at C that g is surjective."""
     Z = zero_comodule(f.source.preset)
-    return is_exact([zero_morphism(Z, f.source), f, g, zero_morphism(g.target, Z)],
-                    box=box)
+    return is_exact([zero_morphism(Z, f.source), f, g, zero_morphism(g.target, Z)])
 
 
-def is_isomorphism(f: ComoduleMorphism, box: int | None = None) -> bool:
-    """Whether f is a comodule isomorphism in the trusted region: bijective
-    in every trusted degree, and a comodule map there (`check` finds
-    nothing)."""
-    region = TrustedRegion(f.source, f.target, box=box)
+def is_isomorphism(f: ComoduleMorphism) -> bool:
+    """Whether f is a comodule isomorphism in the trusted region of its
+    source and target: bijective in every trusted degree, and a comodule
+    map there (`check` finds nothing)."""
+    region = TrustedRegion(f.source, f.target)
     degs = set(f.source.degrees()) | set(f.target.degrees())
     for d in degs:
         if d not in region:
@@ -300,7 +302,7 @@ def is_isomorphism(f: ComoduleMorphism, box: int | None = None) -> bool:
             return False
         if m and f.block(d).rank() != m:
             return False
-    return f.check(box=box) == []
+    return f.check() == []
 
 
 def cofree_map(M: Comodule, J: Comodule, g: str) -> ComoduleMorphism:
@@ -324,8 +326,8 @@ def free_map(F: Comodule, N: Comodule, n: str) -> ComoduleMorphism:
     return morphism_from_assignment(F, N, assign)
 
 
-def find_isomorphism(M: Comodule, N: Comodule, box: int | None = None) -> tuple:
-    """Decide whether M and N are isomorphic in the trusted region.
+def find_isomorphism(M: Comodule, N: Comodule) -> tuple:
+    """Decide whether M and N are isomorphic in their trusted region.
 
     Returns a verdict (kind, f):
       ("iso", f)          f: M -> N is an isomorphism;
@@ -344,7 +346,7 @@ def find_isomorphism(M: Comodule, N: Comodule, box: int | None = None) -> tuple:
     same certificate the solver route gives; otherwise the verdict comes
     from `hom_space`.
     """
-    region = TrustedRegion(M, N, box=box)
+    region = TrustedRegion(M, N)
     if ({d: n for d, n in M.poincare().items() if d in region}
             != {d: n for d, n in N.poincare().items() if d in region}):
         return "none", None
@@ -355,15 +357,15 @@ def find_isomorphism(M: Comodule, N: Comodule, box: int | None = None) -> tuple:
     d = M.free_on
     if route is None and d is not None and d in region and N.dim(d) == 1:
         route, f = "free", free_map(M, N, N.basis(d)[0])
-    if route and is_isomorphism(f, box=box):
+    if route and is_isomorphism(f):
         log.debug("find_isomorphism %s -> %s: %s candidate certified, dim %d",
                   M.name, N.name, route, M.total_dim())
         return "iso", f
     log.debug("find_isomorphism %s -> %s: solver%s, dim %d",
               M.name, N.name, f" after a failed {route} candidate" if route else "",
               M.total_dim())
-    space = hom_space(M, N, box=box)
+    space = hom_space(M, N)
     if space.dim > 1:
         return "undecided", None
     f = space.basis[0] if space.basis else zero_morphism(M, N)
-    return ("iso", f) if is_isomorphism(f, box=box) else ("none", None)
+    return ("iso", f) if is_isomorphism(f) else ("none", None)

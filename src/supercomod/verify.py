@@ -205,7 +205,7 @@ def suite_unstable(p: int = 3, box: int = 40) -> SuiteReport:
     return rep
 
 
-def suite_j0n(p: int = 3, n_max: int = 12, box: int = 60) -> SuiteReport:
+def suite_j0n(p: int = 3, n_max: int = 12) -> SuiteReport:
     rep = SuiteReport(
         "j0n",
         {"p": p, "n_max": n_max},
@@ -258,7 +258,7 @@ def suite_tensor_splittings(p: int = 3, a_max: int = 3, b_max: int = 3,
                     _fmt(J.poincare()) if verdict == "iso" else f"verdict {verdict}")
             F = build_F(p, a, b, box)
             verdict, _ = find_isomorphism(
-                F, tensor(build_F(p, a, 0, box), build_F(p, 0, b, box)), box=box)
+                F, tensor(build_F(p, a, 0, box), build_F(p, 0, b, box)))
             rep.add(f"F({a},{b}) splits", verdict == "iso",
                     f"dim {sum(F.poincare().values())}" if verdict == "iso"
                     else f"verdict {verdict}")
@@ -360,15 +360,16 @@ def suite_fn_structure(p: int = 3, n_max: int = 6, box: int = 60) -> SuiteReport
                     continue
                 S = shifted(shift, *q)
                 g = divide(p, a, b, box, source=F(a, b), target=S)
-                hs = hom_space(F(a, b), S, box=box)
+                hs = hom_space(F(a, b), S)
                 surj = all(g.block(d).rank() == S.dim(d) for d in S.degrees())
                 checks[(i, k)] = (
                     f"hom(F({a},{b}), shifted F({q[0]},{q[1]})) is one line "
                     f"spanned by {word}-division",
                     hs.dim == 1 and surj and not g.check() and not g.is_zero(),
                     f"dim hom = {hs.dim}")
-                T = _theta_morphism(g, thetas[(a, b)],
-                                    _relabel_to(corestrict_theta(S), targets[q]))
+                if not corestrict_theta(S).matches(targets[q]):
+                    raise ValueError("suspension collapse mismatch")
+                T = _theta_morphism(g, thetas[(a, b)], targets[q])
                 leg = (summand_inclusion(DT, list(targets.values()), tslots.index(q))
                        .compose(T)
                        .compose(summand_projection(D, list(thetas.values()), i)))
@@ -411,14 +412,6 @@ def suite_fn_structure(p: int = 3, n_max: int = 6, box: int = 60) -> SuiteReport
         rep.add(f"Poincare(F({n})) matches the associated graded",
                 fn_table == graded, _fmt(graded))
     return rep
-
-
-def _relabel_to(M, N):
-    """Check M and N agree and return N (shared-target guard for the
-    two suspensions that collapse to the same single grading)."""
-    if M.components != N.components or M.coaction != N.coaction:
-        raise ValueError("suspension collapse mismatch")
-    return N
 
 
 def suite_mahowald(p: int = 3, n_max: int = 4, m_max: int = 20) -> SuiteReport:
@@ -516,7 +509,7 @@ def suite_h_tensor(p: int = 3, n_max: int = 4, box: int = 40) -> SuiteReport:
         PsiT2 = corestrict_psi(truncate(T2, probe_box))
         bad = []
         for (a, b) in [(1, 0), (0, 1), (1, 1), (2, 1)]:
-            hs = hom_space(PsiT2, build_J(p, a, b), box=probe_box)
+            hs = hom_space(PsiT2, build_J(p, a, b))
             if hs.dim != eval_dims(2, a, b):
                 bad.append(((a, b), hs.dim, eval_dims(2, a, b)))
         rep.add("hom(Psi H^(x)2, J(a,b)) dims represent evaluation",

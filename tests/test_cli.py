@@ -189,6 +189,17 @@ def test_verify_pass(capsys):
     assert out.startswith("mahowald: pass")
 
 
+@pytest.mark.parametrize("suite, option, value", [
+    ("axioms", "--n", "5"),
+    ("brown_gitler", "--max-degree", "5"),
+    ("j0n", "--max-degree", "5"),
+])
+def test_verify_rejects_an_option_the_suite_does_not_read(capsys, suite, option, value):
+    rc, out, err = run(capsys, "verify", "--suite", suite, option, value)
+    assert (rc, out) == (2, "")
+    assert option in err and suite in err
+
+
 def test_verify_unknown_suite(capsys):
     rc, _, err = run(capsys, "verify", "--suite", "bogus")
     assert rc == 2
@@ -422,6 +433,9 @@ def test_env_box_reaches_verify(capsys, monkeypatch):
                      "--max-degree", "6")
     assert rc == 0
     assert json.loads(out)[0]["params"]["box"] == 6
+    # a default is not a flag given, so a suite that reads no box runs under it
+    rc, out, _ = run(capsys, "verify", "--suite", "brown_gitler", "--n", "2")
+    assert rc == 0 and out.startswith("brown_gitler: pass")
 
 
 def test_env_bad_value(capsys, monkeypatch):

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import supercomod
+from supercomod import comodule, homsolver
 
 SRC = Path(supercomod.__file__).resolve().parent
 
@@ -260,3 +262,23 @@ def test_every_src_name_has_a_reader():
     unread = [(f, name) for f, name in definitions
               if not any(n == name and where != (f, name) for n, where in read)]
     assert not unread, unread
+
+
+# The degrees a computation trusts come from its objects (their box and
+# margin, through comodule.TrustedRegion); a smaller box is had by
+# truncating the objects, so no solver or check takes a second cap.
+REGION_READERS = (
+    comodule.TrustedRegion,
+    comodule.ComoduleMorphism.check,
+    homsolver.hom_space,
+    homsolver.is_exact,
+    homsolver.is_short_exact,
+    homsolver.is_isomorphism,
+    homsolver.find_isomorphism,
+)
+
+
+def test_the_trusted_region_has_no_caller_set_cap():
+    capped = [fn.__qualname__ for fn in REGION_READERS
+              if "box" in inspect.signature(fn).parameters]
+    assert not capped, capped
