@@ -764,17 +764,12 @@ class AxiomFailure:
 
 def _coproduct_on_slot(preset, ts: TensorSum, coproduct_fn, slot: int) -> dict:
     """(D (x) 1) for slot 0 or (1 (x) D) for slot 1, applied to a TensorSum,
-    as {(m1, m2, m3): coeff}."""
+    as {(m1, m2, m3): coeff}, the coefficients not reduced mod p."""
     out: dict = {}
-    p = preset.p
     for (b1, b2), c in ts.items():
         for (a1, a2), d in coproduct_fn(preset, b2 if slot else b1).items():
             key = (b1, a1, a2) if slot else (a1, a2, b2)
-            new = (out.get(key, 0) + c * d) % p
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + c * d
     return out
 
 
@@ -803,55 +798,58 @@ def check_bialgebra_axioms(preset: CoalgebraPreset, box: int, coproduct_fn=None,
 
     The proof.  The monomials form the free graded-commutative algebra A on
     the letters w, t_i, u, x_j, so a map out of A is fixed by the letters.
-    Every monomial m of the box + 1 is checked alone for homogeneity, parity
-    and counit, and peeled once: g is the first letter (in the order of
-    ``enumerate_box``) that divides m, g*r = s*m, and D(m) = s*D(g)D(r) and
-    r*g = (-1)^{|g||r|} g*r are checked.  The letters g <= h of the box + 1
-    satisfy D(g)D(h) = (-1)^{|g||h|} D(h)D(g), so D(g)^2 = 0 for odd g (p is
-    odd wherever there are odd letters): the relations of A.  With the
-    associativity of ``TensorSum.mul`` and the signs of ``product`` (both
-    property-tested), D on the letters extends to an algebra map
-    phi: A -> A (x) A, and by induction on the number of letters the peels
-    give D = phi, so D is multiplicative, on the box + 1.  For m in the box,
-    the first factor of each term of D(m) lies in the box, and the second in
-    the box + 1: its left total is the first's right total, which exceeds
-    the first's left total by at most one, through w (as in the term
-    w (x) t0 of D(u)).  So (D (x) 1)D and (1 (x) D)D agree on the box with
-    the algebra maps (phi (x) 1)phi and (1 (x) phi)phi, which agree on A
-    once they agree on the letters (Milnor-Moore, 1965): coassociativity is
-    checked on the letters alone.
+    The unit and each letter of the box + 1 are checked for homogeneity,
+    parity, both counit laws and coassociativity (at 1 the first two force
+    D(1) = 1 (x) 1, as only 1 has left or right degree 0).  The letters
+    g <= h satisfy D(g)D(h) = (-1)^{|g||h|} D(h)D(g), so D(g)^2 = 0 for odd
+    g (p is odd wherever there are odd letters): the relations of A.  With
+    the associativity of ``TensorSum.mul`` and the signs of ``product``
+    (both property-tested), D on the letters extends to an algebra map
+    phi: A -> A (x) A.  Every other monomial m of the box + 1 is peeled
+    once: g is the first letter (in the order of ``enumerate_box``) that
+    divides m, g*r = s*m, and D(m) = s*D(g)D(r) and r*g = (-1)^{|g||r|} g*r
+    are checked, so by induction on the number of letters D = phi on the
+    box + 1.  Left and right degree and parity add under ``product``, and
+    ``counit`` is multiplicative and vanishes on odd monomials (facts about
+    their formulas, property-tested like the signs of ``product``), so phi
+    of homogeneous letters is homogeneous, every monomial has the parity of
+    its total degree, and (eps (x) 1)D and (1 (x) eps)D are algebra maps
+    (a Koszul sign that eps keeps meets even factors only), the identity on
+    the letters and so on the box + 1.  For m in the box, the first factor
+    of each term of D(m) lies in the box, and the second in the box + 1:
+    its left total is the first's right total, which exceeds the first's
+    left total by at most one, through w (as in the term w (x) t0 of D(u)).
+    So (D (x) 1)D and (1 (x) D)D agree on the box with the algebra maps
+    (phi (x) 1)phi and (1 (x) phi)phi, which agree on A once they agree on
+    the letters (Milnor-Moore, 1965).
     """
     cop = coproduct_fn or coproduct
     monomials = enumerate_box(preset, box + 1)
     p = preset.p
-    for m in monomials:
-        ts = cop(preset, m)
-        prob = check_homogeneity(preset, m, ts)
+    letters = [m for m in monomials if m.w + len(m.tau) + m.u + sum(e for _, e in m.xi) == 1]
+    for g in (ONE, *letters):
+        ts = cop(preset, g)
+        prob = check_homogeneity(preset, g, ts)
         if prob:
-            return AxiomFailure("homogeneity", (m,), prob)
-        if p != 2 and (preset.total_degree(m) - m.parity) % 2:
+            return AxiomFailure("homogeneity", (g,), prob)
+        if p != 2 and (preset.total_degree(g) - g.parity) % 2:
             return AxiomFailure(
-                "parity", (m,), f"total degree {preset.total_degree(m)} has wrong parity"
+                "parity", (g,), f"total degree {preset.total_degree(g)} has wrong parity"
             )
-        left_m = {}
-        right_m = {}
+        left_g, right_g = TensorSum(p), TensorSum(p)  # as 1 (x) b and b (x) 1
         for (b1, b2), c in ts.items():
             if counit(preset, b1):
-                left_m[b2] = (left_m.get(b2, 0) + c) % p
+                left_g.add_term(ONE, b2, c)
             if counit(preset, b2):
-                right_m[b1] = (right_m.get(b1, 0) + c) % p
-        left_m = {k: v for k, v in left_m.items() if v}
-        right_m = {k: v for k, v in right_m.items() if v}
-        if left_m != {m: 1}:
-            return AxiomFailure("counit-left", (m,), f"(eps (x) 1) D({m}) = {left_m}")
-        if right_m != {m: 1}:
-            return AxiomFailure("counit-right", (m,), f"(1 (x) eps) D({m}) = {right_m}")
-    letters = [m for m in monomials if m.w + len(m.tau) + m.u + sum(e for _, e in m.xi) == 1]
-    for g in letters:
-        lhs = _coproduct_on_slot(preset, cop(preset, g), cop, 0)
-        rhs = _coproduct_on_slot(preset, cop(preset, g), cop, 1)
-        if lhs != rhs:
-            witness = first_difference(p, lhs, rhs, lambda t: tuple(x.sort_key() for x in t))
+                right_g.add_term(b1, ONE, c)
+        if left_g.terms != {(ONE, g): 1}:
+            return AxiomFailure("counit-left", (g,), f"(eps (x) 1) D({g}) = {left_g}")
+        if right_g.terms != {(g, ONE): 1}:
+            return AxiomFailure("counit-right", (g,), f"(1 (x) eps) D({g}) = {right_g}")
+        lhs = _coproduct_on_slot(preset, ts, cop, 0)
+        rhs = _coproduct_on_slot(preset, ts, cop, 1)
+        witness = first_difference(p, lhs, rhs, lambda t: tuple(x.sort_key() for x in t))
+        if witness is not None:
             coeff = (lhs.get(witness, 0) - rhs.get(witness, 0)) % p
             return AxiomFailure(
                 "coassociativity",

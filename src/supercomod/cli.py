@@ -103,6 +103,8 @@ def cmd_basis(args) -> int:
     right = parse_degree(args.right) if args.right is not None else None
     if left is not None:
         _check_degree(preset, left, "--left")
+        if args.max_degree is not None:  # SUPERCOMOD_MAX_DEGREE is a default
+            raise ValueError("basis with --left does not read --max-degree")
     if right is not None:
         _check_degree(preset, right, "--right")
     if left is None and right is None:

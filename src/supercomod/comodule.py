@@ -432,6 +432,11 @@ def dualize_left(preset: CoalgebraPreset, components: dict, coaction: dict,
     parity of the algebra factor alone, so the only consistent choices
     are this one and no sign at all; they differ by the parity-flip
     automorphism f -> (-1)^{|f|} f, hence give isomorphic comodules.
+
+    The caller guarantees that no component is empty or repeats a label,
+    and that each coaction[n] has one term per (b, n'), with a coefficient
+    nonzero mod p (as the coproduct terms of the F builder have), so the
+    dual's terms come merged and it goes through the trusted constructor.
     """
     kept = {
         d: list(labels) for d, labels in components.items()
@@ -442,8 +447,9 @@ def dualize_left(preset: CoalgebraPreset, components: dict, coaction: dict,
         for lab in labels:
             for c, b, to_label in coaction.get(lab, ()):
                 if to_label in dual:
-                    dual[to_label].append((-c if b.parity else c, lab, b))
-    return Comodule(preset, kept, dual, box=box, margin=0, name=name)
+                    dual[to_label].append(((-c if b.parity else c) % preset.p, lab, b))
+    return Comodule._trusted(preset, kept, {lab: tuple(terms) for lab, terms in dual.items()},
+                             box=box, name=name)
 
 
 def simple_comodule(preset: CoalgebraPreset, d, label: str = "e") -> Comodule:
@@ -682,6 +688,8 @@ class ComoduleMorphism:
         return ComoduleMorphism(other.source, self.target, blocks)
 
     def add(self, other: "ComoduleMorphism") -> "ComoduleMorphism":
+        if not (other.source.matches(self.source) and other.target.matches(self.target)):
+            raise ValueError("addition mismatch")
         return ComoduleMorphism(self.source, self.target, {
             d: self.block(d).add(other.block(d)) for d in set(self.blocks) | set(other.blocks)})
 

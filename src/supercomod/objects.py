@@ -19,7 +19,9 @@ polynomial algebra on x over its F_2 analogue).
 from __future__ import annotations
 
 from .bialgebra import (
+    ONE,
     Monomial,
+    TensorSum,
     coproduct,
     enumerate_left,
     enumerate_right,
@@ -30,7 +32,6 @@ from .bialgebra import (
     mono_w,
     mono_xi,
     parse_monomial,
-    product,
 )
 from .comodule import (
     Comodule,
@@ -130,59 +131,49 @@ def build_H(p: int, box: int) -> Comodule:
     with psi(y) = y (x) u + sum x^{p^i} (x) t_i and
     psi(x) = y (x) w + sum x^{p^j} (x) x_j.  At p = 2 this is F_2[x] with
     psi(x) = sum x^{2^j} (x) x_j.  At odd p, where coactions can lower
-    total degree through w, it is stored one layer past the box."""
+    total degree through w, it is stored one layer past the box.
+
+    Lambda(y) (x) F[x] is the subalgebra Lambda(t0) (x) F[x0] of the
+    bialgebra, with y = t0 (odd) and x = x0 (even), so psi(y), psi(x) and
+    the powers of psi(x) are TensorSums multiplied by ``TensorSum.mul``,
+    their terms past the bound dropped after each product."""
     odd = p != 2
     preset = get_preset("b" if odd else "b2", p)
     bound = box + 1 if odd else box
     xdeg = 2 if odd else 1  # total degree of x; y has degree 1
 
-    def mul(t1: dict, t2: dict) -> dict:
-        out: dict = {}
-        for (e1, m1, b1), c1 in t1.items():
-            pb = b1.parity
-            for (e2, m2, b2), c2 in t2.items():
-                if e1 and e2:
-                    continue
-                e, m = e1 + e2, m1 + m2
-                if e + xdeg * m > bound:
-                    continue
-                sign = -1 if (pb and e2) else 1
-                s, b = product(b1, b2)
-                if not s:
-                    continue
-                key = (e, m, b)
-                v = (out.get(key, 0) + c1 * c2 * sign * s) % p
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return out
+    def eps_m(a: Monomial) -> tuple[int, int]:
+        """(number of y's, exponent of x) of the H element t0^eps * x0^m."""
+        return len(a.tau), dict(a.xi).get(0, 0)
 
-    psi_y = {(1, 0, mono_u()): 1}  # used only at odd p, where y exists
+    def within(eps: int, m: int) -> bool:
+        return eps + xdeg * m <= bound
+
+    def bounded(ts: TensorSum) -> TensorSum:
+        return TensorSum(p, {k: c for k, c in ts.items() if within(*eps_m(k[0]))})
+
+    psi_y = TensorSum(p, {(mono_tau(0), mono_u()): 1})  # used only at odd p
+    psi_x = TensorSum(p, {(mono_tau(0), mono_w()): 1} if odd else {})
     i = 0
-    while 2 * p**i <= bound:
-        psi_y[(0, p**i, mono_tau(i))] = 1
+    while within(0, p**i):
+        psi_y.add_term(mono_xi(0, p**i), mono_tau(i), 1)
+        psi_x.add_term(mono_xi(0, p**i), mono_xi(i), 1)
         i += 1
-    psi_x = {(1, 0, mono_w()): 1} if odd else {}
-    j = 0
-    while xdeg * p**j <= bound:
-        psi_x[(0, p**j, mono_xi(j))] = 1
-        j += 1
 
-    powers = [{(0, 0, Monomial()): 1}]
-    while xdeg * len(powers) <= bound:
-        powers.append(mul(powers[-1], psi_x))
+    powers = [TensorSum(p, {(ONE, ONE): 1})]
+    while within(0, len(powers)):
+        powers.append(bounded(powers[-1].mul(psi_x)))
 
     components: dict = {}
     coaction: dict = {}
     for m in range(bound // xdeg + 1):
         for eps in (0, 1) if odd else (0,):
-            if eps + xdeg * m > bound:
+            if not within(eps, m):
                 continue
             lab = h_label(eps, m)
             components.setdefault((eps, m) if odd else m, []).append(lab)
-            ts = mul(psi_y, powers[m]) if eps else powers[m]
-            coaction[lab] = [(c, h_label(e2, m2), b) for (e2, m2, b), c in ts.items()]
+            ts = bounded(psi_y.mul(powers[m])) if eps else powers[m]
+            coaction[lab] = [(c, h_label(*eps_m(a)), b) for (a, b), c in ts.items()]
     return Comodule(preset, components, coaction, box=box, margin=bound - box, name="H")
 
 

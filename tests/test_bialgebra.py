@@ -680,6 +680,33 @@ def _swept_axioms(preset, box, cop=coproduct):
     return None
 
 
+def _per_monomial_laws(preset, box, cop=coproduct):
+    """The reference for the laws proved on the letters: homogeneity, parity
+    and both counit laws checked term by term on every monomial of the
+    box + 1; the name of the first that fails, or None."""
+    p = preset.p
+    for m in enumerate_box(preset, box + 1):
+        lm, rm = preset.left_degree(m), preset.right_degree(m)
+        left_m: dict = {}
+        right_m: dict = {}
+        for (b1, b2), c in cop(preset, m).items():
+            if (preset.left_degree(b1), preset.right_degree(b2)) != (lm, rm) \
+                    or preset.right_degree(b1) != preset.left_degree(b2) \
+                    or (b1.parity + b2.parity - m.parity) % 2:
+                return "homogeneity"
+            if counit(preset, b1):
+                left_m[b2] = (left_m.get(b2, 0) + c) % p
+            if counit(preset, b2):
+                right_m[b1] = (right_m.get(b1, 0) + c) % p
+        if p != 2 and (preset.total_degree(m) - m.parity) % 2:
+            return "parity"
+        if {k: v for k, v in left_m.items() if v} != {m: 1}:
+            return "counit-left"
+        if {k: v for k, v in right_m.items() if v} != {m: 1}:
+            return "counit-right"
+    return None
+
+
 @pytest.mark.parametrize(
     "name,p,box",
     [("b", 3, 8), ("bbar", 3, 10), ("atilde", 3, 12), ("bpp", 3, 16), ("u_xi0", 3, 12),
@@ -688,7 +715,31 @@ def _swept_axioms(preset, box, cop=coproduct):
 def test_letter_proof_agrees_with_the_exhaustive_sweep(name, p, box):
     preset = get_preset(name, p)
     assert _swept_axioms(preset, box) is None
+    assert _per_monomial_laws(preset, box) is None
     assert check_bialgebra_axioms(preset, box) is None
+
+
+# The letter proof carries homogeneity, parity and the counit laws from the
+# letters to every monomial because these formulas are additive (degrees,
+# parity) and multiplicative (counit) along nonzero products, and the counit
+# vanishes on odd monomials.
+pairs_of_a_preset = st.sampled_from([(n, 3) for n in ODD_PRESETS] + [("b2", 2)]).flatmap(
+    lambda np_: st.tuples(*[st.sampled_from(enumerate_box(get_preset(*np_), 14))] * 2).map(
+        lambda pair: (get_preset(*np_), *pair)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pairs_of_a_preset)
+def test_degrees_and_parity_add_and_the_counit_multiplies(drawn):
+    preset, m1, m2 = drawn
+    s, m12 = product(m1, m2)
+    if not s:
+        return
+    for degree in (preset.left_degree, preset.right_degree):
+        assert degree(m12) == add_deg(degree(m1), degree(m2)), (m1, m2)
+    assert m12.parity == (m1.parity + m2.parity) % 2
+    assert counit(preset, m12) == counit(preset, m1) * counit(preset, m2)
+    assert not any(m.parity and counit(preset, m) for m in (m1, m2, m12))
 
 
 def _mutant(change):
@@ -726,8 +777,10 @@ def test_letter_proof_catches_an_exchange_of_equal_bidegrees():
                    else coproduct(BBAR3, a) if m is b else None)
     for box in (8, 9, 12):  # the box + 1 reaches them from box 8 on
         failure = check_bialgebra_axioms(BBAR3, box, coproduct_fn=swap)
-        assert failure is not None and failure.monomials[0] in (a, b), box
+        assert failure is not None and failure.axiom == "multiplicativity", box
+        assert f"D({a})" in failure.detail or f"D({b})" in failure.detail, box
     assert _swept_axioms(BBAR3, 9, swap) is not None
+    assert _per_monomial_laws(BBAR3, 9, swap) is not None
 
 
 def test_letter_proof_catches_a_sign_flip_deep_in_the_box():

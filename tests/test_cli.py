@@ -397,6 +397,22 @@ def test_load_missing_file(capsys, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("extra", [(), ("--right", "1,0")])
+def test_basis_with_left_rejects_max_degree(capsys, extra):
+    rc, out, err = run(capsys, "basis", "--preset", "bbar", "--left", "1,0",
+                       "--max-degree", "3", *extra)
+    assert (rc, out) == (2, "")
+    assert "--max-degree" in err
+
+
+def test_basis_with_left_runs_under_the_env_box(capsys, monkeypatch):
+    rc, plain, _ = run(capsys, "basis", "--preset", "bbar", "--left", "1,0")
+    monkeypatch.setenv("SUPERCOMOD_MAX_DEGREE", "3")
+    rc_env, out, _ = run(capsys, "basis", "--preset", "bbar", "--left", "1,0")
+    assert rc == rc_env == 0 and out == plain
+    assert [ln.split()[0] for ln in out.strip().splitlines()] == ["monomial=u"]
+
+
 # ---------------------------------------------------------------------------
 # environment overrides
 

@@ -68,6 +68,14 @@ ALLOWED_INVERSES = {
 MATRIX_STORAGE = "_columns"
 
 
+# The Koszul-signed product in B (x) B has one implementation,
+# TensorSum.mul; a comodule whose coaction is built by multiplying (as H's
+# is) goes through it.  Outside bialgebra, only the tensor product of
+# comodules multiplies monomials, as its sign also reads the degree of a
+# comodule label.
+ALLOWED_PRODUCT_USES = {("comodule.py", "tensor")}
+
+
 def _find(path: Path, match):
     """(file, enclosing function, line) of each node of the file for which
     match(node) holds."""
@@ -162,6 +170,19 @@ def _is_modular_power(node) -> bool:
     """A call `pow(x, e, m)`: a modular power, `pow(x, -1, p)` the inverse."""
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
         and node.func.id == "pow" and len(node.args) == 3
+
+
+def _is_product_use(node) -> bool:
+    """`product` read as a name or as an attribute (a call or a reference)."""
+    return (isinstance(node, ast.Name) and node.id == "product"
+            and isinstance(node.ctx, ast.Load)) or (
+        isinstance(node, ast.Attribute) and node.attr == "product")
+
+
+def test_monomials_are_multiplied_in_bialgebra_and_the_comodule_tensor_only():
+    found = [c for path in sorted(SRC.glob("*.py")) if path.name != "bialgebra.py"
+             for c in _find(path, _is_product_use)]
+    assert {(f, func) for f, func, _ in found} == ALLOWED_PRODUCT_USES, found
 
 
 def test_no_branch_on_a_preset_name():

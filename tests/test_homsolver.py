@@ -16,6 +16,7 @@ from supercomod.comodule import (
     direct_sum,
     identity_morphism,
     simple_comodule,
+    suspend,
     tensor,
     truncate,
     zero_morphism,
@@ -185,6 +186,15 @@ def test_guards_compare_coactions_not_just_components():
     with pytest.raises(ValueError, match="composition mismatch"):
         idJ.compose(identity_morphism(other_preset))
     assert idJ.compose(identity_morphism(reordered)).blocks == idJ.blocks
+    for combine in (idJ.add, idJ.sub):
+        with pytest.raises(ValueError, match="addition mismatch"):
+            combine(idN)
+    assert idJ.add(identity_morphism(reordered)).blocks == idJ.scale(2).blocks
+    # one-dimensional comodules in the same degree with different labels
+    shifted_J00 = suspend(build_J(3, 0, 0), (0, 1))
+    simple = simple_comodule(J.preset, (0, 1), label="e")
+    with pytest.raises(ValueError, match="addition mismatch"):
+        identity_morphism(shifted_J00).sub(identity_morphism(simple))
     with pytest.raises(ValueError, match="shared source"):
         equalizer(idJ, idN)
     report = is_exact([idN, idJ])

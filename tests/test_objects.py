@@ -10,6 +10,7 @@ import pytest
 from supercomod.bialgebra import (
     coproduct,
     enumerate_left,
+    enumerate_right,
     format_monomial,
     get_preset,
     mono_tau,
@@ -481,6 +482,23 @@ def _validated_J(preset, left):
     return Comodule(preset, components, coaction, box=None)
 
 
+def _validated_F(preset, right, box):
+    """F rebuilt from the coproduct through the validating `Comodule(...)`,
+    with the dual coaction as plain term lists for it to check and merge."""
+    span = enumerate_right(preset, right, box)
+    components: dict = {}
+    for m in span:
+        components.setdefault(preset.left_degree(m), []).append(m)
+    coaction: dict = {format_monomial(m): [] for m in span}
+    for m in [m for ms in components.values() for m in ms]:  # dualize_left's order
+        for (b1, m2), c in coproduct(preset, m).items():
+            if format_monomial(m2) in coaction:
+                coaction[format_monomial(m2)].append(
+                    (-c if b1.parity else c, format_monomial(m), b1))
+    return Comodule(preset, {d: list(map(format_monomial, ms)) for d, ms in components.items()},
+                    coaction, box=box)
+
+
 def _validated_push(M, dst_name, regrade):
     """M pushed term by term through the quotient to dst, unmerged, and
     merged by the validating `Comodule(...)`; `regrade` collapses bidegrees
@@ -532,6 +550,11 @@ def test_trusted_builders_match_the_validating_constructor(p):
             _assert_same(build_J(p, a, b), _validated_J(bbar, (a, b)))
     for n in range(13):
         _assert_same(build_Jn(p, n), _validated_J(atilde, n))
+    for a in range(4):
+        for b in range(4):
+            _assert_same(build_F(p, a, b, 40), _validated_F(bbar, (a, b), 40))
+    for n in range(10):
+        _assert_same(build_Fn(p, n, 40), _validated_F(atilde, n, 40))
     for eps in (0, 1):
         for n in range(7):
             _assert_same(theta_J(p, eps, n),
