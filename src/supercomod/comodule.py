@@ -641,6 +641,7 @@ class ComoduleMorphism:
         region = TrustedRegion(self.source, self.target)
         image = {lab: self.image_of(lab) for d in self.source.degrees() if d in region
                  for lab in self.source.basis(d)}
+        inside = {lab for d, labs in self.target.components.items() if d in region for lab in labs}
         for d in self.source.degrees():
             if d not in region:
                 continue
@@ -648,7 +649,7 @@ class ComoduleMorphism:
                 lhs: dict = {}
                 for c, tlab in image[lab]:
                     for c2, tlab2, b in self.target.coaction[tlab]:
-                        if self.target.degree_of(tlab2) not in region:
+                        if tlab2 not in inside:
                             continue
                         key = (tlab2, b)
                         v = (lhs.get(key, 0) + c * c2) % p
@@ -658,7 +659,7 @@ class ComoduleMorphism:
                             lhs.pop(key, None)
                 rhs: dict = {}
                 for c, slab2, b in self.source.coaction[lab]:
-                    if self.source.degree_of(slab2) not in region:
+                    if slab2 not in image:  # outside the region
                         continue
                     for c2, tlab2 in image[slab2]:
                         key = (tlab2, b)
@@ -688,8 +689,10 @@ class ComoduleMorphism:
         return ComoduleMorphism(other.source, self.target, blocks)
 
     def add(self, other: "ComoduleMorphism") -> "ComoduleMorphism":
-        if not (other.source.matches(self.source) and other.target.matches(self.target)):
-            raise ValueError("addition mismatch")
+        if not other.source.matches(self.source):
+            raise ValueError("addition mismatch: the morphisms need a shared source")
+        if not other.target.matches(self.target):
+            raise ValueError("addition mismatch: the morphisms need a shared target")
         return ComoduleMorphism(self.source, self.target, {
             d: self.block(d).add(other.block(d)) for d in set(self.blocks) | set(other.blocks)})
 

@@ -299,19 +299,24 @@ def test_product_signs():
 
 
 # Draws for the kernel properties: high t indices and exponents up to a
-# third of each limit, so that a product of three stays representable.
-def _exponents(limit, low=0):
-    return st.sampled_from([*range(low, 4), *range(limit // 3 - 3, limit // 3 + 1)])
+# `share` of each limit, so that a product of `share` factors stays
+# representable.
+def _exponents(limit, low=0, share=3):
+    return st.sampled_from([*range(low, 4), *range(limit // share - 3, limit // share + 1)])
 
 
-monomials_drawn = st.builds(
-    lambda w, tau, u, xi: Monomial(w, sorted(set(tau)), u, sorted(dict(xi).items())),
-    st.integers(0, 1),
-    st.lists(st.sampled_from([0, 1, 2, MAX_TAU_INDEX - 1, MAX_TAU_INDEX]), max_size=3),
-    _exponents(MAX_U_EXPONENT),
-    st.lists(st.tuples(st.sampled_from([0, 1, 2, MAX_XI_INDEX - 1, MAX_XI_INDEX]),
-                       _exponents(MAX_XI_EXPONENT, low=1)), max_size=3),
-)
+def _monomials(share):
+    return st.builds(
+        lambda w, tau, u, xi: Monomial(w, sorted(set(tau)), u, sorted(dict(xi).items())),
+        st.integers(0, 1),
+        st.lists(st.sampled_from([0, 1, 2, MAX_TAU_INDEX - 1, MAX_TAU_INDEX]), max_size=3),
+        _exponents(MAX_U_EXPONENT, share=share),
+        st.lists(st.tuples(st.sampled_from([0, 1, 2, MAX_XI_INDEX - 1, MAX_XI_INDEX]),
+                           _exponents(MAX_XI_EXPONENT, low=1, share=share)), max_size=3),
+    )
+
+
+monomials_drawn = _monomials(3)
 
 
 def _times(x, y):
@@ -347,6 +352,64 @@ coproducts_drawn = st.sampled_from(enumerate_box(B3, 8)).map(lambda m: coproduct
 def test_tensor_mul_is_associative(a, b, c, x, y, z):
     assert a.mul(b).mul(c) == a.mul(b.mul(c))
     assert x.mul(y).mul(z) == x.mul(y.mul(z))
+
+
+def _pairwise_mul(x, y):
+    """The reference for the kernel of ``TensorSum.mul``: the same loop over
+    the pairs of terms, each factor multiplied by ``product``."""
+    p = x.p
+    out = TensorSum(p)
+    terms = out.terms
+    for (a, b), c1 in x.terms.items():
+        for (c, d), c2 in y.terms.items():
+            s1, ac = product(a, c)
+            if not s1:
+                continue
+            s2, bd = product(b, d)
+            if not s2:
+                continue
+            if b.parity and c.parity:  # Koszul sign (-1)^{|b||c|}
+                s2 = -s2
+            key = (ac, bd)
+            new = (terms.get(key, 0) + c1 * c2 * s1 * s2) % p
+            if new:
+                terms[key] = new
+            else:
+                terms.pop(key, None)
+    return out
+
+
+# Coproducts, and sums whose factors from a small box collide and cancel and
+# whose drawn factors reach the exterior letters, the highest t and x indices
+# and half of each exponent limit.
+kernel_factors = st.one_of(st.sampled_from(enumerate_box(B3, 5)), _monomials(2))
+kernel_pairs = st.one_of(st.tuples(coproducts_drawn, coproducts_drawn), st.sampled_from(
+    [2, 3, 5]).flatmap(lambda p: st.tuples(*[st.lists(
+        st.tuples(st.integers(1, p - 1), kernel_factors, kernel_factors), max_size=6).map(
+            lambda terms, p=p: TensorSum(p, {(a, b): c for c, a, b in terms}))] * 2)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kernel_pairs)
+def test_tensor_mul_matches_the_pairwise_product(pair):
+    x, y = pair
+    got, want = x.mul(y), _pairwise_mul(x, y)
+    assert list(got.terms.items()) == list(want.terms.items()), (x, y)
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_tensor_mul_overflow_raises_the_product_error(slot):
+    big, more = mono_xi(3, MAX_XI_EXPONENT), parse_monomial("t1*x3*x4")
+    with pytest.raises(ValueError) as expected:
+        product(big, more)
+
+    def one_term(m):
+        return TensorSum(3, {(ONE, m) if slot else (m, ONE): 1})
+
+    for multiply in (TensorSum.mul, _pairwise_mul):
+        with pytest.raises(ValueError) as got:
+            multiply(one_term(big), one_term(more))
+        assert str(got.value) == str(expected.value)
 
 
 def test_triple_exterior_sign():

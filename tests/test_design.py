@@ -76,6 +76,14 @@ MATRIX_STORAGE = "_columns"
 ALLOWED_PRODUCT_USES = {("comodule.py", "tensor")}
 
 
+# The sign of moving exterior letters past each other has one rule,
+# bialgebra's _exterior_sign: `product` and the kernel of TensorSum.mul both
+# take it from there, and the kernel multiplies packed keys itself rather
+# than calling `product` per pair of terms.
+SIGN_RULE = "_exterior_sign"
+SIGN_RULE_CALLERS = {"product", "mul"}
+
+
 def _find(path: Path, match):
     """(file, enclosing function, line) of each node of the file for which
     match(node) holds."""
@@ -183,6 +191,27 @@ def test_monomials_are_multiplied_in_bialgebra_and_the_comodule_tensor_only():
     found = [c for path in sorted(SRC.glob("*.py")) if path.name != "bialgebra.py"
              for c in _find(path, _is_product_use)]
     assert {(f, func) for f, func, _ in found} == ALLOWED_PRODUCT_USES, found
+
+
+def _is_bit_counting_loop(node) -> bool:
+    """A loop or comprehension that counts bits: the shape of an inversion
+    count on exterior masks."""
+    loops = (ast.While, ast.For, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    return isinstance(node, loops) and any(
+        isinstance(n, ast.Attribute) and n.attr == "bit_count" for n in ast.walk(node))
+
+
+def _calls(name: str):
+    return lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == name
+
+
+def test_one_exterior_sign_rule():
+    path = SRC / "bialgebra.py"
+    loops = _find(path, _is_bit_counting_loop)
+    assert [func for _, func, _ in loops] == [SIGN_RULE], loops
+    assert {func for _, func, _ in _find(path, _calls(SIGN_RULE))} == SIGN_RULE_CALLERS
+    assert not [c for c in _find(path, _is_product_use) if c[1] == "mul"]
 
 
 def test_no_branch_on_a_preset_name():
