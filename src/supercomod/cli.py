@@ -7,6 +7,7 @@ Exit codes: 0 success (all checks pass), 1 verification or load failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import inspect
 import json
@@ -78,6 +79,15 @@ def _check_degree(preset, deg, flag: str):
         raise ValueError(f"preset {preset.name} is singly graded; {flag} needs 'n'")
     if min(deg if isinstance(deg, tuple) else (deg,)) < 0:
         raise ValueError(f"{flag} must be >= 0 in every component, got {deg}")
+
+
+def _open_out(path):
+    """`path` opened for writing, or a context of None for no path; a path
+    that cannot be written is a usage error."""
+    try:
+        return open(path, "w") if path else contextlib.nullcontext()
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def emit_rows(rows: list[dict], fields: list[str], fmt: str) -> None:
@@ -202,11 +212,11 @@ def cmd_verify(args) -> int:
         "m_max": args.m,
     }
     names = None if args.suite == "all" else [args.suite]
-    reports = run_all(names=names, jobs=args.jobs, **params)
-    payload = [r.as_dict() for r in reports]
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+    with _open_out(args.out) as out:  # before any suite runs
+        reports = run_all(names=names, jobs=args.jobs, **params)
+        payload = [r.as_dict() for r in reports]
+        if out:
+            json.dump(payload, out, indent=2)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
@@ -232,11 +242,8 @@ def cmd_dump(args) -> int:
     box = resolve_box(args)
     M = parse_object_id(args.object, p, box)
     text = M.to_json(indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _open_out(args.out) as out:
+        print(text, file=out)  # stdout when out is None
     return 0
 
 

@@ -83,8 +83,10 @@ class TrustedRegion:
     A truncated comodule is complete up to total degree box + margin; a
     computation over several of them trusts the degrees that all of them
     store completely.  `bound` is that total degree, None when nothing
-    bounds it; `d in region` tests a degree.  A smaller region comes from
-    smaller objects: `truncate` them.
+    bounds it.  A computation `restrict`s its objects to the region once,
+    then walks their coactions whole; `d in region` tests a degree that no
+    stored label carries.  A smaller region comes from smaller objects:
+    `truncate` them.
     """
 
     __slots__ = ("bound",)
@@ -95,6 +97,31 @@ class TrustedRegion:
 
     def __contains__(self, d) -> bool:
         return self.bound is None or total_of(d) <= self.bound
+
+    def restrict(self, M: "Comodule") -> "Comodule":
+        return _restrict(M, self.bound)
+
+
+def _restrict(M: "Comodule", bound: int | None) -> "Comodule":
+    """M without its degrees above `bound`: M itself when none can lie there
+    (M stores no degree above its box + margin), else `_cut` of M, which
+    keeps M's labels and their order in each degree it keeps."""
+    if bound is None or (M.box + M.margin <= bound if M.box is not None
+                         else all(total_of(d) <= bound for d in M.components)):
+        return M
+    return _cut(M, bound - M.margin, M.margin)
+
+
+def _cut(M: "Comodule", box: int, margin: int) -> "Comodule":
+    """M with this box and margin: its degrees above box + margin dropped,
+    and with them the coaction terms that hit their labels."""
+    bound = box + margin
+    components = {d: list(labs) for d, labs in M.components.items() if total_of(d) <= bound}
+    kept = {lab for labs in components.values() for lab in labs}
+    coaction = {lab: tuple(t for t in M.coaction[lab] if t[1] in kept)
+                for labs in components.values() for lab in labs}
+    return Comodule._trusted(M.preset, components, coaction, box=box, margin=margin,
+                             name=M.name)
 
 
 def _joint_truncation(mods) -> tuple[int | None, int]:
@@ -108,7 +135,8 @@ def _joint_truncation(mods) -> tuple[int | None, int]:
 
 
 class Comodule:
-    """A truncated right comodule with a chosen homogeneous basis.
+    """A truncated right comodule with a chosen homogeneous basis.  It
+    stores no degree above box + margin: the constructor rejects one.
 
     `cofree_on` is the degree d on which the comodule is cofree on one
     cogenerator, so that a morphism into it is the same thing as a
@@ -140,6 +168,8 @@ class Comodule:
             labels = list(labels)
             if not labels:
                 continue
+            if box is not None and total_of(d) > box + self.margin:
+                raise ValueError(f"degree {d} lies above box + margin = {box + self.margin}")
             self.components[d] = labels
             for i, lab in enumerate(labels):
                 if lab in self._deg_of:
@@ -170,10 +200,11 @@ class Comodule:
                  name: str = "") -> "Comodule":
         """Trusted constructor: the comodule that `Comodule(...)` would build
         from these arguments, which the caller guarantees are already in its
-        stored form (no empty component, no repeated label, and for every
-        label a tuple of merged terms with coefficients nonzero mod p, each
-        hitting a label).  Nothing is checked or merged; only builders whose
-        output is that form by construction may use it."""
+        stored form (no empty component, no repeated label, no degree above
+        box + margin, and for every label a tuple of merged terms with
+        coefficients nonzero mod p, each hitting a label).  Nothing is
+        checked or merged; only builders whose output is that form by
+        construction may use it."""
         M = cls.__new__(cls)
         M.preset, M.box, M.margin, M.name = preset, box, margin, name
         M.components = components
@@ -235,22 +266,18 @@ class Comodule:
     # ---- validation
 
     def validate(self) -> list[str]:
-        """Check homogeneity, counit, degree direction and coassociativity
-        inside the trusted region.  Returns a list of at most MAX_PROBLEMS
-        problems, empty if valid.
+        """Check homogeneity, counit and coassociativity inside the trusted
+        region.  Returns a list of at most MAX_PROBLEMS problems, empty if
+        valid.  (Every term hits a label, as the constructor checks, and no
+        monomial lowers total degree by more than its power of w.)
         """
         problems: list[str] = []
         p = self.p
         preset = self.preset
-        # w is the only generator of negative total degree
-        drop_floor = -1 if preset.row.w else 0
         for lab, terms in self.coaction.items():
             d = self._deg_of[lab]
             counit_part: dict[str, int] = {}
             for c, to_label, b in terms:
-                if to_label not in self._deg_of:
-                    problems.append(f"{lab}: coaction hits unknown label {to_label!r}")
-                    continue
                 try:
                     preset.validate_monomial(b)
                 except ValueError as exc:
@@ -267,11 +294,6 @@ class Comodule:
                         f"{lab}: term {to_label} (x) {b} has right({b}) = "
                         f"{preset.right_degree(b)}, expected {d}"
                     )
-                if preset.total_degree(b) < drop_floor:
-                    problems.append(
-                        f"{lab}: coaction lowers total degree by "
-                        f"{-preset.total_degree(b)} via {b}"
-                    )
                 if counit(preset, b):
                     counit_part[to_label] = (counit_part.get(to_label, 0) + c) % p
             counit_part = {k: v for k, v in counit_part.items() if v}
@@ -285,28 +307,22 @@ class Comodule:
         return problems[:MAX_PROBLEMS]
 
     def _coassoc_problems(self, budget: int) -> list[str]:
-        if budget <= 0:
-            return []
         problems = []
         p = self.p
+        # route A walks whole coactions; route B tests coproduct degrees
         region = TrustedRegion(self)
         for lab, terms in self.coaction.items():
             lhs: dict = {}
             rhs: dict = {}
             for c, mid_label, b in terms:
-                if mid_label not in self._deg_of:
-                    continue
-                mid_deg = self._deg_of[mid_label]
                 # route A: psi again on the comodule slot
-                for c2, far_label, b2 in self.coaction.get(mid_label, ()):
-                    far = self._deg_of[far_label]
-                    if far in region and mid_deg in region:
-                        key = (far_label, b2, b)
-                        v = (lhs.get(key, 0) + c * c2) % p
-                        if v:
-                            lhs[key] = v
-                        else:
-                            lhs.pop(key, None)
+                for c2, far_label, b2 in self.coaction[mid_label]:
+                    key = (far_label, b2, b)
+                    v = (lhs.get(key, 0) + c * c2) % p
+                    if v:
+                        lhs[key] = v
+                    else:
+                        lhs.pop(key, None)
                 # route B: coproduct on the algebra slot
                 for (b1, b2), c2 in coproduct(self.preset, b).items():
                     far = self.preset.left_degree(b1)
@@ -395,7 +411,10 @@ class Comodule:
                 _json_int(x, f"components[{i}] bidegree {d!r}")
             if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
                 raise ValueError(f"components[{i}] labels {labels!r}: not a list of strings")
-            components[tuple(d) if isinstance(d, list) else d] = labels
+            key = tuple(d) if isinstance(d, list) else d
+            if key in components:
+                raise ValueError(f"components[{i}] bidegree {d!r} is listed twice")
+            components[key] = labels
         coaction: dict[str, list[Term]] = {}
         for i, entry in enumerate(_json_objects(data["coaction"], "coaction",
                                                 ("from_label", "to_label", "monomial", "coeff"))):
@@ -583,14 +602,7 @@ def truncate(M: Comodule, box: int) -> Comodule:
             "margin violation: coactions over the full algebra can lower "
             "degree, so truncating needs at least one stored margin layer"
         )
-    bound = box + M.margin
-    components = {d: labs for d, labs in M.components.items() if total_of(d) <= bound}
-    kept = {lab for labs in components.values() for lab in labs}
-    coaction = {
-        lab: [(c, t, b) for c, t, b in M.coaction[lab] if t in kept]
-        for lab in kept
-    }
-    return Comodule(M.preset, components, coaction, box=box, margin=M.margin, name=M.name)
+    return _cut(M, box, M.margin)
 
 
 # ---------------------------------------------------------------------------
@@ -633,24 +645,19 @@ class ComoduleMorphism:
         return [(c, tgt[i]) for i, c in self.blocks[d].column(self.source.index_of(label))]
 
     def check(self) -> list[str]:
-        """Verify psi_target(f(m)) = (f (x) 1)(psi_source(m)) inside the
-        region both sides can see.  Returns a list of at most MAX_PROBLEMS
-        discrepancies."""
+        """Verify psi_target(f(m)) = (f (x) 1)(psi_source(m)) on the source
+        and target restricted to the region both can see.  Returns a list
+        of at most MAX_PROBLEMS discrepancies."""
         problems = []
         p = self.p
         region = TrustedRegion(self.source, self.target)
-        image = {lab: self.image_of(lab) for d in self.source.degrees() if d in region
-                 for lab in self.source.basis(d)}
-        inside = {lab for d, labs in self.target.components.items() if d in region for lab in labs}
-        for d in self.source.degrees():
-            if d not in region:
-                continue
-            for lab in self.source.basis(d):
+        source, target = region.restrict(self.source), region.restrict(self.target)
+        image = {lab: self.image_of(lab) for lab in source.coaction}
+        for d in source.degrees():
+            for lab in source.components[d]:
                 lhs: dict = {}
                 for c, tlab in image[lab]:
-                    for c2, tlab2, b in self.target.coaction[tlab]:
-                        if tlab2 not in inside:
-                            continue
+                    for c2, tlab2, b in target.coaction[tlab]:
                         key = (tlab2, b)
                         v = (lhs.get(key, 0) + c * c2) % p
                         if v:
@@ -658,9 +665,7 @@ class ComoduleMorphism:
                         else:
                             lhs.pop(key, None)
                 rhs: dict = {}
-                for c, slab2, b in self.source.coaction[lab]:
-                    if slab2 not in image:  # outside the region
-                        continue
+                for c, slab2, b in source.coaction[lab]:
                     for c2, tlab2 in image[slab2]:
                         key = (tlab2, b)
                         v = (rhs.get(key, 0) + c * c2) % p
@@ -742,49 +747,31 @@ def direct_sum(mods: list) -> Comodule:
         raise ValueError("empty direct sum")
     preset = mods[0].preset
     box, margin = _joint_truncation(mods)
+    bound = None if box is None else box + margin
     components: dict = {}
     coaction: dict = {}
     for i, M in enumerate(mods):
         if M.preset != preset:
             raise ValueError("direct sum requires matching presets")
+        M = _restrict(M, bound)
         for d in M.degrees():
-            if box is not None and total_of(d) > box + margin:
-                continue
             components.setdefault(d, []).extend(f"{i}:{lab}" for lab in M.components[d])
         for lab, terms in M.coaction.items():
-            d = M.degree_of(lab)
-            if box is not None and total_of(d) > box + margin:
-                continue
-            coaction[f"{i}:{lab}"] = [
-                (c, f"{i}:{t}", b)
-                for c, t, b in terms
-                if box is None or total_of(M.degree_of(t)) <= box + margin
-            ]
+            coaction[f"{i}:{lab}"] = [(c, f"{i}:{t}", b) for c, t, b in terms]
     return Comodule(preset, components, coaction, box=box, margin=margin,
                     name="(+)".join(M.name for M in mods))
 
 
 def summand_inclusion(S: Comodule, mods: list, i: int) -> ComoduleMorphism:
     """Inclusion of the i-th summand into a direct sum built by direct_sum."""
-    M = mods[i]
-    assign = {}
-    for d in M.degrees():
-        for lab in M.basis(d):
-            if f"{i}:{lab}" in S.coaction:
-                assign[lab] = [(1, f"{i}:{lab}")]
-    return morphism_from_assignment(M, S, assign)
+    return morphism_from_assignment(mods[i], S, {
+        lab: [(1, f"{i}:{lab}")] for lab in mods[i].coaction if f"{i}:{lab}" in S.coaction})
 
 
 def summand_projection(S: Comodule, mods: list, i: int) -> ComoduleMorphism:
     """Projection of a direct sum onto its i-th summand."""
-    M = mods[i]
-    assign = {}
-    for d in M.degrees():
-        for lab in M.basis(d):
-            key = f"{i}:{lab}"
-            if key in S.coaction:
-                assign[key] = [(1, lab)]
-    return morphism_from_assignment(S, M, assign)
+    return morphism_from_assignment(S, mods[i], {
+        f"{i}:{lab}": [(1, lab)] for lab in mods[i].coaction})
 
 
 # ---------------------------------------------------------------------------

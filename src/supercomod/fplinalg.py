@@ -10,7 +10,8 @@ order, so every result below is deterministic for a given input.
 `FpMatrix` holds the small per-degree blocks of morphisms as Python ints
 mod p, stored as the nonzero entries of each column, so `add` and `mul` cost
 in proportion to the nonzeros; only this module reads that storage.  Its
-`rref`, and with it rank, echelon, kernel and solve, is `_reduce` of its rows.
+`rref`, and with it echelon, kernel and solve, is `_reduce` of its rows, and
+its `rank` counts the pivots of that same `_reduce`.
 `sparse_kernel_basis` is for large, very sparse systems with many repeated
 rows, such as the global system of a hom space: duplicates and scalar
 multiples collapse to one monic row before `_reduce`.
@@ -124,21 +125,24 @@ class FpMatrix:
 
     # -- elimination ----------------------------------------------------
 
+    def _reduced(self) -> dict[int, dict]:
+        """`_reduce` of the rows, made monic."""
+        rows = _transposed(self._columns, self.rows)
+        return _reduce(self.p, filter(None, (_monic_row(self.p, r) for r in rows)), self.cols)
+
     def rref(self) -> tuple["FpMatrix", list[int]]:
         """Reduced row echelon form, by `_reduce` of the rows, and its pivots."""
-        (m, n), p = self.shape, self.p
-        rows = _transposed(self._columns, m)
-        reduced = _reduce(p, filter(None, (_monic_row(p, row) for row in rows)), n)
+        reduced = self._reduced()
         pivots = sorted(reduced)
-        columns: list[list] = [[] for _ in range(n)]
+        columns: list[list] = [[] for _ in range(self.cols)]
         for r, c in enumerate(pivots):
             columns[c].append((r, 1))
             for j, w in reduced[c].items():
                 columns[j].append((r, w))
-        return FpMatrix(p, m, columns), pivots
+        return FpMatrix(self.p, self.rows, columns), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._reduced())
 
     def echelon(self) -> tuple["FpMatrix", list[int], list[int], "FpMatrix"]:
         """One rref read four ways: (rows, pivots, free, null).

@@ -4,10 +4,10 @@ exactness reports and isomorphism verdicts.
 
 A degree-preserving linear map f: M -> N is a comodule morphism when
 psi_N(f(m)) = (f (x) 1)(psi_M(m)) for every basis element m.  Over a
-truncation both sides are compared only in the degrees that
-`comodule.TrustedRegion` trusts, the rule every computation here follows;
-the region is read from the objects' box and margin alone, so a smaller
-one comes from `truncate`-ing the objects.
+truncation every computation here first restricts its objects to the
+degrees that `comodule.TrustedRegion` trusts, then reads the restricted
+objects whole; the region comes from the objects' box and margin alone,
+so a smaller one comes from `truncate`-ing the objects.
 The solver sets up one global linear system over F_p whose unknowns are
 the entries of all blocks of f and returns a basis of its solution space.
 The system is emitted as sparse rows {unknown: coeff}, one per coordinate
@@ -80,40 +80,36 @@ def hom_space(M: Comodule, N: Comodule) -> MorphismSpace:
     """Basis of the space of comodule morphisms M -> N.
 
     Unknowns are the matrix entries of the blocks f_d for every degree d
-    in the trusted region of M and N; equations equate the two
-    routes around the coaction square, coordinate by coordinate in
-    N (x) monomial.
+    of M and N restricted to their trusted region; equations equate the
+    two routes around the coaction square, coordinate by coordinate in
+    N (x) monomial.  The basis maps the original M to N: in every trusted
+    degree they have the restricted objects' labels.
     """
     if M.preset != N.preset:
         raise ValueError("hom_space requires matching presets")
     p = M.p
     region = TrustedRegion(M, N)
-    # one unknown per entry (i, j) of the block f_d, for d in the region
-    place = [(d, i, j) for d in M.degrees() if d in region
-             for i in range(N.dim(d)) for j in range(M.dim(d))]
+    source, target = region.restrict(M), region.restrict(N)
+    # one unknown per entry (i, j) of the block f_d
+    place = [(d, i, j) for d in source.degrees()
+             for i in range(target.dim(d)) for j in range(source.dim(d))]
     if not place:
         return MorphismSpace(M, N, [], region.bound)
     var = {key: v for v, key in enumerate(place)}
 
     rows: list[dict] = []
-    for d in M.degrees():
-        if d not in region:
-            continue
-        for j, mlab in enumerate(M.basis(d)):
+    for d in source.degrees():
+        for j, mlab in enumerate(source.components[d]):
             coords: dict = {}
-            for i, nlab in enumerate(N.basis(d)):
+            for i, nlab in enumerate(target.basis(d)):
                 v = var[d, i, j]
-                for c2, nlab2, b in N.coaction[nlab]:
-                    if N.degree_of(nlab2) not in region:
-                        continue
+                for c2, nlab2, b in target.coaction[nlab]:
                     row = coords.setdefault((nlab2, b), {})
                     row[v] = row.get(v, 0) + c2
-            for c, mlab2, b in M.coaction[mlab]:
-                d2 = M.degree_of(mlab2)
-                if d2 not in region:
-                    continue
-                j2 = M.index_of(mlab2)
-                for i2, nlab2 in enumerate(N.basis(d2)):
+            for c, mlab2, b in source.coaction[mlab]:
+                d2 = source.degree_of(mlab2)
+                j2 = source.index_of(mlab2)
+                for i2, nlab2 in enumerate(target.basis(d2)):
                     row = coords.setdefault((nlab2, b), {})
                     v = var[d2, i2, j2]
                     row[v] = row.get(v, 0) - c
@@ -259,10 +255,7 @@ def is_exact(maps: list) -> ExactnessReport:
             failures.append(f"joint {idx}: target/source mismatch")
             continue
         mid = f.target
-        region = TrustedRegion(f.source, mid, g.target)
-        for d in mid.degrees():
-            if d not in region:
-                continue
+        for d in TrustedRegion(f.source, mid, g.target).restrict(mid).degrees():
             A, B = f.block(d), g.block(d)
             comp = B.mul(A)
             if not comp.is_zero():
@@ -289,11 +282,9 @@ def is_isomorphism(f: ComoduleMorphism) -> bool:
     source and target: bijective in every trusted degree, and a comodule
     map there (`check` finds nothing)."""
     region = TrustedRegion(f.source, f.target)
-    degs = set(f.source.degrees()) | set(f.target.degrees())
-    for d in degs:
-        if d not in region:
-            continue
-        n, m = f.target.dim(d), f.source.dim(d)
+    source, target = region.restrict(f.source), region.restrict(f.target)
+    for d in source.components.keys() | target.components.keys():
+        n, m = target.dim(d), source.dim(d)
         if n != m:
             return False
         if m and f.block(d).rank() != m:
@@ -343,15 +334,15 @@ def find_isomorphism(M: Comodule, N: Comodule) -> tuple:
     from `hom_space`.
     """
     region = TrustedRegion(M, N)
-    if ({d: n for d, n in M.poincare().items() if d in region}
-            != {d: n for d, n in N.poincare().items() if d in region}):
+    source, target = region.restrict(M), region.restrict(N)
+    if source.poincare() != target.poincare():
         return "none", None
     route = None
     d = N.cofree_on
-    if d is not None and d in region and M.dim(d) == 1:
+    if d is not None and source.dim(d) == 1:
         route, f = "cofree", cofree_map(M, N, M.basis(d)[0])
     d = M.free_on
-    if route is None and d is not None and d in region and N.dim(d) == 1:
+    if route is None and d is not None and target.dim(d) == 1:
         route, f = "free", free_map(M, N, N.basis(d)[0])
     if route and is_isomorphism(f):
         log.debug("find_isomorphism %s -> %s: %s candidate certified, dim %d",

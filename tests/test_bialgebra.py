@@ -14,6 +14,7 @@ from supercomod.bialgebra import (
     MAX_XI_EXPONENT,
     MAX_XI_INDEX,
     ONE,
+    PRESET_NAMES,
     HopfIdealReport,
     Monomial,
     TensorSum,
@@ -317,6 +318,29 @@ def _monomials(share):
 
 
 monomials_drawn = _monomials(3)
+
+
+def _preset_or_none(name, p):
+    try:
+        return get_preset(name, p)
+    except ValueError:  # the preset does not exist at p
+        return None
+
+
+EVERY_PRESET = [preset for name in PRESET_NAMES for p in (2, 3, 5)
+                if (preset := _preset_or_none(name, p))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(EVERY_PRESET), monomials_drawn)
+def test_a_monomial_lowers_total_degree_by_at_most_its_w(preset, m):
+    # so that Comodule.validate need not check how far a coaction lowers
+    # degree: the drawn monomial without the generators the preset lacks
+    row = preset.row
+    m = Monomial(m.w if row.w else 0, m.tau if row.tau else (), m.u if row.u else 0,
+                 tuple(x for x in m.xi if row.allows_xi(x[0])))
+    preset.validate_monomial(m)
+    assert preset.total_degree(m) >= -m.w
 
 
 def _times(x, y):

@@ -230,6 +230,17 @@ def test_verify_report_file(capsys, tmp_path):
     assert on_disk[0]["status"] == "pass"
 
 
+@pytest.mark.parametrize("argv", [("verify", "--suite", "j0n", "--n", "1"),
+                                  ("dump", "--object", "J:0,1")], ids=["verify", "dump"])
+def test_out_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # verify fails before it runs any suite
+    monkeypatch.setattr("supercomod.cli.run_all", lambda **kw: pytest.fail("a suite ran"))
+    path = tmp_path / "missing" / "x.json"
+    rc, out, err = run(capsys, *argv, "--out", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_verify_csv(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "mahowald", "--n", "1",
                      "--m", "6", "--format", "csv")
@@ -319,12 +330,17 @@ def test_verify_json_independent_of_hash_seed():
      ({"components": {"bidegree": ...}}, "components[0]: missing key 'bidegree'"),
      ({"coaction": {"coeff": ...}}, "coaction[0]: missing key 'coeff'"),
      ({"coaction": {"from_label": ...}}, "coaction[0]: missing key 'from_label'"),
-     ({"preset": ...}, "document: missing key 'preset'")],
+     ({"preset": ...}, "document: missing key 'preset'"),
+     ({"components": [{"bidegree": [0, 0], "labels": ["a"]},
+                      {"bidegree": [0, 0], "labels": ["b"]}],
+       "coaction": [{"from_label": "b", "to_label": "b", "monomial": "1", "coeff": 1}]},
+      "components[1] bidegree [0, 0] is listed twice"),
+     ({"box": 1}, "degree (0, 1) lies above box + margin = 1")],
     ids=["not-json", "list", "string", "null", "monomial-int", "box-negative",
          "margin-negative", "bidegree-three", "labels-string", "name-int",
          "component-list", "components-object", "coaction-string", "to-label-list",
          "from-label-list", "bidegree-missing", "coeff-missing", "from-label-missing",
-         "preset-missing"],
+         "preset-missing", "bidegree-twice", "degree-above-box"],
 )
 def test_load_garbage(capsys, tmp_path, edit, message):
     # a text as it stands, or J(0,1) with top-level keys (or keys of the

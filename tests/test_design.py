@@ -332,3 +332,23 @@ def test_the_trusted_region_has_no_caller_set_cap():
     capped = [fn.__qualname__ for fn in REGION_READERS
               if "box" in inspect.signature(fn).parameters]
     assert not capped, capped
+
+
+# A computation applies the trusted region once, at the top: it restricts its
+# objects (TrustedRegion.restrict) and then walks their coactions whole, so no
+# loop tests a stored degree against the region.  Only route B of the
+# coassociativity check tests membership: the degrees it tests are those of
+# coproduct monomials, which no stored label carries.
+ALLOWED_REGION_TESTS = {("comodule.py", "_coassoc_problems")}
+
+
+def _is_region_test(node) -> bool:
+    """`x in region` or `x not in region`."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(op, (ast.In, ast.NotIn)) and isinstance(right, ast.Name)
+        and right.id == "region" for op, right in zip(node.ops, node.comparators))
+
+
+def test_the_region_is_applied_by_restricting_the_objects():
+    found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_region_test)]
+    assert found and {(f, func) for f, func, _ in found} == ALLOWED_REGION_TESTS, found

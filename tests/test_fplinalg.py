@@ -152,3 +152,4 @@ def test_rref_matches_reference(p):
             red, pivots = fp_matrix(p, a).rref()
             ref, ref_pivots = rref_reference(p, a)
             assert pivots == ref_pivots and red.to_list() == ref.tolist(), a.tolist()
+            assert fp_matrix(p, a).rank() == len(ref_pivots), a.tolist()

@@ -15,10 +15,12 @@ from supercomod.comodule import (
     TrustedRegion,
     direct_sum,
     identity_morphism,
+    morphism_from_assignment,
     simple_comodule,
     suspend,
     tensor,
     truncate,
+    zero_comodule,
     zero_morphism,
 )
 from supercomod.fplinalg import FpMatrix
@@ -38,9 +40,11 @@ from supercomod.homsolver import (
 )
 from supercomod.objects import (
     build_F,
+    build_H,
     build_J,
     build_Jn,
     build_PhiF,
+    canonical_l,
     cap_morphism,
     psi_H,
     theta_J,
@@ -411,6 +415,63 @@ def test_hom_space_respects_box():
     hs = hom_space(truncate(build_F(3, 1, 1, 40), 20), build_J(3, 0, 2))
     assert hs.box == 20
     assert hs.dim == 1
+
+
+def _cut_to_common_bound(*mods):
+    """The objects truncated to the bound of their trusted region."""
+    bound = TrustedRegion(*mods).bound
+    return [truncate(M, bound - M.margin) for M in mods]
+
+
+def test_objects_with_different_bounds_are_read_in_their_common_region():
+    # every answer on objects stored to different bounds is the answer on
+    # the objects truncated to their common bound
+    F40, F30 = build_F(3, 1, 1, 40), build_F(3, 1, 1, 30)
+    T = tensor(build_F(3, 1, 0, 26), build_F(3, 0, 1, 40))
+    zero = zero_comodule(BBAR3)
+    for M, N in ((F40, F30), (F40, T), (build_F(3, 1, 1, 22), T)):
+        answers = []
+        for A, B in ((M, N), _cut_to_common_bound(M, N)):
+            verdict, f = find_isomorphism(A, B)
+            answers.append((verdict, f.blocks, is_isomorphism(f), f.check(),
+                            bool(is_short_exact(zero_morphism(zero, A), f))))
+        assert answers[0] == answers[1] and answers[0][0] == "iso", answers
+    for M, N in ((F40, F30), (F30, F40),
+                 (truncate(psi_H(3, 30), 12), build_J(3, 1, 2))):
+        spaces = [hom_space(M, N), hom_space(*_cut_to_common_bound(M, N))]
+        assert [s.dim for s in spaces] == [1, 1]
+        assert spaces[0].basis[0].blocks == spaces[1].basis[0].blocks
+        assert (spaces[0].source, spaces[0].target) == (M, N)
+    # over the full algebra a coaction lowers degree by up to one, through
+    # w, so a source degree just past the bound reaches into the region
+    answers = []
+    for M, N in ((build_H(3, 30), build_H(3, 20)),
+                 _cut_to_common_bound(build_H(3, 30), build_H(3, 20))):
+        f = morphism_from_assignment(M, N, {lab: [(1, lab)] for lab in N.coaction})
+        answers.append((f.check(), is_isomorphism(f), [g.blocks for g in hom_space(M, N).basis]))
+    assert answers[0] == answers[1] and answers[0][:2] == ([], True), answers
+    assert len(answers[0][2]) == 3
+
+    F, S = build_F(3, 4, 0, 40), suspend(build_F(3, 2, 0, 24), (2, 0))
+    assert canonical_l(3, 4, 0, 40, target=S).check() == []
+    assert canonical_l(3, 4, 0, 40, *_cut_to_common_bound(F, S)).check() == []
+
+    mods = [F40, F30, build_J(3, 1, 1)]
+    S, C = direct_sum(mods), direct_sum(_cut_to_common_bound(*mods))
+    assert S.matches(C) and (S.box, S.margin, S.name) == (C.box, C.margin, C.name)
+
+
+def test_restrict_cuts_only_an_object_that_may_store_past_the_bound():
+    F30, G30, F40 = build_F(3, 1, 1, 30), build_F(3, 0, 1, 30), build_F(3, 1, 1, 40)
+    J = build_J(3, 1, 2)  # finite, stored up to total degree 5
+    assert TrustedRegion(F30, G30).restrict(F30) is F30
+    assert TrustedRegion(F30, J).restrict(J) is J
+    assert TrustedRegion(J).restrict(J) is J
+    cut = TrustedRegion(F40, F30).restrict(F40)
+    assert cut.matches(truncate(F40, 30)) and (cut.box, cut.margin) == (30, 0)
+    H = truncate(psi_H(3, 30), 3)  # box 3, margin 1
+    cut = TrustedRegion(H, J).restrict(J)
+    assert cut.matches(truncate(J, 4)) and (cut.box, cut.margin) == (4, 0)
 
 
 # ---------------------------------------------------------------------------
