@@ -32,13 +32,14 @@ finds it.  Bit 0 is w and bit 1 + i is t_i, so the exterior letters form a
 bitmask.  Above them u has a field of 24 bits and each x_j, in order of j,
 a field of 16 bits, and every field has one guard bit on top.  A product is
 then a disjoint-mask test, one integer addition and one table lookup, with
-the sign of reordering the exterior letters counted from the two masks, and
-``TensorSum.mul`` does the same on the keys of each pair of terms.  The limits are t_i for
-i <= MAX_TAU_INDEX, x_j for j <= MAX_XI_INDEX, a u exponent up to
-MAX_U_EXPONENT and an x_j exponent up to MAX_XI_EXPONENT; ``Monomial(...)``
-and ``parse_monomial`` reject more with a ValueError that names the limit,
-and a product whose sum sets a guard bit raises rather than carry into the
-next field.  Only this module reads the key.
+the sign of reordering the exterior letters counted from the two masks.
+Only this module multiplies monomials: ``TensorSum.mul`` (B (x) B) and
+``_coaction_product`` (comodule tensor products) work on packed keys too.
+The limits are t_i for i <= MAX_TAU_INDEX, x_j for j <= MAX_XI_INDEX, a u
+exponent up to MAX_U_EXPONENT and an x_j exponent up to MAX_XI_EXPONENT;
+``Monomial(...)`` and ``parse_monomial`` reject more with a ValueError that
+names the limit, and a product whose sum sets a guard bit raises rather
+than carry into the next field.  Only this module reads the key.
 
 A preset memoises ``left_degree`` and ``right_degree`` per (name, p), keyed
 by the interned monomial, and enumeration memoises the xi partitions of each
@@ -117,9 +118,6 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial(w={self.w!r}, tau={self.tau!r}, u={self.u!r}, xi={self.xi!r})"
-
-    def xi_dict(self) -> dict[int, int]:
-        return dict(self.xi)
 
     def is_one(self) -> bool:
         return self is ONE
@@ -570,6 +568,38 @@ class TensorSum:
                 else:
                     terms.pop(key, None)
         return out
+
+
+def _coaction_product(p: int, pairs: dict, left: dict, right: dict, odd: dict) -> dict:
+    """The coaction on the labels z = pairs[x, y] of a tensor product: for
+    the terms (c1, x', b1) of left[x] and (c2, y', b2) of right[y], the term
+    (c1 c2 s, pairs[x', y'], b1 b2) with s = (-1)^{|b1| odd[y']} times the
+    exterior sign; a pair (x', y') without a label is skipped before its keys
+    are added.  Terms merge by (label, b1 b2) in the order first met and zero
+    sums drop after the merge, so a sum that cancels and returns keeps its place."""
+    get = _INTERNED.get
+    rows: dict = {}  # x' -> {y': z'}
+    for (x, y), z in pairs.items():
+        rows.setdefault(x, {})[y] = z
+    packed = {y: [(c2, y2, b2._code, b2._code & _EXT, odd[y2]) for c2, y2, b2 in terms]
+              for y, terms in right.items()}
+    out = {}
+    for (x, y), z in pairs.items():
+        merged: dict = {}
+        for c1, x2, b1 in left[x]:
+            row, k1, e1, odd1 = rows.get(x2, {}), b1._code, b1._code & _EXT, b1.parity
+            for c2, y2, k2, e2, odd2 in packed[y]:
+                z2 = row.get(y2)
+                if z2 is None or e1 & e2:
+                    continue
+                b = get(k1 + k2) or _from_code(k1 + k2)
+                c = -c1 * c2 if odd1 and odd2 else c1 * c2  # Koszul sign
+                if e1 and e2:
+                    c *= _exterior_sign(e1, e2)
+                key = (z2, b)
+                merged[key] = (merged.get(key, 0) + c) % p
+        out[z] = tuple([(c, z2, b) for (z2, b), c in merged.items() if c])
+    return out
 
 
 def first_difference(p: int, lhs: dict, rhs: dict, order):

@@ -15,6 +15,11 @@ elements are stored beyond it so that coassociativity can be tested
 honestly at the edge (coactions over the full algebra can lower total
 degree by one, through w).  `box=None` means the comodule is finite and
 complete, and every check is exact.
+
+Outside data (a JSON document, a test, a user) goes through the validating
+`Comodule(...)`, which checks and merges it.  Every construction here emits
+the stored form and goes through `Comodule._trusted`; the tensor product
+multiplies its terms in bialgebra.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from collections import Counter
 from .bialgebra import (
     CoalgebraPreset,
     Monomial,
+    _coaction_product,
     add_deg,
     coproduct,
     counit,
@@ -34,7 +40,6 @@ from .bialgebra import (
     mono_tau,
     parity_of,
     parse_monomial,
-    product,
     quotient_map,
     total_of,
 )
@@ -148,35 +153,18 @@ class Comodule:
 
     cofree_on = free_on = None
 
-    def __init__(
-        self,
-        preset: CoalgebraPreset,
-        components: dict,
-        coaction: dict,
-        box: int | None,
-        margin: int = 0,
-        name: str = "",
-    ):
-        self.preset = preset
-        self.box = box
-        self.margin = int(margin)
-        self.name = name
-        self.components = {}
-        self._deg_of = {}
-        self._index_of = {}
-        for d, labels in components.items():
-            labels = list(labels)
-            if not labels:
-                continue
-            if box is not None and total_of(d) > box + self.margin:
-                raise ValueError(f"degree {d} lies above box + margin = {box + self.margin}")
-            self.components[d] = labels
-            for i, lab in enumerate(labels):
-                if lab in self._deg_of:
-                    raise ValueError(f"duplicate label {lab!r}")
-                self._deg_of[lab] = d
-                self._index_of[lab] = i
-        self.coaction = {}
+    def __init__(self, preset: CoalgebraPreset, components: dict, coaction: dict,
+                 box: int | None, margin: int = 0, name: str = ""):
+        """The validating constructor, for outside data: it checks the
+        degrees and labels, and merges each label's terms by (label,
+        monomial) in the order first met, dropping those that sum to 0."""
+        margin = int(margin)
+        kept = {d: list(labels) for d, labels in components.items()}
+        kept = {d: labels for d, labels in kept.items() if labels}
+        for d in kept:
+            if box is not None and total_of(d) > box + margin:
+                raise ValueError(f"degree {d} lies above box + margin = {box + margin}")
+        self._store(preset, kept, {}, box, margin, name)
         p = preset.p
         for lab, terms in coaction.items():
             if lab not in self._deg_of:
@@ -184,35 +172,36 @@ class Comodule:
             merged: dict[tuple[str, Monomial], int] = {}
             for c, to_label, b in terms:
                 if to_label not in self._deg_of:
-                    raise ValueError(
-                        f"coaction of {lab!r} hits unknown label {to_label!r}"
-                    )
+                    raise ValueError(f"coaction of {lab!r} hits unknown label {to_label!r}")
                 key = (to_label, b)
                 merged[key] = (merged.get(key, 0) + c) % p
-            self.coaction[lab] = tuple(
-                (c, to_label, b) for (to_label, b), c in merged.items() if c
-            )
+            self.coaction[lab] = tuple((c, t, b) for (t, b), c in merged.items() if c)
         for lab in self._deg_of:
             self.coaction.setdefault(lab, ())
 
     @classmethod
     def _trusted(cls, preset, components: dict, coaction: dict, box, margin=0,
                  name: str = "") -> "Comodule":
-        """Trusted constructor: the comodule that `Comodule(...)` would build
-        from these arguments, which the caller guarantees are already in its
-        stored form (no empty component, no repeated label, no degree above
-        box + margin, and for every label a tuple of merged terms with
-        coefficients nonzero mod p, each hitting a label).  Nothing is
-        checked or merged; only builders whose output is that form by
-        construction may use it."""
+        """The trusted constructor, for the internal builders: the comodule
+        that `Comodule(...)` would build from arguments that are already in
+        its stored form (no empty component, no degree above box + margin,
+        and for every label a tuple of merged terms with coefficients nonzero
+        mod p, each hitting a label).  Only a repeated label raises."""
         M = cls.__new__(cls)
-        M.preset, M.box, M.margin, M.name = preset, box, margin, name
-        M.components = components
-        M._deg_of = {lab: d for d, labels in components.items() for lab in labels}
-        M._index_of = {lab: i for labels in components.values()
-                       for i, lab in enumerate(labels)}
-        M.coaction = coaction
+        M._store(preset, components, coaction, box, margin, name)
         return M
+
+    def _store(self, preset, components: dict, coaction: dict, box, margin, name) -> None:
+        """Set the stored fields: the one place both constructors do."""
+        self.preset, self.box, self.margin, self.name = preset, box, margin, name
+        self.components, self.coaction = components, coaction
+        self._deg_of, self._index_of = {}, {}
+        for d, labels in components.items():
+            for i, lab in enumerate(labels):
+                if lab in self._deg_of:
+                    raise ValueError(f"duplicate label {lab!r}")
+                self._deg_of[lab] = d
+                self._index_of[lab] = i
 
     # ---- basic queries
 
@@ -268,7 +257,7 @@ class Comodule:
     def validate(self) -> list[str]:
         """Check homogeneity, counit and coassociativity inside the trusted
         region.  Returns a list of at most MAX_PROBLEMS problems, empty if
-        valid.  (Every term hits a label, as the constructor checks, and no
+        valid.  (Every term hits a label, as both constructors ensure, and no
         monomial lowers total degree by more than its power of w.)
         """
         problems: list[str] = []
@@ -480,26 +469,22 @@ def simple_comodule(preset: CoalgebraPreset, d, label: str = "e") -> Comodule:
     preset.validate_monomial(m)
     if preset.left_degree(m) != d or preset.right_degree(m) != d:
         raise ValueError(f"no grouplike monomial in degree {d}")
-    return Comodule(
-        preset,
-        {d: [label]},
-        {label: [(1, label, m)]},
-        box=None,
-        name=f"simple{d}",
-    )
+    return Comodule._trusted(preset, {d: [label]}, {label: ((1, label, m),)}, box=None,
+                             name=f"simple{d}")
 
 
 def zero_comodule(preset: CoalgebraPreset) -> Comodule:
-    return Comodule(preset, {}, {}, box=None, name="0")
+    return Comodule._trusted(preset, {}, {}, box=None, name="0")
 
 
 def tensor(M: Comodule, N: Comodule, name: str = "") -> Comodule:
     """Tensor product of comodules, with the Koszul sign
     psi(m (x) n) = sum +- (m' (x) n') (x) b_m b_n,
-    the sign being (-1)^{parity(b_m) parity(n')}."""
+    the sign being (-1)^{parity(b_m) parity(n')}, and m (x) n labelled "m|n"
+    (two pairs that join to one label raise).  `_coaction_product` multiplies
+    and merges the terms in bialgebra, so they are stored as built."""
     if M.preset != N.preset:
         raise ValueError("tensor requires matching presets")
-    p = M.p
     box, margin = _joint_truncation((M, N))
     bound = None if box is None else box + margin
     components: dict = {}
@@ -512,26 +497,11 @@ def tensor(M: Comodule, N: Comodule, name: str = "") -> Comodule:
             labs = components.setdefault(d, [])
             for lm in M.components[dm]:
                 for ln in N.components[dn]:
-                    lab = f"{lm}|{ln}"
-                    pair_label[(lm, ln)] = lab
-                    labs.append(lab)
-    coaction: dict[str, list[Term]] = {}
-    for (lm, ln), lab in pair_label.items():
-        out: list[Term] = []
-        for c1, lm2, bm in M.coaction[lm]:
-            pm = bm.parity
-            for c2, ln2, bn in N.coaction[ln]:
-                key = (lm2, ln2)
-                if key not in pair_label:
-                    continue
-                sign = -1 if (pm and parity_of(N.degree_of(ln2))) else 1
-                s, b = product(bm, bn)
-                if not s:
-                    continue
-                out.append((c1 * c2 * sign * s, pair_label[key], b))
-        coaction[lab] = out
-    return Comodule(M.preset, components, coaction, box=box, margin=margin,
-                    name=name or f"{M.name}(x){N.name}")
+                    labs.append(pair_label.setdefault((lm, ln), f"{lm}|{ln}"))
+    odd = {ln: parity_of(d) for ln, d in N._deg_of.items()}
+    coaction = _coaction_product(M.p, pair_label, M.coaction, N.coaction, odd)
+    return Comodule._trusted(M.preset, components, coaction, box=box, margin=margin,
+                             name=name or f"{M.name}(x){N.name}")
 
 
 def suspend(M: Comodule, d) -> Comodule:
@@ -590,7 +560,8 @@ def embed_xi_polynomial(M: Comodule) -> Comodule:
     if M.preset.name != "xi_poly":
         raise ValueError("embed_xi_polynomial starts from preset xi_poly")
     dst = get_preset("bbar", M.p)
-    return Comodule(dst, M.components, M.coaction, box=M.box, margin=M.margin, name=M.name)
+    return Comodule._trusted(dst, M.components, M.coaction, box=M.box, margin=M.margin,
+                             name=M.name)
 
 
 def truncate(M: Comodule, box: int) -> Comodule:
@@ -757,9 +728,9 @@ def direct_sum(mods: list) -> Comodule:
         for d in M.degrees():
             components.setdefault(d, []).extend(f"{i}:{lab}" for lab in M.components[d])
         for lab, terms in M.coaction.items():
-            coaction[f"{i}:{lab}"] = [(c, f"{i}:{t}", b) for c, t, b in terms]
-    return Comodule(preset, components, coaction, box=box, margin=margin,
-                    name="(+)".join(M.name for M in mods))
+            coaction[f"{i}:{lab}"] = tuple([(c, f"{i}:{t}", b) for c, t, b in terms])
+    return Comodule._trusted(preset, components, coaction, box=box, margin=margin,
+                             name="(+)".join(M.name for M in mods))
 
 
 def summand_inclusion(S: Comodule, mods: list, i: int) -> ComoduleMorphism:

@@ -179,8 +179,8 @@ def _induced(M: Comodule, vectors: dict, coords: dict, name: str, sub: bool):
                 if sub and vectors[d2].mul(x) != w:
                     raise ValueError(f"span not closed under the coaction at degree {d2}")
                 terms.extend((c, labels[d2][r], b) for r, c in x.column(0))
-            coaction[lab] = terms
-    S = Comodule(M.preset, labels, coaction, box=M.box, margin=M.margin, name=name)
+            coaction[lab] = tuple(terms)
+    S = Comodule._trusted(M.preset, labels, coaction, box=M.box, margin=M.margin, name=name)
     if sub:
         return S, ComoduleMorphism(S, M, {d: vectors[d] for d in labels})
     return S, ComoduleMorphism(M, S, {d: coords[d] for d in labels})

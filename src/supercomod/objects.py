@@ -173,8 +173,8 @@ def build_H(p: int, box: int) -> Comodule:
             lab = h_label(eps, m)
             components.setdefault((eps, m) if odd else m, []).append(lab)
             ts = bounded(psi_y.mul(powers[m])) if eps else powers[m]
-            coaction[lab] = [(c, h_label(*eps_m(a)), b) for (a, b), c in ts.items()]
-    return Comodule(preset, components, coaction, box=box, margin=bound - box, name="H")
+            coaction[lab] = tuple([(c, h_label(*eps_m(a)), b) for (a, b), c in ts.items()])
+    return Comodule._trusted(preset, components, coaction, box=box, margin=bound - box, name="H")
 
 
 def build_H_tensor(p: int, n: int, box: int) -> Comodule:

@@ -249,18 +249,17 @@ def suite_tensor_splittings(p: int = 3, a_max: int = 3, b_max: int = 3,
             "by certified isomorphisms"
         ),
     )
+    J = functools.cache(lambda a, b: build_J(p, a, b))
+    F = functools.cache(lambda a, b: build_F(p, a, b, box))
     for a in range(a_max + 1):
         for b in range(b_max + 1):
             # closed-form candidates into the cofree J(a,b) and out of the free F(a,b)
-            J = build_J(p, a, b)
-            verdict, _ = find_isomorphism(tensor(build_J(p, a, 0), build_J(p, 0, b)), J)
+            verdict, _ = find_isomorphism(tensor(J(a, 0), J(0, b)), J(a, b))
             rep.add(f"J({a},{b}) splits", verdict == "iso",
-                    _fmt(J.poincare()) if verdict == "iso" else f"verdict {verdict}")
-            F = build_F(p, a, b, box)
-            verdict, _ = find_isomorphism(
-                F, tensor(build_F(p, a, 0, box), build_F(p, 0, b, box)))
+                    _fmt(J(a, b).poincare()) if verdict == "iso" else f"verdict {verdict}")
+            verdict, _ = find_isomorphism(F(a, b), tensor(F(a, 0), F(0, b)))
             rep.add(f"F({a},{b}) splits", verdict == "iso",
-                    f"dim {sum(F.poincare().values())}" if verdict == "iso"
+                    f"dim {sum(F(a, b).poincare().values())}" if verdict == "iso"
                     else f"verdict {verdict}")
     return rep
 

@@ -18,6 +18,11 @@ contraction by a coproduct, multiplication by a grouplike, the x0 -> u^2
 rewrite and division by a grouplike.  The engine builds each map instead
 as the closed form of one element (`homsolver.cofree_map`, `free_map`),
 and the tests check the two against each other.
+
+`tensor_reference` is the tensor product of comodules as the engine built
+it before its terms were multiplied on packed keys: one `product` per pair
+of terms, each term listed unmerged, and the validating `Comodule(...)` to
+merge them.
 """
 from __future__ import annotations
 
@@ -31,7 +36,9 @@ from supercomod.bialgebra import (
     enumerate_right,
     format_monomial,
     get_preset,
+    parity_of,
     product,
+    total_of,
 )
 from supercomod.comodule import Comodule, steenrod_action
 from supercomod.fplinalg import FpMatrix
@@ -186,7 +193,7 @@ def division_assignment(p: int, a: int, b: int, box: int, shift,
     da, db = shift
     out = {}
     for m in enumerate_right(get_preset("bbar", p), (a, b), box):
-        xi = m.xi_dict()
+        xi = dict(m.xi)
         if m.u < da or xi.get(0, 0) < db:
             continue
         xi[0] = xi.get(0, 0) - db
@@ -195,3 +202,35 @@ def division_assignment(p: int, a: int, b: int, box: int, shift,
         if label in target.coaction:
             out[format_monomial(m)] = [(1, label)]
     return out
+
+
+def tensor_reference(M: Comodule, N: Comodule) -> Comodule:
+    """M (x) N with the Koszul sign (-1)^{parity(b_m) parity(n')}, its terms
+    multiplied pairwise by `product` and merged by `Comodule(...)`."""
+    boxed = [X for X in (M, N) if X.box is not None]
+    box = min((X.box for X in boxed), default=None)
+    margin = min((X.margin for X in boxed), default=0)
+    components: dict = {}
+    pair_label: dict = {}
+    for dm in M.degrees():
+        for dn in N.degrees():
+            d = add_deg(dm, dn)
+            if box is not None and total_of(d) > box + margin:
+                continue
+            for lm in M.components[dm]:
+                for ln in N.components[dn]:
+                    pair_label[(lm, ln)] = f"{lm}|{ln}"
+                    components.setdefault(d, []).append(f"{lm}|{ln}")
+    coaction: dict = {}
+    for (lm, ln), lab in pair_label.items():
+        out = []
+        for c1, lm2, bm in M.coaction[lm]:
+            for c2, ln2, bn in N.coaction[ln]:
+                if (lm2, ln2) not in pair_label:
+                    continue
+                sign = -1 if bm.parity and parity_of(N.degree_of(ln2)) else 1
+                s, b = product(bm, bn)
+                if s:
+                    out.append((c1 * c2 * sign * s, pair_label[(lm2, ln2)], b))
+        coaction[lab] = out
+    return Comodule(M.preset, components, coaction, box=box, margin=margin)

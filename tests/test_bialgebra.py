@@ -153,7 +153,6 @@ def test_monomial_repr_and_accessors():
     assert repr(ONE) == "Monomial(w=0, tau=(), u=0, xi=())"
     assert str(m) == "w*t0*u^2*x1^4*x3"
     assert m.sort_key() == (1, (0,), 2, ((1, 4), (3, 1)))
-    assert m.xi_dict() == {1: 4, 3: 1}
     assert m.parity == 0 and mono_tau(0, 1, 2).parity == 1
 
 
@@ -165,7 +164,7 @@ def _reference_product(m1, m2):
     e1 = ([-1] if m1.w else []) + list(m1.tau)
     e2 = ([-1] if m2.w else []) + list(m2.tau)
     inversions = sum(1 for a in e1 for b in e2 if a > b)
-    xi = m1.xi_dict()
+    xi = dict(m1.xi)
     for j, e in m2.xi:
         xi[j] = xi.get(j, 0) + e
     out = Monomial(m1.w + m2.w, tuple(sorted(m1.tau + m2.tau)), m1.u + m2.u,

@@ -68,20 +68,27 @@ ALLOWED_INVERSES = {
 MATRIX_STORAGE = "_columns"
 
 
-# The Koszul-signed product in B (x) B has one implementation,
-# TensorSum.mul; a comodule whose coaction is built by multiplying (as H's
-# is) goes through it.  Outside bialgebra, only the tensor product of
-# comodules multiplies monomials, as its sign also reads the degree of a
-# comodule label.
-ALLOWED_PRODUCT_USES = {("comodule.py", "tensor")}
+# Monomials are multiplied in bialgebra only.  The Koszul-signed product in
+# B (x) B is TensorSum.mul, through which H's coaction is built; the tensor
+# product of comodules multiplies through _coaction_product, given the
+# parity of each label's degree.  No other module reads `product`.
+ALLOWED_PRODUCT_USES: set = set()
 
 
 # The sign of moving exterior letters past each other has one rule,
-# bialgebra's _exterior_sign: `product` and the kernel of TensorSum.mul both
-# take it from there, and the kernel multiplies packed keys itself rather
-# than calling `product` per pair of terms.
+# bialgebra's _exterior_sign: `product` and the kernels of TensorSum.mul and
+# of the comodule tensor product take it from there, and the kernels
+# multiply packed keys themselves rather than calling `product` per pair of
+# terms.
 SIGN_RULE = "_exterior_sign"
-SIGN_RULE_CALLERS = {"product", "mul"}
+SIGN_RULE_CALLERS = {"product", "mul", "_coaction_product"}
+
+
+# The validating `Comodule(...)` checks and merges outside data: a JSON
+# document, a test, a user.  Every builder in src/ emits the stored form and
+# goes through `Comodule._trusted`, so in src/ only `Comodule.from_dict`
+# reaches the validating constructor.
+ALLOWED_VALIDATING_CONSTRUCTIONS = {("comodule.py", "from_dict")}
 
 
 def _find(path: Path, match):
@@ -187,7 +194,7 @@ def _is_product_use(node) -> bool:
         isinstance(node, ast.Attribute) and node.attr == "product")
 
 
-def test_monomials_are_multiplied_in_bialgebra_and_the_comodule_tensor_only():
+def test_monomials_are_multiplied_in_bialgebra_only():
     found = [c for path in sorted(SRC.glob("*.py")) if path.name != "bialgebra.py"
              for c in _find(path, _is_product_use)]
     assert {(f, func) for f, func, _ in found} == ALLOWED_PRODUCT_USES, found
@@ -206,12 +213,21 @@ def _calls(name: str):
         and node.func.id == name
 
 
+def test_only_outside_data_reaches_the_validating_constructor():
+    # a call of `Comodule`, or of `cls` in the classmethods of comodule.py
+    found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _calls("Comodule"))]
+    found += _find(SRC / "comodule.py", _calls("cls"))
+    assert {(f, func) for f, func, _ in found} == ALLOWED_VALIDATING_CONSTRUCTIONS, found
+    assert len(found) == len(ALLOWED_VALIDATING_CONSTRUCTIONS), found
+
+
 def test_one_exterior_sign_rule():
     path = SRC / "bialgebra.py"
     loops = _find(path, _is_bit_counting_loop)
     assert [func for _, func, _ in loops] == [SIGN_RULE], loops
     assert {func for _, func, _ in _find(path, _calls(SIGN_RULE))} == SIGN_RULE_CALLERS
-    assert not [c for c in _find(path, _is_product_use) if c[1] == "mul"]
+    kernels = SIGN_RULE_CALLERS - {"product"}
+    assert not [c for c in _find(path, _is_product_use) if c[1] in kernels]
 
 
 def test_no_branch_on_a_preset_name():

@@ -8,6 +8,8 @@ import math
 import pytest
 
 from supercomod.bialgebra import (
+    ONE,
+    Monomial,
     coproduct,
     enumerate_left,
     enumerate_right,
@@ -22,11 +24,16 @@ from supercomod.bialgebra import (
 from supercomod.comodule import (
     Comodule,
     corestrict_theta,
+    direct_sum,
     morphism_from_assignment,
+    simple_comodule,
     steenrod_action,
     suspend,
+    tensor,
+    zero_comodule,
 )
 from supercomod.functorcomb import count_hom
+from supercomod.homsolver import cokernel, image, kernel
 from supercomod.objects import (
     build_F,
     build_Fn,
@@ -55,6 +62,7 @@ from support import (
     division_assignment,
     mu_assignment,
     multiplication_assignment,
+    tensor_reference,
 )
 
 
@@ -560,6 +568,70 @@ def test_trusted_builders_match_the_validating_constructor(p):
             _assert_same(theta_J(p, eps, n),
                          _validated_push(_validated_J(bbar, (eps, n)), "atilde", True))
     H = build_H(p, 24)
+    _assert_same(H, _revalidated(H))
     _assert_same(psi_H(p, 24), _validated_push(H, "bbar", False))
     _assert_same(theta_psi_H(p, 24),
                  _validated_push(_validated_push(H, "bbar", False), "atilde", True))
+    _assert_same(simple_comodule(bbar, (1, 2)), _revalidated(simple_comodule(bbar, (1, 2))))
+    _assert_same(zero_comodule(bbar), _revalidated(zero_comodule(bbar)))
+    S = direct_sum([build_J(p, 1, 1), build_F(p, 1, 0, 30), build_J(p, 0, 2)])
+    _assert_same(S, _revalidated(S))
+    f = canonical_u(p, 2, 0, 30)
+    for construction in (kernel, image, cokernel):
+        Q, _ = construction(f)
+        _assert_same(Q, _revalidated(Q))
+
+
+def _revalidated(M):
+    """M rebuilt from its own data by the validating `Comodule(...)`, which
+    merges and checks it again: the same comodule iff M is stored as that
+    constructor stores it."""
+    return Comodule(M.preset, M.components,
+                    {lab: list(terms) for lab, terms in M.coaction.items()},
+                    box=M.box, margin=M.margin)
+
+
+# ---------------------------------------------------------------------------
+# the tensor product against the pairwise product through `product`
+
+
+def test_tensor_matches_the_pairwise_product():
+    _assert_same(tensor(build_J(3, 1, 0), build_J(3, 0, 2)),
+                 tensor_reference(build_J(3, 1, 0), build_J(3, 0, 2)))
+    _assert_same(tensor(build_F(3, 2, 0, 30), build_F(3, 0, 1, 30)),
+                 tensor_reference(build_F(3, 2, 0, 30), build_F(3, 0, 1, 30)))
+    for p, box in ((3, 20), (2, 20)):
+        H = build_H(p, box)
+        _assert_same(tensor(H, H), tensor_reference(H, H))
+    H = build_H(3, 20)
+    _assert_same(tensor(tensor(H, H), H), tensor_reference(tensor_reference(H, H), H))
+    bbar = get_preset("bbar", 3)
+    for M in (build_F(3, 1, 1, 30), build_J(3, 2, 1)):
+        for d in ((1, 0), (0, 1)):
+            _assert_same(suspend(M, d), tensor_reference(simple_comodule(bbar, d, "s"), M))
+
+
+def _meeting_pair(c: int, extra: int):
+    """Hand-built (not valid) comodules whose f (x) g meets u*x0 from
+    u (x) x0, then x0 (x) u with coefficient c, then 1 (x) u*x0 with
+    coefficient `extra` (no such term when 0)."""
+    bbar = get_preset("bbar", 3)
+    u, x0, ux0 = mono_u(), mono_xi(0), Monomial(u=1, xi=((0, 1),))
+    M = Comodule(bbar, {(0, 0): ["e"], (1, 1): ["f"]},
+                 {"f": [(1, "e", u), (1, "e", x0), (1, "e", ONE)]}, box=None)
+    N = Comodule(bbar, {(0, 0): ["h"], (1, 1): ["g"]},
+                 {"g": [(1, "h", x0), (c, "h", u), (extra, "h", ux0)]}, box=None)
+    return M, N, ux0
+
+
+@pytest.mark.parametrize("c, extra, expected", [
+    (1, 0, 2),  # 1 + 1 stays
+    (2, 0, 0),  # 1 + 2 cancels mod 3
+    (2, 1, 1),  # 1 + 2 cancels, then 1 comes back at its first place
+])
+def test_tensor_merges_the_products_that_meet(c, extra, expected):
+    M, N, ux0 = _meeting_pair(c, extra)
+    T = tensor(M, N)
+    _assert_same(T, tensor_reference(M, N))
+    meets = [(k, coeff) for k, (coeff, _, b) in enumerate(T.coaction["f|g"]) if b is ux0]
+    assert meets == ([(0, expected)] if expected else [])
