@@ -676,10 +676,11 @@ _COPRODUCT_CACHE = coproduct
 
 def cache_stats() -> dict:
     """Hits, misses and size of the coproduct cache and of the xi-partition
-    memo, the size of each degree memo (under "degree_memos", keyed
-    "name p=p") and the number of interned monomials."""
+    and tau-subset memos, the size of each degree memo (under
+    "degree_memos", keyed "name p=p") and the number of interned monomials."""
     out: dict = {}
-    for name, cached in (("coproduct", _COPRODUCT_CACHE), ("xi_partitions", _xi_partitions)):
+    for name, cached in (("coproduct", _COPRODUCT_CACHE), ("xi_partitions", _xi_partitions),
+                         ("tau_subsets", _tau_subsets)):
         info = cached.cache_info()
         out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
     out["degree_memos"] = {f"{name} p={p}": {"left": len(left), "right": len(right)}
@@ -718,7 +719,8 @@ def _xi_partitions(row: PresetRow, p: int, total: int) -> tuple:
     return tuple(rec(total, len(usable) - 1))
 
 
-def _tau_subsets(p: int, bound: int):
+@lru_cache(maxsize=None)
+def _tau_subsets(p: int, bound: int) -> tuple:
     """All (subset, sum of p^i) with distinct indices and sum <= bound."""
     indices = []
     i = 0
@@ -731,7 +733,7 @@ def _tau_subsets(p: int, bound: int):
             tot = sum(p**i for i in s)
             if tot <= bound:
                 out.append((s, tot))
-    return out
+    return tuple(out)
 
 
 def enumerate_left(preset: CoalgebraPreset, left) -> list[Monomial]:

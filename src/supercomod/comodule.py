@@ -810,21 +810,24 @@ def action_composite(M: Comodule, lam1: Monomial, lam2: Monomial) -> dict:
 
 
 def instability_check(M: Comodule) -> list[str]:
-    """validate() plus operation-level spot checks: the i-th power operation
-    vanishes below degree 2i (degree i at p=2) for i <= 6, and the Bockstein
-    squares to zero."""
+    """validate() plus instability: for every i whose power operation fits
+    in M's box (its top degree when M is finite), beta^e P^i (e = 0, 1)
+    vanishes below degree e + 2i at odd p, and Sq^i below degree i at p = 2;
+    and the Bockstein squares to zero."""
     problems = M.validate()
     if problems:
         return problems
     p = M.p
-    threshold = (lambda i: i) if p == 2 else (lambda i: 2 * i)
-    for i in range(1, 7):
-        blocks = steenrod_action(M, Monomial(xi=((1, i),)))
-        for d, mat in blocks.items():
-            if d < threshold(i) and not mat.is_zero():
-                problems.append(
-                    f"power operation {i} does not vanish on degree {d} < {threshold(i)}"
-                )
+    top = M.box if M.box is not None else max(M.degrees(), default=0)
+    i = 1
+    while M.preset.total_degree(Monomial(xi=((1, i),))) <= top:
+        for e in ((0,) if p == 2 else (0, 1)):
+            threshold = i if p == 2 else e + 2 * i
+            name = f"{'Bockstein of ' if e else ''}power operation {i}"
+            for d, mat in steenrod_action(M, Monomial(tau=(0,) * e, xi=((1, i),))).items():
+                if d < threshold and not mat.is_zero():
+                    problems.append(f"{name} does not vanish on degree {d} < {threshold}")
+        i += 1
     if p != 2:
         for d, mat in action_composite(M, mono_tau(0), mono_tau(0)).items():
             if not mat.is_zero():

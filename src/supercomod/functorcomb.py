@@ -8,6 +8,16 @@ an independent path to the dimensions of the standard comodules:
   is dim Hom(Gamma^n, Lambda^a (x) Gamma^b).
 * ``eval_dims`` is the elementary count of a bi-homogeneous component of an
   n-fold tensor power of one exterior and one polynomial generator.
+
+Both counts of p-powers are closed forms, not searches:
+
+* Base-p expansions are unique, so s is a sum of a distinct p-powers in one
+  way if its base-p digits are all 0 or 1 and a of them are 1, else in none.
+* Let e of the b parts of a multiset of p-powers with sum m be 1.  The
+  other b - e are multiples of p, so e = m (mod p); divided by p they form
+  a multiset of b - e p-powers with sum (m - e)/p, and times p it gives
+  them back.  So the count is a sum over e.  It is 0 when b > m (each part
+  is at least 1) and 1 at m = b = 0 (the empty multiset).
 """
 
 from __future__ import annotations
@@ -19,57 +29,24 @@ from math import comb
 @lru_cache(maxsize=None)
 def count_distinct_powers(p: int, s: int, a: int) -> int:
     """Number of a-element subsets of {1, p, p^2, ...} with sum s."""
-    if a == 0:
-        return 1 if s == 0 else 0
-    if s <= 0:
+    if s < 0:
         return 0
-
-    @lru_cache(maxsize=None)
-    def rec(rem: int, k: int, max_i: int) -> int:
-        # k powers, all with exponent < max_i, summing to rem
-        if k == 0:
-            return 1 if rem == 0 else 0
-        total = 0
-        for i in range(max_i):
-            pw = p**i
-            if pw > rem:
-                break
-            total += rec(rem - pw, k - 1, i)
-        return total
-
-    top = 0
-    while p**top <= s:
-        top += 1
-    return rec(s, a, top)
+    ones = 0
+    while s:
+        s, digit = divmod(s, p)
+        if digit > 1:
+            return 0
+        ones += digit
+    return 1 if ones == a else 0
 
 
 @lru_cache(maxsize=None)
 def count_power_multisets(p: int, m: int, b: int) -> int:
     """Number of multisets of b powers of p (repeats allowed) with sum m."""
-    if b == 0:
-        return 1 if m == 0 else 0
-    if m < b:  # smallest power is 1
-        return 0
-
-    @lru_cache(maxsize=None)
-    def rec(rem: int, k: int, i: int) -> int:
-        # multisets of k powers with exponents <= i summing to rem
-        if k == 0:
-            return 1 if rem == 0 else 0
-        if i < 0 or rem < k:
-            return 0
-        pw = p**i
-        total = 0
-        j = 0
-        while j <= k and pw * j <= rem:
-            total += rec(rem - pw * j, k - j, i - 1)
-            j += 1
-        return total
-
-    top = 0
-    while p ** (top + 1) <= m:
-        top += 1
-    return rec(m, b, top)
+    if b > m or m == 0:
+        return 1 if m == b == 0 else 0
+    return sum(count_power_multisets(p, (m - e) // p, b - e)
+               for e in range(m % p, min(m, b) + 1, p))
 
 
 @lru_cache(maxsize=None)

@@ -198,7 +198,8 @@ def test_cache_stats_reports_the_caches():
     info = coproduct.cache_info()
     assert after["coproduct"] == {"hits": info.hits, "misses": info.misses,
                                   "size": info.currsize}
-    assert set(after) == {"coproduct", "xi_partitions", "degree_memos", "interned_monomials"}
+    assert set(after) == {"coproduct", "xi_partitions", "tau_subsets", "degree_memos",
+                          "interned_monomials"}
     big = Monomial(u=987654, xi=((7, 1),))
     assert cache_stats()["interned_monomials"] == after["interned_monomials"] + 1
     # one degree memo per (preset name, p), shared by equal presets

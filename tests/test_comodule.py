@@ -417,6 +417,26 @@ def test_instability_check_on_H():
     assert instability_check(theta_psi_H(3, 20)) == []
 
 
+@pytest.mark.parametrize("p, box, top", [(3, 40, 10), (2, 40, 40)])
+def test_instability_check_covers_every_power_operation_in_the_box(monkeypatch, p, box, top):
+    # P^i (degree 4i at p = 3) and Sq^i (degree i at p = 2) fit in the box
+    # exactly for i <= top; at odd p the Bockstein of each is checked too
+    from supercomod import comodule
+    from supercomod.objects import build_H, theta_psi_H
+
+    M = theta_psi_H(p, box) if p != 2 else build_H(2, box)
+    seen = []
+    real = comodule.steenrod_action
+    monkeypatch.setattr(comodule, "steenrod_action",
+                        lambda obj, lam: seen.append(lam) or real(obj, lam))
+    assert instability_check(M) == []
+    for i in range(1, top + 1):
+        assert mono_xi(1, i) in seen, i
+        if p != 2:
+            assert Monomial(tau=(0,), xi=((1, i),)) in seen, i
+    assert mono_xi(1, top + 1) not in seen
+
+
 def test_closure_of_single_grouplike():
     S = simple_comodule(AT3, 2)
     span = operation_closure(S, [(2, [1])], [mono_tau(0), Monomial(xi=((1, 1),))])

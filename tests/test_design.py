@@ -278,6 +278,34 @@ def test_modular_inverses_only_in_the_one_elimination():
     assert len(found) == len(ALLOWED_INVERSES), found
 
 
+# functorcomb is the counting oracle that the suites check the engine
+# against, so it shares no code with the engine.  Its counts are closed
+# forms and module-level recursions: no function is built per call, which
+# would also build a cache (and a reference cycle) per call.
+ORACLE = SRC / "functorcomb.py"
+
+
+def _is_package_import(node) -> bool:
+    """A relative import, or an import of supercomod or of one of its modules."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "supercomod"
+    return isinstance(node, ast.Import) and any(
+        a.name.split(".")[0] == "supercomod" for a in node.names)
+
+
+def _is_nested_function(node) -> bool:
+    """A function whose body defines a function or a lambda."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    return any(isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+               for stmt in node.body for sub in ast.walk(stmt))
+
+
+def test_the_counting_oracle_shares_no_code_and_builds_no_function_per_call():
+    assert not _find(ORACLE, _is_package_import)
+    assert not _find(ORACLE, _is_nested_function)
+
+
 # Every top-level function, class and constant of src/ has a reader: a use
 # of it (a loaded name or attribute, or the string by which getattr or the
 # benchmark's tracer finds it) in src/, tests/ or perfbench/ outside its own

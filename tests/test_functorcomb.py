@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 
 from supercomod.functorcomb import (
@@ -47,21 +49,57 @@ def test_count_hom_frozen_p3():
     assert count_hom(3, 5, 0, 0) == 0
 
 
+def _powers(p: int, bound: int) -> list[int]:
+    """The powers of p up to bound."""
+    out = [1]
+    while out[-1] * p <= bound:
+        out.append(out[-1] * p)
+    return out
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_distinct_powers_match_subset_enumeration(p):
+    bound = 60
+    powers = _powers(p, bound)
+    counts = {}
+    for a in range(len(powers) + 1):
+        for subset in combinations(powers, a):
+            key = (sum(subset), a)
+            counts[key] = counts.get(key, 0) + 1
+    for s in range(bound + 1):
+        for a in range(len(powers) + 2):
+            assert count_distinct_powers(p, s, a) == counts.get((s, a), 0), (s, a)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_power_multisets_match_multiset_enumeration(p):
+    bound = 40
+    powers = _powers(p, bound)
+    counts = {}
+    # k parts larger than 1, then any number e of parts equal to 1
+    for k in range(bound // p + 1):
+        for multi in combinations_with_replacement(powers[1:], k):
+            for e in range(bound - sum(multi) + 1):
+                key = (sum(multi) + e, k + e)
+                counts[key] = counts.get(key, 0) + 1
+    for m in range(bound + 1):
+        for b in range(bound + 2):
+            assert count_power_multisets(p, m, b) == counts.get((m, b), 0), (m, b)
+
+
 def test_count_hom_totals_match_direct_enumeration():
     # brute force over explicit (subset, multiset) pairs for small n
-    p = 3
-    powers = [p**i for i in range(4)]
-    for n in range(0, 14):
-        for a in range(0, 4):
-            for b in range(0, 5):
-                count = 0
-                from itertools import combinations, combinations_with_replacement
-
-                for subset in combinations(powers, a):
-                    for multi in combinations_with_replacement(powers, b):
-                        if sum(subset) + sum(multi) == n:
-                            count += 1
-                assert count_hom(p, n, a, b) == count, (n, a, b)
+    for p in (2, 3, 5):
+        powers = _powers(p, 13)
+        for n in range(0, 14):
+            for a in range(0, 4):
+                for b in range(0, 5):
+                    count = 0
+                    for subset in combinations(powers, a):
+                        for multi in combinations_with_replacement(powers, b):
+                            if sum(subset) + sum(multi) == n:
+                                count += 1
+                    assert count_hom(p, n, a, b) == count, (p, n, a, b)
 
 
 def test_gamma_gamma_and_lambda_tables():
