@@ -20,7 +20,7 @@ elements.
 
 Monomials are interned: equal monomials are one object, so comparing and
 hashing them is by identity.  Input is validated where it enters, by
-``Monomial(...)``, the ``mono*`` helpers and ``parse_monomial``; products,
+``Monomial(...)``, the ``mono_*`` helpers and ``parse_monomial``; products,
 coproduct recursion, quotient maps and ideal reductions build their results
 from valid operands with the private ``_monomial`` and ``_from_code``, which
 check only the packing limits below.  No output may depend on the iteration order of a set of
@@ -33,6 +33,8 @@ bitmask.  Above them u has a field of 24 bits and each x_j, in order of j,
 a field of 16 bits, and every field has one guard bit on top.  A product is
 then a disjoint-mask test, one integer addition and one table lookup, with
 the sign of reordering the exterior letters counted from the two masks.
+That count, ``_exterior_sign``, is the one sign rule: ``parse_monomial``
+reaches it by multiplying the factors it reads with ``product``.
 Only this module multiplies monomials: ``TensorSum.mul`` (B (x) B) and
 ``_coaction_product`` (comodule tensor products) work on packed keys too.
 The limits are t_i for i <= MAX_TAU_INDEX, x_j for j <= MAX_XI_INDEX, a u
@@ -48,7 +50,9 @@ memoised D of its last letter power and of the rest, D of a power that of
 the next lower power and of its letter, so the coproduct is an algebra map
 fixed by its four letter formulas.  ``cache_stats()`` reports that memo, the
 partition memo, the size of each degree memo and the number of interned
-monomials.  A preset row tests membership with one mask on the packed key.
+monomials.  A preset row tests membership with one mask on the packed key,
+and ``PresetRow.is_padded`` is the one test of whether a monomial is lam
+times a power of the row's grouplike pad (u, or x0 without u).
 A canonical quotient sends a monomial to one monomial or to 0.
 """
 
@@ -202,10 +206,6 @@ def _from_code(code: int) -> Monomial:
 ONE = Monomial()
 
 
-def mono(w: int = 0, tau=(), u: int = 0, xi=()) -> Monomial:
-    return Monomial(w, tuple(sorted(tau)), u, tuple(sorted(xi)))
-
-
 def mono_u(k: int = 1) -> Monomial:
     return Monomial(u=k)
 
@@ -242,54 +242,42 @@ def format_monomial(m: Monomial) -> str:
 def parse_monomial(text: str) -> Monomial:
     """Parse the ``w*t0*u^2*x1^4`` syntax; "1" is the unit.
 
-    Factors may come in any order, except that the exterior factors (w, t_i)
-    must be an even permutation of their sorted order w, t0, t1, ...: an odd
-    one spells minus the monomial, which a monomial cannot carry."""
+    Each factor is one letter power, and the factors are multiplied in the
+    order written with ``product``, which sorts them and gives the sign.
+    An exterior letter written twice makes the product 0, and a product of
+    sign -1 spells minus a monomial, which a monomial cannot carry: so the
+    exterior factors (w, t_i) must come in an even permutation of their
+    sorted order w, t0, t1, ..."""
     text = text.strip()
     if text == "1":
         return ONE
-    w = 0
-    tau: list[int] = []
-    exterior: list[int] = []  # w as -1, t_i as i, in the order written
-    u = 0
-    xi: dict[int, int] = {}
+    sign, m = 1, ONE
     for factor in text.split("*"):
         factor = factor.strip()
         if not factor:
             raise ValueError(f"empty factor in monomial {text!r}")
-        if "^" in factor:
-            base, _, exp_s = factor.partition("^")
-            try:
-                exp = int(exp_s)
-            except ValueError:
-                raise ValueError(f"bad exponent in {factor!r}") from None
-        else:
-            base, exp = factor, 1
+        base, caret, exp_s = factor.partition("^")
+        try:
+            exp = int(exp_s) if caret else 1
+        except ValueError:
+            raise ValueError(f"bad exponent in {factor!r}") from None
         if exp < 1:
             raise ValueError(f"exponent must be >= 1 in {factor!r}")
-        if base == "w":
-            if exp != 1 or w:
-                raise ValueError("w is exterior; w^e with e > 1 is zero, not a monomial")
-            w = 1
-            exterior.append(-1)
-        elif base == "u":
-            u += exp
-        elif base.startswith("t"):
+        if base == "u":
+            letter = Monomial(u=exp)
+        elif base.startswith("x"):
+            letter = Monomial(xi=((int(base[1:]), exp),))
+        elif base == "w" or base.startswith("t"):
             if exp != 1:
                 raise ValueError(f"{base} is exterior; exponent must be 1")
-            idx = int(base[1:])
-            if idx in tau:
-                raise ValueError(f"repeated exterior factor {base}")
-            tau.append(idx)
-            exterior.append(idx)
-        elif base.startswith("x"):
-            idx = int(base[1:])
-            xi[idx] = xi.get(idx, 0) + exp
+            letter = Monomial(w=1) if base == "w" else Monomial(tau=(int(base[1:]),))
         else:
             raise ValueError(f"unknown generator {base!r}")
-    m = Monomial(w, tuple(sorted(tau)), u, tuple(sorted(xi.items())))
-    inversions = sum(a > b for i, a in enumerate(exterior) for b in exterior[i + 1:])
-    if inversions % 2:
+        s, m = product(m, letter)
+        if not s:
+            raise ValueError(f"repeated exterior factor {base}")
+        sign *= s
+    if sign < 0:
         raise ValueError(f"{text!r} is minus {format_monomial(m)!r}: its exterior "
                          f"factors are an odd permutation of that sorted spelling")
     return m
@@ -375,6 +363,13 @@ class PresetRow:
         if m.u and not self.u:
             return "u"
         return next((f"x{j}" for j, _ in m.xi if not self.allows_xi(j)), None)
+
+    def is_padded(self, b: Monomial, lam: Monomial) -> bool:
+        """Whether b = g^k * lam for some k >= 0, where g is the grouplike of
+        degree 0 that pads coaction terms: u, or x0 in a row without u.  So
+        lam divides b, and the quotient has no field but g's."""
+        g = MAX_U_EXPONENT << _U_SHIFT if self.u else MAX_XI_EXPONENT << _X_SHIFT
+        return _divides(lam, b) and not (b._code - lam._code) & ~g
 
 
 # b is the full algebra and bbar its quotient by w; atilde is the quotient of

@@ -307,29 +307,21 @@ class Comodule:
                 # route A: psi again on the comodule slot
                 for c2, far_label, b2 in self.coaction[mid_label]:
                     key = (far_label, b2, b)
-                    v = (lhs.get(key, 0) + c * c2) % p
-                    if v:
-                        lhs[key] = v
-                    else:
-                        lhs.pop(key, None)
+                    lhs[key] = lhs.get(key, 0) + c * c2
                 # route B: coproduct on the algebra slot
                 for (b1, b2), c2 in coproduct(self.preset, b).items():
                     far = self.preset.left_degree(b1)
                     mid = self.preset.right_degree(b1)
                     if far in region and mid in region:
                         key = (mid_label, b1, b2)
-                        v = (rhs.get(key, 0) + c * c2) % p
-                        if v:
-                            rhs[key] = v
-                        else:
-                            rhs.pop(key, None)
-            if lhs != rhs:
-                bad = first_difference(p, lhs, rhs,
-                                       lambda k: (k[0], k[1].sort_key(), k[2].sort_key()))
+                        rhs[key] = rhs.get(key, 0) + c * c2
+            bad = lhs != rhs and first_difference(
+                p, lhs, rhs, lambda k: (k[0], k[1].sort_key(), k[2].sort_key()))
+            if bad:
                 problems.append(
                     f"{lab}: coassociativity fails at term "
-                    f"{bad[0]} (x) {bad[1]} (x) {bad[2]}: "
-                    f"(psi x 1)psi gives {lhs.get(bad, 0)}, (1 x D)psi gives {rhs.get(bad, 0)}"
+                    f"{bad[0]} (x) {bad[1]} (x) {bad[2]}: (psi x 1)psi gives "
+                    f"{lhs.get(bad, 0) % p}, (1 x D)psi gives {rhs.get(bad, 0) % p}"
                 )
                 if len(problems) >= budget:
                     return problems
@@ -617,8 +609,9 @@ class ComoduleMorphism:
 
     def check(self) -> list[str]:
         """Verify psi_target(f(m)) = (f (x) 1)(psi_source(m)) on the source
-        and target restricted to the region both can see.  Returns a list
-        of at most MAX_PROBLEMS discrepancies."""
+        and target restricted to the region both can see, each side summed
+        unreduced and compared mod p once (`first_difference`).  Returns a
+        list of at most MAX_PROBLEMS discrepancies, reduced mod p."""
         problems = []
         p = self.p
         region = TrustedRegion(self.source, self.target)
@@ -630,25 +623,18 @@ class ComoduleMorphism:
                 for c, tlab in image[lab]:
                     for c2, tlab2, b in target.coaction[tlab]:
                         key = (tlab2, b)
-                        v = (lhs.get(key, 0) + c * c2) % p
-                        if v:
-                            lhs[key] = v
-                        else:
-                            lhs.pop(key, None)
+                        lhs[key] = lhs.get(key, 0) + c * c2
                 rhs: dict = {}
                 for c, slab2, b in source.coaction[lab]:
                     for c2, tlab2 in image[slab2]:
                         key = (tlab2, b)
-                        v = (rhs.get(key, 0) + c * c2) % p
-                        if v:
-                            rhs[key] = v
-                        else:
-                            rhs.pop(key, None)
-                if lhs != rhs:
-                    bad = first_difference(p, lhs, rhs, lambda k: (k[0], k[1].sort_key()))
+                        rhs[key] = rhs.get(key, 0) + c * c2
+                bad = lhs != rhs and first_difference(
+                    p, lhs, rhs, lambda k: (k[0], k[1].sort_key()))
+                if bad:
                     problems.append(
                         f"{lab}: psi f - (f x 1) psi has term {bad[0]} (x) {bad[1]} "
-                        f"with coeffs {lhs.get(bad, 0)} vs {rhs.get(bad, 0)}"
+                        f"with coeffs {lhs.get(bad, 0) % p} vs {rhs.get(bad, 0) % p}"
                     )
                     if len(problems) >= MAX_PROBLEMS:
                         return problems
@@ -750,12 +736,13 @@ def summand_projection(S: Comodule, mods: list, i: int) -> ComoduleMorphism:
 
 
 def steenrod_action(M: Comodule, lam: Monomial) -> dict:
-    """The operation dual to multiplication by (powers of u times) lam.
+    """The operation dual to multiplication by (powers of the pad times) lam.
 
-    For a comodule over the single-graded quotient, act(lam)(m) collects the
-    coaction coefficients at u^k * lam for all k >= 0:
+    For a comodule over a singly graded quotient, act(lam)(m) collects the
+    coaction coefficients at g^k * lam for all k >= 0, where g is the
+    grouplike pad of degree 0 (u, or x0 without u; ``PresetRow.is_padded``):
 
-        act(lam)(m) = sum_k sum_{m'} c(m, m', u^k lam) m' .
+        act(lam)(m) = sum_k sum_{m'} c(m, m', g^k lam) m' .
 
     Returns {source_degree: matrix} with block shape
     (dim at d + shift, dim at d), where shift is the total degree of lam.
@@ -763,33 +750,16 @@ def steenrod_action(M: Comodule, lam: Monomial) -> dict:
     if M.preset.bigraded:
         raise ValueError("actions are defined on singly graded comodules")
     shift = M.preset.total_degree(lam)
-    p = M.p
-    pad_u = M.preset.row.u
-
-    def split(m: Monomial):
-        """(exponent of the pad, rest of m): the degree-0 grouplike that
-        pads coaction terms is u, or x0 in a preset without u."""
-        if pad_u:
-            return m.u, (m.w, m.tau, m.xi)
-        return dict(m.xi).get(0, 0), (m.w, m.tau, m.u, tuple(x for x in m.xi if x[0]))
-
-    lam_pad, lam_rest = split(lam)
-
-    def hits(b: Monomial) -> bool:
-        """Whether b is u^k * lam (x0^k * lam without u) for some k >= 0."""
-        pad, rest = split(b)
-        return rest == lam_rest and pad >= lam_pad
-
+    p, row = M.p, M.preset.row
     out: dict = {}
     for d in M.degrees():
         src = M.basis(d)
-        tgt_deg = d + shift
-        tgt = M.basis(tgt_deg)
+        tgt = M.basis(d + shift)
         if not src:
             continue
         index = {lab: i for i, lab in enumerate(tgt)}
         out[d] = FpMatrix(p, len(tgt), [
-            [(index[t], c) for c, t, b in M.coaction[lab] if t in index and hits(b)]
+            [(index[t], c) for c, t, b in M.coaction[lab] if t in index and row.is_padded(b, lam)]
             for lab in src])
     return out
 
@@ -811,24 +781,32 @@ def action_composite(M: Comodule, lam1: Monomial, lam2: Monomial) -> dict:
 
 def instability_check(M: Comodule) -> list[str]:
     """validate() plus instability: for every i whose power operation fits
-    in M's box (its top degree when M is finite), beta^e P^i (e = 0, 1)
-    vanishes below degree e + 2i at odd p, and Sq^i below degree i at p = 2;
-    and the Bockstein squares to zero."""
+    in M's box (its top degree when M is finite), act(op) of op = t0^e x1^i
+    vanishes below degree right(op), for e = 0, 1 where the preset has tau
+    (beta^e P^i, threshold e + 2i) and e = 0 where not (Sq^i at p = 2,
+    threshold i); and where the preset has tau, beta squares to zero.
+
+    The proof, from the matric grading: act(op)(m) collects the coaction
+    terms of m at g^k op (k >= 0, g the pad), and a term at b of a label in
+    degree d has right(b) = d, which validate() checks.  As right(g) = 1,
+    d = right(op) + k >= right(op): an unstable module is a comodule over
+    the quotient bialgebra."""
     problems = M.validate()
     if problems:
         return problems
-    p = M.p
+    preset = M.preset
     top = M.box if M.box is not None else max(M.degrees(), default=0)
     i = 1
-    while M.preset.total_degree(Monomial(xi=((1, i),))) <= top:
-        for e in ((0,) if p == 2 else (0, 1)):
-            threshold = i if p == 2 else e + 2 * i
+    while preset.total_degree(Monomial(xi=((1, i),))) <= top:
+        for e in ((0, 1) if preset.row.tau else (0,)):
+            op = Monomial(tau=(0,) * e, xi=((1, i),))
+            threshold = preset.right_degree(op)
             name = f"{'Bockstein of ' if e else ''}power operation {i}"
-            for d, mat in steenrod_action(M, Monomial(tau=(0,) * e, xi=((1, i),))).items():
+            for d, mat in steenrod_action(M, op).items():
                 if d < threshold and not mat.is_zero():
                     problems.append(f"{name} does not vanish on degree {d} < {threshold}")
         i += 1
-    if p != 2:
+    if preset.row.tau:
         for d, mat in action_composite(M, mono_tau(0), mono_tau(0)).items():
             if not mat.is_zero():
                 problems.append(f"Bockstein does not square to zero on degree {d}")

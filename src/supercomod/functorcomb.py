@@ -23,6 +23,7 @@ Both counts of p-powers are closed forms, not searches:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 
@@ -54,16 +55,13 @@ def count_hom(p: int, n: int, a: int, b: int) -> int:
     """dim Hom(Gamma^n, Lambda^a (x) Gamma^b) over F_p.
 
     Counts pairs (S, N) where S is an a-subset of p-powers, N a b-multiset
-    of p-powers, and sum(S) + sum(N) = n.
+    of p-powers, and sum(S) + sum(N) = n: a sum over the a-subsets S of the
+    p-powers <= n of the multisets N with sum n - sum(S).
     """
     if n < 0 or a < 0 or b < 0:
         return 0
-    total = 0
-    for s in range(n + 1):
-        ds = count_distinct_powers(p, s, a)
-        if ds:
-            total += ds * count_power_multisets(p, n - s, b)
-    return total
+    powers = [p**i for i in range(n.bit_length()) if p**i <= n]
+    return sum(count_power_multisets(p, n - sum(S), b) for S in combinations(powers, a))
 
 
 def count_hom_gamma_gamma(p: int, m: int, n: int) -> int:

@@ -176,7 +176,7 @@ def suite_unstable(p: int = 3, box: int = 40) -> SuiteReport:
             return expect == 0
         return dict(mat.column(0)).get(0, 0) == expect % p
 
-    xdeg = 2 if p != 2 else 1
+    xdeg = T.degree_of("x")
     if p != 2:
         beta = steenrod_action(T, mono_tau(0))
         rep.add("beta(y) = x", entry(beta, 1, 1))
@@ -487,7 +487,7 @@ def suite_h_tensor(p: int = 3, n_max: int = 4, box: int = 40) -> SuiteReport:
         bad = []
         if p == 2:
             for b in range(box + 1):
-                want = math.comb(b + n - 1, n - 1) if n else (1 if b == 0 else 0)
+                want = eval_dims(n, 0, b)
                 if table.get(b, 0) != want:
                     bad.append((b, table.get(b, 0), want))
         else:

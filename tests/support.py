@@ -23,6 +23,10 @@ and the tests check the two against each other.
 it before its terms were multiplied on packed keys: one `product` per pair
 of terms, each term listed unmerged, and the validating `Comodule(...)` to
 merge them.
+
+`steenrod_action_reference` is `steenrod_action` as the engine computed it
+before the pad test moved into bialgebra: each monomial is split, by its
+letter fields, into the exponent of the grouplike pad and the rest.
 """
 from __future__ import annotations
 
@@ -234,3 +238,31 @@ def tensor_reference(M: Comodule, N: Comodule) -> Comodule:
                     out.append((c1 * c2 * sign * s, pair_label[(lm2, ln2)], b))
         coaction[lab] = out
     return Comodule(M.preset, components, coaction, box=box, margin=margin)
+
+
+def steenrod_action_reference(M: Comodule, lam: Monomial) -> dict:
+    """act(lam) of a singly graded comodule: the coaction coefficients at
+    g^k * lam (k >= 0), with the pad g = u, or x0 in a preset without u,
+    recognised by comparing letter fields."""
+    pad_u = M.preset.row.u
+
+    def split(m: Monomial):
+        """(exponent of the pad, rest of m)."""
+        if pad_u:
+            return m.u, (m.w, m.tau, m.xi)
+        return dict(m.xi).get(0, 0), (m.w, m.tau, m.u, tuple(x for x in m.xi if x[0]))
+
+    lam_pad, lam_rest = split(lam)
+
+    def hits(b: Monomial) -> bool:
+        pad, rest = split(b)
+        return rest == lam_rest and pad >= lam_pad
+
+    shift = M.preset.total_degree(lam)
+    out = {}
+    for d in M.degrees():
+        index = {lab: i for i, lab in enumerate(M.basis(d + shift))}
+        out[d] = FpMatrix(M.p, len(index), [
+            [(index[t], c) for c, t, b in M.coaction[lab] if t in index and hits(b)]
+            for lab in M.basis(d)])
+    return out

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from supercomod.bialgebra import (
     first_difference,
     format_monomial,
     get_preset,
-    mono,
     mono_tau,
     mono_u,
     mono_w,
@@ -77,9 +77,9 @@ def test_parse_rejects_garbage():
         parse_monomial("y3")
     with pytest.raises(ValueError):
         parse_monomial("x1^0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="repeated exterior factor t0"):
         parse_monomial("t0*t0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="repeated exterior factor w"):
         parse_monomial("w*w")
     with pytest.raises(ValueError):
         parse_monomial("u^-1")
@@ -88,6 +88,31 @@ def test_parse_rejects_garbage():
         parse_monomial("t1*t0")
     with pytest.raises(ValueError, match="minus 'w\\*t0\\*u'"):
         parse_monomial("u*t0*w")
+
+
+# even factors that may sit anywhere among the exterior ones, and their fields
+EVEN_FACTORS = [([], {}), (["u^2"], {"u": 2}), (["x1^3"], {"xi": ((1, 3),)}),
+                (["x2", "u*x0"], {"u": 1, "xi": ((0, 1), (2, 1))})]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(["w", "t0", "t1", "t3", "t7"]), min_size=2, max_size=4,
+                unique=True),
+       st.sampled_from(EVEN_FACTORS))
+def test_every_order_of_the_exterior_factors_parses_by_its_parity(letters, even):
+    # w < t0 < t1 < ... is the sorted order; an odd permutation of it is
+    # minus the monomial, which the parser refuses
+    rank = {x: -1 if x == "w" else int(x[1:]) for x in letters}
+    factors, fields = even
+    m = Monomial(w="w" in letters, tau=sorted(r for r in rank.values() if r >= 0), **fields)
+    for order in permutations(letters + factors):
+        ext = [rank[x] for x in order if x in rank]
+        text = "*".join(order)
+        if sum(a > b for i, a in enumerate(ext) for b in ext[i + 1:]) % 2:
+            with pytest.raises(ValueError, match="is minus"):
+                parse_monomial(text)
+        else:
+            assert parse_monomial(text) is m, text
 
 
 @pytest.mark.parametrize(
@@ -112,7 +137,6 @@ def test_equal_monomials_are_one_object():
     m = Monomial(w=1, tau=(0, 2), u=3, xi=((1, 2),))
     assert Monomial(1, (0, 2), 3, ((1, 2),)) is m
     assert Monomial(w=1, tau=[0, 2], u=3, xi=[[1, 2]]) is m
-    assert mono(1, (2, 0), 3, [(1, 2)]) is m
     assert parse_monomial("u^3*x1^2*t2*w*t0") is m
     # the parser sorts factors, so an unsorted text names a valid monomial
     # as long as its exterior factors are an even permutation
@@ -444,8 +468,29 @@ def test_triple_exterior_sign():
     assert s1 == 1 and s2 == 1
 
 
+@pytest.mark.parametrize("row, pad, other", [(BBAR3.row, "u", "x0"), (B2.row, "x0", "u")])
+def test_is_padded_accepts_only_powers_of_the_row_pad(row, pad, other):
+    # the pad is u where the row has u, else x0
+    lam = parse_monomial("t0*x1^2")
+    assert row.is_padded(lam, lam) and row.is_padded(parse_monomial(f"{pad}^2"), ONE)
+    assert row.is_padded(parse_monomial(f"{pad}^3*t0*x1^2"), lam)
+    for b in (f"{other}*t0*x1^2", f"{pad}*{other}*t0*x1^2", "x1^2", "t0*t1*x1^2",
+              "t0*x1^3", "t0*x1", "w*t0*x1^2"):
+        assert not row.is_padded(parse_monomial(b), lam), b
+
+
 # ---------------------------------------------------------------------------
 # gradings
+
+
+def test_right_degree_of_a_power_operation_is_its_instability_threshold():
+    # beta^e P^i is t0^e x1^i over atilde, threshold e + 2i; Sq^i is x1^i over b2
+    for p in (3, 5, 7):
+        for e in (0, 1):
+            for i in range(1, 9):
+                op = Monomial(tau=(0,) * e, xi=((1, i),))
+                assert get_preset("atilde", p).right_degree(op) == e + 2 * i
+    assert [B2.right_degree(mono_xi(1, i)) for i in range(1, 9)] == list(range(1, 9))
 
 
 def test_bidegrees_of_generators():

@@ -348,6 +348,26 @@ def test_morphism_checks_the_shape_of_zero_blocks():
     assert f.blocks == {} and f.is_zero()
 
 
+def _mod_p_pair(f_b: int):
+    """Over bbar at p = 3, the comodule S: psi(a) = a (x) u + b (x) t0,
+    psi(b) = b (x) x0, its copy T with 2 b (x) t0 in psi(a), and the map
+    a -> 2a, b -> f_b b from S to T."""
+    terms = {"a": [(1, "a", mono_u()), (1, "b", mono_tau(0))], "b": [(1, "b", mono_xi(0))]}
+    S = Comodule(BBAR3, {(1, 0): ["a"], (0, 1): ["b"]}, terms, box=None)
+    terms["a"][1] = (2, "b", mono_tau(0))
+    T = Comodule(BBAR3, S.components, terms, box=None)
+    assert S.validate() == [] and T.validate() == []
+    return morphism_from_assignment(S, T, {"a": [(2, "a")], "b": [(f_b, "b")]})
+
+
+def test_check_compares_the_two_sides_mod_p():
+    # at b (x) t0 the sides sum to 2 * 2 = 4 and 1 * 1 = 1, equal mod 3
+    assert _mod_p_pair(1).check() == []
+    # with b -> 2b they are 4 and 2: reported as the residues 1 and 2
+    assert _mod_p_pair(2).check() == [
+        "a: psi f - (f x 1) psi has term b (x) t0 with coeffs 1 vs 2"]
+
+
 def test_compose_and_rank():
     from supercomod.objects import verschiebung, xi0_multiplication
 
@@ -435,6 +455,32 @@ def test_instability_check_covers_every_power_operation_in_the_box(monkeypatch, 
         if p != 2:
             assert Monomial(tau=(0,), xi=((1, i),)) in seen, i
     assert mono_xi(1, top + 1) not in seen
+
+
+@pytest.mark.parametrize("p, box", [(3, 12), (5, 24), (2, 5)])
+def test_instability_thresholds_are_e_plus_2i_and_i_at_p_2(monkeypatch, p, box):
+    # an action that is nonzero one degree below the threshold and at it is
+    # reported exactly below it: beta^e P^i at e + 2i, Sq^i at i
+    from supercomod import comodule
+    from supercomod.objects import build_H, theta_psi_H
+
+    M = theta_psi_H(p, box) if p != 2 else build_H(2, box)
+    real = comodule.steenrod_action
+    thresholds = {}
+    for i in range(1, box // (2 * p - 2 if p != 2 else 1) + 1):
+        for e in (0, 1) if p != 2 else (0,):
+            thresholds[Monomial(tau=(0,) * e, xi=((1, i),))] = e + 2 * i if p != 2 else i
+
+    def action(obj, lam):
+        if lam not in thresholds:
+            return real(obj, lam)
+        t = thresholds[lam]
+        return {t - 1: FpMatrix.identity(p, 1), t: FpMatrix.identity(p, 1)}
+
+    monkeypatch.setattr(comodule, "steenrod_action", action)
+    assert instability_check(M) == [
+        f"{'Bockstein of ' if op.tau else ''}power operation {op.xi[0][1]} "
+        f"does not vanish on degree {t - 1} < {t}" for op, t in thresholds.items()]
 
 
 def test_closure_of_single_grouplike():

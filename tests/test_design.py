@@ -396,3 +396,44 @@ def _is_region_test(node) -> bool:
 def test_the_region_is_applied_by_restricting_the_objects():
     found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_region_test)]
     assert found and {(f, func) for f, func, _ in found} == ALLOWED_REGION_TESTS, found
+
+
+# comodule reads monomials through bialgebra: the grouplike pad of a Steenrod
+# action is the preset row's `is_padded`, and the instability thresholds are
+# right degrees, so comodule reads no letter field of a monomial (only the
+# generator flags of a preset's `row`) and asks no prime what it is.
+LETTER_FIELDS = {"w", "tau", "u", "xi"}
+
+
+def _is_letter_field_read(node) -> bool:
+    """`x.w`, `x.tau`, `x.u` or `x.xi`, unless x is `<something>.row`."""
+    return isinstance(node, ast.Attribute) and node.attr in LETTER_FIELDS and not (
+        isinstance(node.value, ast.Attribute) and node.value.attr == "row")
+
+
+def _is_prime_literal_comparison(node) -> bool:
+    """A comparison of `p` or `x.p` with an int literal."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(getattr(x, "id", getattr(x, "attr", None)) == "p" for x in operands) and any(
+        isinstance(x, ast.Constant) and type(x.value) is int for x in operands)
+
+
+def _top_level_function(path: Path, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_comodule_reads_no_monomial_letter_and_no_prime():
+    path = SRC / "comodule.py"
+    assert not _find(path, _is_letter_field_read)
+    assert not _find(path, _is_prime_literal_comparison)
+    assert not _is_nested_function(_top_level_function(path, "steenrod_action"))
+
+
+def test_the_parser_takes_its_sign_from_product():
+    # parse_monomial multiplies its factors; it counts no inversions itself
+    parser = _top_level_function(SRC / "bialgebra.py", "parse_monomial")
+    assert any(_is_product_use(node) for node in ast.walk(parser))
+    assert not any(isinstance(node, ast.comprehension) for node in ast.walk(parser))

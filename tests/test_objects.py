@@ -18,6 +18,7 @@ from supercomod.bialgebra import (
     mono_tau,
     mono_u,
     mono_xi,
+    parse_monomial,
     quotient_map,
     total_of,
 )
@@ -62,6 +63,7 @@ from support import (
     division_assignment,
     mu_assignment,
     multiplication_assignment,
+    steenrod_action_reference,
     tensor_reference,
 )
 
@@ -304,6 +306,31 @@ def test_squares_p2():
         for m in range(1, 6):
             assert op_entry(H, mono_xi(1, i), m) == [[math.comb(m, i) % 2]]
     assert op_entry(H, mono_xi(1, 2), 1) == [[0]]  # below the excess
+
+
+# act(lam) against the reference that splits the pad off by letter fields:
+# objects padded by u (over atilde) and H at p = 2, padded by x0
+PADDED_OBJECTS = {
+    "Theta Psi H p=3": lambda: theta_psi_H(3, 40),
+    "Theta Psi H p=5": lambda: theta_psi_H(5, 40),
+    "F(5) p=3": lambda: build_Fn(3, 5, 40),
+    "F(8) p=3": lambda: build_Fn(3, 8, 40),
+    "J(7) p=3": lambda: build_Jn(3, 7),
+    "J(10) p=3": lambda: build_Jn(3, 10),
+    "H p=2": lambda: build_H(2, 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PADDED_OBJECTS))
+def test_steenrod_action_matches_the_letter_field_reference(name):
+    M = PADDED_OBJECTS[name]()
+    ops = ["1", "t0", "u*x1", "x0*x1"] + [f"{t}x1^{i}" for t in ("", "t0*") for i in (1, 2, 3)]
+    hit = 0
+    for op in map(parse_monomial, ops):
+        got = steenrod_action(M, op)
+        assert got == steenrod_action_reference(M, op), (name, str(op))
+        hit += any(not mat.is_zero() for mat in got.values())
+    assert hit >= 3, name  # the comparison is not between zero maps only
 
 
 # ---------------------------------------------------------------------------
