@@ -18,13 +18,15 @@ coproducts and quotient maps read.  Monomials are immutable and
 preset-agnostic; a preset turns them into bigraded or singly graded basis
 elements.
 
-Monomials are interned: equal monomials are one object, so comparing and
-hashing them is by identity.  Input is validated where it enters, by
-``Monomial(...)``, the ``mono_*`` helpers and ``parse_monomial``; products,
-coproduct recursion, quotient maps and ideal reductions build their results
-from valid operands with the private ``_monomial`` and ``_from_code``, which
-check only the packing limits below.  No output may depend on the iteration order of a set of
-monomials (identity hashes vary from run to run), so such sets are sorted
+Monomials and presets are interned: equal monomials are one object, and
+``get_preset`` builds one preset per (name, p), so comparing and hashing
+either is by identity, and each pickles back to its interned object.  Input
+is validated where it enters, by ``Monomial(...)``, the ``mono_*`` helpers,
+``parse_monomial`` and ``get_preset``; products, coproduct recursion,
+quotient maps and ideal reductions build their results from valid operands
+with the private ``_monomial`` and ``_from_code``, which check only the
+packing limits below.  No output may depend on the iteration order of a set
+of monomials (identity hashes vary from run to run), so such sets are sorted
 first; ``sort_key`` orders them by the tuple (w, tau, u, xi).
 
 Each monomial carries one packed integer key, by which the intern table
@@ -43,8 +45,8 @@ exponent up to MAX_U_EXPONENT and an x_j exponent up to MAX_XI_EXPONENT;
 names the limit, and a product whose sum sets a guard bit raises rather
 than carry into the next field.  Only this module reads the key.
 
-A preset memoises ``left_degree`` and ``right_degree`` per (name, p), keyed
-by the interned monomial, and enumeration memoises the xi partitions of each
+A preset memoises ``left_degree`` and ``right_degree`` on itself, keyed by
+the interned monomial, and enumeration memoises the xi partitions of each
 total.  The coproduct is one memo: D of a monomial is the product of the
 memoised D of its last letter power and of the rest, D of a power that of
 the next lower power and of its letter, so the coproduct is an algebra map
@@ -122,9 +124,6 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial(w={self.w!r}, tau={self.tau!r}, u={self.u!r}, xi={self.xi!r})"
-
-    def is_one(self) -> bool:
-        return self is ONE
 
     def sort_key(self):
         return (self.w, self.tau, self.u, self.xi)
@@ -223,7 +222,7 @@ def mono_xi(j: int, e: int = 1) -> Monomial:
 
 
 def format_monomial(m: Monomial) -> str:
-    if m.is_one():
+    if m is ONE:
         return "1"
     parts = []
     if m.w:
@@ -317,7 +316,7 @@ def _divides(k: Monomial, m: Monomial) -> bool:
 # presets and gradings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PresetRow:
     """One preset as data.  `w`, `tau`, `u`: which generators exist; `xi`:
     the (lowest, highest) xi index, highest None for no bound, or None for
@@ -334,7 +333,7 @@ class PresetRow:
     x0_is_u2: bool
     primes: tuple[int, ...]
     # the packed-key bits and fields of the generators the row lacks
-    _lacking: int = field(init=False, repr=False, compare=False)
+    _lacking: int = field(init=False, repr=False)
 
     def __post_init__(self):
         mask = (0 if self.w else 1) | (0 if self.tau else _EXT - 1)
@@ -389,40 +388,22 @@ _PRESETS = {
 }
 PRESET_NAMES = tuple(_PRESETS)
 
-# (name, p) -> the memos of left and right degrees, keyed by monomial
-_DEGREE_MEMOS: dict[tuple[str, int], tuple[dict, dict]] = {}
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoalgebraPreset:
     """A choice of quotient/subalgebra together with its grading type; `row`
-    is its row of the preset table."""
+    is its row of the preset table.  Only ``get_preset`` builds one, once
+    per (name, p), so a preset is equal only to itself; it holds the memos
+    of its left and right degrees."""
 
     name: str
     p: int
-    row: PresetRow = field(init=False, repr=False, compare=False)
-    _left: dict = field(init=False, repr=False, compare=False)
-    _right: dict = field(init=False, repr=False, compare=False)
+    row: PresetRow = field(repr=False)
+    _left: dict = field(default_factory=dict, init=False, repr=False)
+    _right: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        row = _PRESETS.get(self.name)
-        if row is None:
-            raise ValueError(f"unknown preset {self.name!r}")
-        if self.p not in row.primes:
-            if row.primes == ODD_PRIMES:
-                raise ValueError(f"preset {self.name!r} requires an odd prime in {ODD_PRIMES}")
-            raise ValueError(f"preset {self.name} requires p = {row.primes[0]}")
-        object.__setattr__(self, "row", row)
-        left, right = _DEGREE_MEMOS.setdefault((self.name, self.p), ({}, {}))
-        object.__setattr__(self, "_left", left)
-        object.__setattr__(self, "_right", right)
-        object.__setattr__(self, "_hash", hash((self.name, self.p)))
-
-    def __hash__(self) -> int:  # the coproduct memo hashes a preset per call
-        return self._hash
-
-    def __reduce__(self):  # rebuilt, as string hashes differ between processes
-        return (CoalgebraPreset, (self.name, self.p))
+    def __reduce__(self):
+        return (get_preset, (self.name, self.p))
 
     @property
     def bigraded(self) -> bool:
@@ -486,8 +467,24 @@ def add_deg(d1, d2):
     return d1 + d2
 
 
+_INTERNED_PRESETS: dict[tuple[str, int], CoalgebraPreset] = {}  # (name, p) -> preset
+
+
 def get_preset(name: str, p: int) -> CoalgebraPreset:
-    return CoalgebraPreset(name, p)
+    """The one preset of (name, p), built on first use; p is taken as a
+    plain int, as in ``Monomial(...)``."""
+    p = index(p)
+    preset = _INTERNED_PRESETS.get((name, p))
+    if preset is None:
+        row = _PRESETS.get(name)
+        if row is None:
+            raise ValueError(f"unknown preset {name!r}")
+        if p not in row.primes:
+            if row.primes == ODD_PRIMES:
+                raise ValueError(f"preset {name!r} requires an odd prime in {ODD_PRIMES}")
+            raise ValueError(f"preset {name} requires p = {row.primes[0]}")
+        preset = _INTERNED_PRESETS[name, p] = CoalgebraPreset(name, p, row)
+    return preset
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +675,9 @@ def cache_stats() -> dict:
                          ("tau_subsets", _tau_subsets)):
         info = cached.cache_info()
         out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
-    out["degree_memos"] = {f"{name} p={p}": {"left": len(left), "right": len(right)}
-                           for (name, p), (left, right) in sorted(_DEGREE_MEMOS.items())}
+    out["degree_memos"] = {f"{name} p={p}": {"left": len(preset._left),
+                                             "right": len(preset._right)}
+                           for (name, p), preset in sorted(_INTERNED_PRESETS.items())}
     out["interned_monomials"] = len(_INTERNED)
     return out
 

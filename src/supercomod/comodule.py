@@ -397,16 +397,16 @@ class Comodule:
                 raise ValueError(f"components[{i}] bidegree {d!r} is listed twice")
             components[key] = labels
         coaction: dict[str, list[Term]] = {}
+        parsed: dict[str, Monomial] = {}  # each distinct monomial text is parsed once
         for i, entry in enumerate(_json_objects(data["coaction"], "coaction",
                                                 ("from_label", "to_label", "monomial", "coeff"))):
             where = f"coaction[{i}] ({entry['from_label']} -> {entry['to_label']})"
             for key in ("from_label", "to_label", "monomial"):
                 if not isinstance(entry[key], str):
                     raise ValueError(f"{where} {key} {entry[key]!r} is not a string")
-            coaction.setdefault(entry["from_label"], []).append(
-                (_json_int(entry["coeff"], f"{where} coeff"), entry["to_label"],
-                 parse_monomial(entry["monomial"]))
-            )
+            c, text = _json_int(entry["coeff"], f"{where} coeff"), entry["monomial"]
+            b = parsed.get(text) or parsed.setdefault(text, parse_monomial(text))
+            coaction.setdefault(entry["from_label"], []).append((c, entry["to_label"], b))
         return cls(preset, components, coaction, box=box, margin=margin, name=name)
 
     @classmethod

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supercomod import bialgebra
 from supercomod.bialgebra import (
     MAX_TAU_INDEX,
     MAX_U_EXPONENT,
@@ -143,19 +144,25 @@ def test_equal_monomials_are_one_object():
     assert parse_monomial("x2*x1^2") is Monomial(xi=((1, 2), (2, 1)))
     assert parse_monomial("t2*t0*t1") is mono_tau(0, 1, 2)
     assert product(parse_monomial("x1^2"), parse_monomial("u*x1"))[1] is parse_monomial("u*x1^3")
-    assert mono_u(0) is ONE and parse_monomial("1") is ONE and ONE.is_one()
+    assert mono_u(0) is ONE and parse_monomial("1") is ONE and Monomial() is ONE
     # integer-like input is stored as int; other numbers are refused
     assert Monomial(w=True, u=np.int64(2), xi=((np.int64(1), 3),)) is parse_monomial("w*u^2*x1^3")
     with pytest.raises(TypeError):
         Monomial(u=1.0)
-    assert not mono_xi(0).is_one()
+    assert mono_xi(0) is not ONE
 
 
 def test_monomial_pickles_to_the_interned_object():
-    m = parse_monomial("w*t0*u^2*x1^4")
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.loads(pickle.dumps(m, protocol)) is m
-    assert copy.copy(m) is m and copy.deepcopy(m) is m
+    from supercomod.comodule import simple_comodule
+
+    # presets are interned too, and so is the preset of an unpickled comodule
+    for obj in (parse_monomial("w*t0*u^2*x1^4"), *EVERY_PRESET):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(obj, protocol)) is obj
+        assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+    M = simple_comodule(B3, (1, 2))
+    M2 = pickle.loads(pickle.dumps(M))
+    assert M2.preset is M.preset and M2.matches(M)
 
 
 def test_monomial_is_immutable():
@@ -226,7 +233,7 @@ def test_cache_stats_reports_the_caches():
                           "interned_monomials"}
     big = Monomial(u=987654, xi=((7, 1),))
     assert cache_stats()["interned_monomials"] == after["interned_monomials"] + 1
-    # one degree memo per (preset name, p), shared by equal presets
+    # one degree memo per (preset name, p), held by its one preset
     memo = cache_stats()["degree_memos"]["b p=3"]
     B3.left_degree(big)
     B3.left_degree(big)
@@ -588,6 +595,18 @@ def test_preset_validation():
         get_preset("b2", 3)
     with pytest.raises(ValueError):
         get_preset("nope", 3)
+
+
+def test_get_preset_returns_one_object_per_name_and_prime(monkeypatch):
+    for preset in EVERY_PRESET + [get_preset(name, 7) for name in ODD_PRESETS]:
+        assert get_preset(preset.name, preset.p) is preset
+    assert get_preset("b", 3) != get_preset("bbar", 3) != get_preset("bbar", 5)
+    # p is interned as a plain int, also when a numpy integer asks first
+    monkeypatch.setattr(bialgebra, "_INTERNED_PRESETS", {})
+    preset = get_preset("b", np.int64(5))
+    assert preset is get_preset("b", 5) and type(preset.p) is int
+    with pytest.raises(TypeError):
+        get_preset("b", 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,24 @@ def test_json_roundtrip():
     assert J2.box == J.box
 
 
+def test_from_dict_parses_each_distinct_monomial_text_once(monkeypatch):
+    from supercomod import comodule
+    from supercomod.objects import build_H_tensor
+
+    doc = build_H_tensor(3, 2, 16).to_dict()
+    texts = [entry["monomial"] for entry in doc["coaction"]]
+    calls = []
+    monkeypatch.setattr(comodule, "parse_monomial",
+                        lambda text: calls.append(text) or parse_monomial(text))
+    assert Comodule.from_dict(doc).to_dict() == doc
+    assert len(calls) == len(set(texts)) < len(texts)
+    # a bad text raises the parser's error at the first entry that has one
+    for i, text in ((9, "t0*t0"), (3, "w^2"), (5, "w^2")):
+        doc["coaction"][i]["monomial"] = text
+    with pytest.raises(ValueError, match="w is exterior"):
+        Comodule.from_dict(doc)
+
+
 def test_json_roundtrip_single_graded():
     from supercomod.objects import build_Jn
 

@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 import supercomod
-from supercomod import comodule, homsolver
+from supercomod import bialgebra, comodule, homsolver
 
 SRC = Path(supercomod.__file__).resolve().parent
 
@@ -82,6 +82,14 @@ ALLOWED_PRODUCT_USES: set = set()
 # terms.
 SIGN_RULE = "_exterior_sign"
 SIGN_RULE_CALLERS = {"product", "mul", "_coaction_product"}
+
+
+# Presets are interned like monomials: `get_preset` builds the one preset of
+# each (name, p) on first use, so a preset is equal only to itself and
+# compares and hashes by identity; no field-wise equality keeps copies in
+# step.  Each preset holds its own degree memos, so no module-level table
+# keeps them apart from it.
+PRESET_CONSTRUCTORS = {("bialgebra.py", "get_preset")}
 
 
 # The validating `Comodule(...)` checks and merges outside data: a JSON
@@ -228,6 +236,36 @@ def test_one_exterior_sign_rule():
     assert {func for _, func, _ in _find(path, _calls(SIGN_RULE))} == SIGN_RULE_CALLERS
     kernels = SIGN_RULE_CALLERS - {"product"}
     assert not [c for c in _find(path, _is_product_use) if c[1] in kernels]
+
+
+def _dicts_keyed_by(m, objects, depth: int = 3) -> list:
+    """The dicts with the key m among objects and, down to depth, among the
+    values of the dicts, tuples and lists in them."""
+    found = []
+    for obj in objects:
+        if isinstance(obj, dict):
+            found += [obj] if m in obj else []
+            found += _dicts_keyed_by(m, obj.values(), depth - 1) if depth else []
+        elif isinstance(obj, (tuple, list)) and depth:
+            found += _dicts_keyed_by(m, obj, depth - 1)
+    return found
+
+
+def test_presets_are_interned_and_hold_their_own_degree_memos():
+    found = [c for path in sorted(SRC.glob("*.py"))
+             for c in _find(path, _calls("CoalgebraPreset"))]
+    assert {(f, func) for f, func, _ in found} == PRESET_CONSTRUCTORS, found
+    assert len(found) == len(PRESET_CONSTRUCTORS), found
+    for cls in (bialgebra.CoalgebraPreset, bialgebra.PresetRow):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
+    # the degrees of a fresh monomial land in two dicts of the preset, and in
+    # no dict that a module-level name of bialgebra reaches
+    preset, m = bialgebra.get_preset("b", 3), bialgebra.Monomial(u=424242, xi=((5, 1),))
+    preset.left_degree(m)
+    preset.right_degree(m)
+    assert len(_dicts_keyed_by(m, vars(preset).values(), 0)) == 2
+    module_level = [v for k, v in vars(bialgebra).items() if not k.startswith("__")]
+    assert not _dicts_keyed_by(m, module_level)
 
 
 def test_no_branch_on_a_preset_name():

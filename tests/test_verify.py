@@ -1,6 +1,7 @@
 """Verification battery: suite runners, report schema, parallel driver."""
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from supercomod import homsolver
+from supercomod import bialgebra, homsolver
 from supercomod.verify import SUITES, SuiteReport, run_all, run_suite
 
 
@@ -157,6 +158,13 @@ def test_brown_gitler_is_certified_without_a_hom_solve(monkeypatch):
     monkeypatch.setattr(homsolver, "hom_space", refuse)
     rep = run_suite("brown_gitler", p=3, n_max=4)
     assert rep.ok, failures(rep)
+
+
+def test_every_live_preset_is_the_interned_one():
+    # get_preset builds one preset per (name, p); no suite makes a copy
+    assert run_suite("brown_gitler", p=3, n_max=4).ok
+    live = [obj for obj in gc.get_objects() if isinstance(obj, bialgebra.CoalgebraPreset)]
+    assert live and all(bialgebra._INTERNED_PRESETS[obj.name, obj.p] is obj for obj in live)
 
 
 def test_tensor_splittings_are_certified_without_a_hom_solve(monkeypatch):
