@@ -53,8 +53,8 @@ the next lower power and of its letter, so the coproduct is an algebra map
 fixed by its four letter formulas.  ``cache_stats()`` reports that memo, the
 partition memo, the size of each degree memo and the number of interned
 monomials.  A preset row tests membership with one mask on the packed key,
-and ``PresetRow.is_padded`` is the one test of whether a monomial is lam
-times a power of the row's grouplike pad (u, or x0 without u).
+and ``PresetRow.unpadded`` clears a monomial's power of the row's grouplike
+pad (u, or x0 without u) with another.
 A canonical quotient sends a monomial to one monomial or to 0.
 """
 
@@ -363,12 +363,12 @@ class PresetRow:
             return "u"
         return next((f"x{j}" for j, _ in m.xi if not self.allows_xi(j)), None)
 
-    def is_padded(self, b: Monomial, lam: Monomial) -> bool:
-        """Whether b = g^k * lam for some k >= 0, where g is the grouplike of
-        degree 0 that pads coaction terms: u, or x0 in a row without u.  So
-        lam divides b, and the quotient has no field but g's."""
+    def unpadded(self, b: Monomial) -> Monomial:
+        """b with its power of the grouplike pad cleared, by one mask on the
+        packed key; the pad is the grouplike of degree 0 that pads coaction
+        terms: u, or x0 in a row without u."""
         g = MAX_U_EXPONENT << _U_SHIFT if self.u else MAX_XI_EXPONENT << _X_SHIFT
-        return _divides(lam, b) and not (b._code - lam._code) & ~g
+        return _from_code(b._code & ~g)
 
 
 # b is the full algebra and bbar its quotient by w; atilde is the quotient of

@@ -20,6 +20,10 @@ Outside data (a JSON document, a test, a user) goes through the validating
 `Comodule(...)`, which checks and merges it.  Every construction here emits
 the stored form and goes through `Comodule._trusted`; the tensor product
 multiplies its terms in bialgebra.
+
+`action_table` reads every Steenrod-type operation of a singly graded
+comodule off its coaction in one pass, filing each term under its monomial
+with the grouplike pad cleared; `instability_check` reads that table.
 """
 
 from __future__ import annotations
@@ -368,8 +372,8 @@ class Comodule:
         """The comodule of a `to_dict` document.  A malformed entry raises a
         ValueError naming it: a missing key, a number that is not a plain int
         (a float or a bool), a negative box or margin, a bidegree not of the
-        preset's grading, a list of entries that are not objects, or a name,
-        label or monomial that is not a string."""
+        preset's grading, a list of entries that are not objects, or a preset,
+        name, label or monomial that is not a string."""
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {json.dumps(data)[:60]}")
         _json_keys(data, ("p", "preset", "components", "coaction"), "document")
@@ -377,10 +381,11 @@ class Comodule:
         for key, n in (("box", box), ("margin", margin)):
             if n is not None and _json_int(n, key) < 0:
                 raise ValueError(f"{key}: {n} is negative")
+        for key in ("preset", "name"):
+            if not isinstance(data.get(key, ""), str):
+                raise ValueError(f"{key}: {data[key]!r} is not a string")
         preset = get_preset(data["preset"], _json_int(data["p"], "p"))
         name = data.get("name", "")
-        if not isinstance(name, str):
-            raise ValueError(f"name: {name!r} is not a string")
         components = {}
         for i, entry in enumerate(_json_objects(data["components"], "components",
                                                 ("bidegree", "labels"))):
@@ -735,80 +740,53 @@ def summand_projection(S: Comodule, mods: list, i: int) -> ComoduleMorphism:
 # Steenrod-type actions on singly graded comodules
 
 
-def steenrod_action(M: Comodule, lam: Monomial) -> dict:
-    """The operation dual to multiplication by (powers of the pad times) lam.
+def action_table(M: Comodule) -> dict:
+    """M's Steenrod-type operations, read off its coaction in one pass:
+    {lam: {d: matrix}}, each block of shape (dim at d + |lam|, dim at d); an
+    operation or degree that the table lacks acts as zero.
 
-    For a comodule over a singly graded quotient, act(lam)(m) collects the
-    coaction coefficients at g^k * lam for all k >= 0, where g is the
-    grouplike pad of degree 0 (u, or x0 without u; ``PresetRow.is_padded``):
-
-        act(lam)(m) = sum_k sum_{m'} c(m, m', g^k lam) m' .
-
-    Returns {source_degree: matrix} with block shape
-    (dim at d + shift, dim at d), where shift is the total degree of lam.
+    act(lam) is dual to multiplication by lam: act(lam)(m) = sum_k sum_m'
+    c(m, m', g^k lam) m', where g is the grouplike pad of degree 0 (u, or x0
+    without u), so a term at b is filed under lam = ``PresetRow.unpadded(b)``.
     """
     if M.preset.bigraded:
         raise ValueError("actions are defined on singly graded comodules")
-    shift = M.preset.total_degree(lam)
-    p, row = M.p, M.preset.row
-    out: dict = {}
-    for d in M.degrees():
-        src = M.basis(d)
-        tgt = M.basis(d + shift)
-        if not src:
-            continue
-        index = {lab: i for i, lab in enumerate(tgt)}
-        out[d] = FpMatrix(p, len(tgt), [
-            [(index[t], c) for c, t, b in M.coaction[lab] if t in index and row.is_padded(b, lam)]
-            for lab in src])
-    return out
+    preset, unpadded = M.preset, M.preset.row.unpadded
+    columns: dict = {}
+    for d, labels in M.components.items():
+        for j, lab in enumerate(labels):
+            for c, t, b in M.coaction[lab]:
+                blocks = columns.setdefault(unpadded(b), {})
+                if d not in blocks:
+                    blocks[d] = [[] for _ in labels]
+                blocks[d][j].append((M.index_of(t), c))
+    return {lam: {d: FpMatrix(M.p, M.dim(d + preset.total_degree(lam)), cols)
+                  for d, cols in blocks.items()}
+            for lam, blocks in columns.items()}
 
 
-def action_composite(M: Comodule, lam1: Monomial, lam2: Monomial) -> dict:
-    """act(lam1) after act(lam2), degreewise; missing blocks count as zero."""
-    a1 = steenrod_action(M, lam1)
-    a2 = steenrod_action(M, lam2)
-    shift1 = M.preset.total_degree(lam1)
-    shift2 = M.preset.total_degree(lam2)
-    out = {}
-    for d, m2 in a2.items():
-        m1 = a1.get(d + shift2)
-        if m1 is None:
-            m1 = FpMatrix.zeros(M.p, M.dim(d + shift2 + shift1), m2.rows)
-        out[d] = m1.mul(m2)
-    return out
-
-
-def instability_check(M: Comodule) -> list[str]:
-    """validate() plus instability: for every i whose power operation fits
-    in M's box (its top degree when M is finite), act(op) of op = t0^e x1^i
-    vanishes below degree right(op), for e = 0, 1 where the preset has tau
-    (beta^e P^i, threshold e + 2i) and e = 0 where not (Sq^i at p = 2,
-    threshold i); and where the preset has tau, beta squares to zero.
-
-    The proof, from the matric grading: act(op)(m) collects the coaction
-    terms of m at g^k op (k >= 0, g the pad), and a term at b of a label in
-    degree d has right(b) = d, which validate() checks.  As right(g) = 1,
-    d = right(op) + k >= right(op): an unstable module is a comodule over
-    the quotient bialgebra."""
+def instability_check(M: Comodule, table: dict | None = None) -> list[str]:
+    """validate() plus instability: each block of each operation lam in M's
+    action table (`table`, if the caller has built it) vanishes below degree
+    right(lam), e + 2i for beta^e P^i and i for Sq^i; where the preset has
+    tau, beta squares to zero.  The proof, from the matric grading: a term at
+    g^k lam of a label in degree d has right(g^k lam) = d, which validate()
+    checks, and right(g) = 1, so d = right(lam) + k: an unstable module is a
+    comodule over the quotient bialgebra."""
     problems = M.validate()
     if problems:
         return problems
     preset = M.preset
-    top = M.box if M.box is not None else max(M.degrees(), default=0)
-    i = 1
-    while preset.total_degree(Monomial(xi=((1, i),))) <= top:
-        for e in ((0, 1) if preset.row.tau else (0,)):
-            op = Monomial(tau=(0,) * e, xi=((1, i),))
-            threshold = preset.right_degree(op)
-            name = f"{'Bockstein of ' if e else ''}power operation {i}"
-            for d, mat in steenrod_action(M, op).items():
-                if d < threshold and not mat.is_zero():
-                    problems.append(f"{name} does not vanish on degree {d} < {threshold}")
-        i += 1
+    table = action_table(M) if table is None else table
+    for lam, blocks in table.items():
+        threshold = preset.right_degree(lam)
+        for d, mat in blocks.items():
+            if d < threshold and not mat.is_zero():
+                problems.append(f"act({lam}) does not vanish on degree {d} < {threshold}")
     if preset.row.tau:
-        for d, mat in action_composite(M, mono_tau(0), mono_tau(0)).items():
-            if not mat.is_zero():
+        beta = table.get(mono_tau(0), {})
+        for d, mat in beta.items():
+            if d + 1 in beta and not beta[d + 1].mul(mat).is_zero():
                 problems.append(f"Bockstein does not square to zero on degree {d}")
                 break
     return problems

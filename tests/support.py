@@ -8,9 +8,10 @@ that elimination against it.  `fp_matrix` builds an `FpMatrix` from dense
 rows, and `apply` multiplies one by a vector, test-side.
 
 `operation_closure` recomputes a graded subspace from the coaction alone,
-as the closure of explicit classes under Steenrod operations, to
-cross-check the builders of F(n); `closure_dims` and `poincare_shift` read
-and move Poincare tables.
+as the closure of explicit classes under Steenrod operations read off the
+action table, to cross-check the builders of F(n); `action_block` reads one
+block of that table, an absent one as zero; `closure_dims` and
+`poincare_shift` read and move Poincare tables.
 
 The `*_assignment` functions write the canonical maps of `objects` out
 monomial by monomial, as label assignments for `morphism_from_assignment`:
@@ -24,9 +25,11 @@ it before its terms were multiplied on packed keys: one `product` per pair
 of terms, each term listed unmerged, and the validating `Comodule(...)` to
 merge them.
 
-`steenrod_action_reference` is `steenrod_action` as the engine computed it
-before the pad test moved into bialgebra: each monomial is split, by its
-letter fields, into the exponent of the grouplike pad and the rest.
+`steenrod_action_reference` is the action of one operation as the engine
+computed it before the pad moved into bialgebra, one pass over the coaction
+per operation: each monomial is split, by its letter fields, into the
+exponent of the grouplike pad and the rest.  It is the independent oracle
+for `comodule.action_table`.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ from supercomod.bialgebra import (
     product,
     total_of,
 )
-from supercomod.comodule import Comodule, steenrod_action
+from supercomod.comodule import Comodule, action_table
 from supercomod.fplinalg import FpMatrix
 
 
@@ -107,7 +110,8 @@ def operation_closure(M: Comodule, seeds: list, ops: list[Monomial]) -> dict:
     returns {degree: FpMatrix of basis rows}.
     """
     p = M.p
-    actions = [(M.preset.total_degree(op), steenrod_action(M, op)) for op in ops]
+    table = action_table(M)
+    actions = [(M.preset.total_degree(op), table.get(op, {})) for op in ops]
     span: dict = {}
 
     def insert(d, row) -> bool:
@@ -139,6 +143,15 @@ def operation_closure(M: Comodule, seeds: list, ops: list[Monomial]) -> dict:
                 if insert(d + shift, list(map(int, out))):
                     frontier.append((d + shift, list(map(int, out))))
     return {d: m for d, m in span.items() if m.rows}
+
+
+def action_block(M: Comodule, table: dict, lam: Monomial, d) -> FpMatrix:
+    """The block of act(lam) at degree d in M's action table `table`, an
+    absent one read as zero."""
+    block = table.get(lam, {}).get(d)
+    if block is None:
+        return FpMatrix.zeros(M.p, M.dim(d + M.preset.total_degree(lam)), M.dim(d))
+    return block
 
 
 def closure_dims(span: dict) -> dict:

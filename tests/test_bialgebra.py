@@ -476,14 +476,16 @@ def test_triple_exterior_sign():
 
 
 @pytest.mark.parametrize("row, pad, other", [(BBAR3.row, "u", "x0"), (B2.row, "x0", "u")])
-def test_is_padded_accepts_only_powers_of_the_row_pad(row, pad, other):
+def test_unpadded_clears_only_the_power_of_the_row_pad(row, pad, other):
     # the pad is u where the row has u, else x0
     lam = parse_monomial("t0*x1^2")
-    assert row.is_padded(lam, lam) and row.is_padded(parse_monomial(f"{pad}^2"), ONE)
-    assert row.is_padded(parse_monomial(f"{pad}^3*t0*x1^2"), lam)
+    assert row.unpadded(lam) is lam and row.unpadded(parse_monomial(f"{pad}^2")) is ONE
+    assert row.unpadded(parse_monomial(f"{pad}^3*t0*x1^2")) is lam
     for b in (f"{other}*t0*x1^2", f"{pad}*{other}*t0*x1^2", "x1^2", "t0*t1*x1^2",
               "t0*x1^3", "t0*x1", "w*t0*x1^2"):
-        assert not row.is_padded(parse_monomial(b), lam), b
+        assert row.unpadded(parse_monomial(b)) is not lam, b
+    assert row.unpadded(parse_monomial(f"{pad}*{other}*t0*x1^2")) is parse_monomial(
+        f"{other}*t0*x1^2")
 
 
 # ---------------------------------------------------------------------------

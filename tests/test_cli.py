@@ -320,6 +320,7 @@ def test_verify_json_independent_of_hash_seed():
       "components[0] bidegree [0, 1, 2] is not a bidegree of bbar"),
      ({"components": {"labels": "ab"}}, "components[0] labels 'ab': not a list of strings"),
      ({"name": 5}, "name: 5 is not a string"),
+     ({"preset": ["b"]}, "preset: ['b'] is not a string"),
      ({"components": [[1]]}, "components[0]: [1] is not an object"),
      ({"components": ("set", {"a": 1})}, 'components: {"a": 1} is not a list'),
      ({"coaction": ["x"]}, 'coaction[0]: "x" is not an object'),
@@ -337,7 +338,7 @@ def test_verify_json_independent_of_hash_seed():
       "components[1] bidegree [0, 0] is listed twice"),
      ({"box": 1}, "degree (0, 1) lies above box + margin = 1")],
     ids=["not-json", "list", "string", "null", "monomial-int", "box-negative",
-         "margin-negative", "bidegree-three", "labels-string", "name-int",
+         "margin-negative", "bidegree-three", "labels-string", "name-int", "preset-list",
          "component-list", "components-object", "coaction-string", "to-label-list",
          "from-label-list", "bidegree-missing", "coeff-missing", "from-label-missing",
          "preset-missing", "bidegree-twice", "degree-above-box"],
@@ -475,6 +476,17 @@ def test_env_bad_value(capsys, monkeypatch):
     rc, _, err = run(capsys, "basis", "--preset", "bbar", "--left", "0,0")
     assert rc == 2
     assert "SUPERCOMOD_P" in err
+
+
+@pytest.mark.parametrize("p, argv, least", [
+    ("3", ["--suite", "unstable", "--max-degree", "0"], 6),
+    ("2", ["--suite", "all", "--max-degree", "1"], 2),
+    ("3", ["--suite", "fn_structure", "--max-degree", "5"], 6),
+])
+def test_verify_refuses_a_box_below_the_least(capsys, p, argv, least):
+    rc, out, err = run(capsys, "verify", "--p", p, *argv)
+    assert rc == 2 and out == ""
+    assert f"the least box for these parameters is {least}" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -18,7 +18,7 @@ from supercomod.bialgebra import (
 from supercomod.comodule import (
     Comodule,
     ComoduleMorphism,
-    action_composite,
+    action_table,
     corestrict_psi,
     corestrict_theta,
     direct_sum,
@@ -30,7 +30,6 @@ from supercomod.comodule import (
     poincare_product,
     poincare_theta,
     simple_comodule,
-    steenrod_action,
     summand_inclusion,
     summand_projection,
     suspend,
@@ -40,7 +39,7 @@ from supercomod.comodule import (
 )
 from supercomod.fplinalg import FpMatrix
 
-from support import closure_dims, operation_closure, poincare_shift
+from support import action_block, closure_dims, operation_closure, poincare_shift
 
 BBAR3 = get_preset("bbar", 3)
 AT3 = get_preset("atilde", 3)
@@ -415,7 +414,7 @@ def test_action_of_unit_is_identity():
     from supercomod.objects import theta_psi_H
 
     M = theta_psi_H(3, 10)
-    blocks = steenrod_action(M, Monomial())
+    blocks = action_table(M)[Monomial()]
     for d in M.degrees():
         if M.dim(d):
             assert blocks[d] == FpMatrix.identity(3, M.dim(d))
@@ -425,28 +424,27 @@ def test_action_rejects_bigraded():
     from supercomod.objects import build_H
 
     with pytest.raises(ValueError):
-        steenrod_action(build_H(3, 8), mono_tau(0))
+        action_table(build_H(3, 8))
 
 
 def test_milnor_composition_identities():
-    # beta P1 = act(t0*x1)  and  P1 beta = act(t0*x1) + act(t1)
+    # beta P1 = act(t0*x1)  and  P1 beta = act(t0*x1) + act(t1), from the
+    # blocks of one table (an absent block reads as zero)
     from supercomod.objects import theta_psi_H
 
     M = theta_psi_H(3, 40)
-    t0, x1 = mono_tau(0), Monomial(xi=((1, 1),))
-    bP = action_composite(M, t0, x1)
-    Pb = action_composite(M, x1, t0)
-    tx = steenrod_action(M, ts("t0*x1"))
-    t1 = steenrod_action(M, mono_tau(1))
+    table = action_table(M)
+    t0, x1, tx, t1 = mono_tau(0), Monomial(xi=((1, 1),)), ts("t0*x1"), mono_tau(1)
+
+    def act(lam, d):
+        return action_block(M, table, lam, d)
+
     bound = 40 - 5  # stay clear of the shift-5 edge
     for d in M.degrees():
         if d > bound:
             continue
-        lhs = bP.get(d, FpMatrix.zeros(3, M.dim(d + 5), M.dim(d)))
-        assert lhs == tx.get(d, lhs.scale(0)), d
-        rhs = Pb.get(d, FpMatrix.zeros(3, M.dim(d + 5), M.dim(d)))
-        want = tx.get(d, rhs.scale(0)).add(t1.get(d, rhs.scale(0)))
-        assert rhs == want, d
+        assert act(t0, d + 4).mul(act(x1, d)) == act(tx, d), d
+        assert act(x1, d + 1).mul(act(t0, d)) == act(tx, d).add(act(t1, d)), d
 
 
 def test_instability_check_on_H():
@@ -455,50 +453,60 @@ def test_instability_check_on_H():
     assert instability_check(theta_psi_H(3, 20)) == []
 
 
+def _stub_table(monkeypatch, table):
+    """Make instability_check read `table` as the action table of any object."""
+    from supercomod import comodule
+
+    monkeypatch.setattr(comodule, "action_table", lambda obj: table)
+
+
 @pytest.mark.parametrize("p, box, top", [(3, 40, 10), (2, 40, 40)])
 def test_instability_check_covers_every_power_operation_in_the_box(monkeypatch, p, box, top):
-    # P^i (degree 4i at p = 3) and Sq^i (degree i at p = 2) fit in the box
-    # exactly for i <= top; at odd p the Bockstein of each is checked too
-    from supercomod import comodule
+    # every block of every entry is tested, not only the power operations
+    # that fit in the box: P^i (degree 4i at p = 3) and Sq^i (degree i at
+    # p = 2) fit exactly for i <= top, and the stub also holds i = top + 1,
+    # a Milnor primitive and an operation on x2, each nonzero in degree 0
     from supercomod.objects import build_H, theta_psi_H
 
     M = theta_psi_H(p, box) if p != 2 else build_H(2, box)
-    seen = []
-    real = comodule.steenrod_action
-    monkeypatch.setattr(comodule, "steenrod_action",
-                        lambda obj, lam: seen.append(lam) or real(obj, lam))
-    assert instability_check(M) == []
-    for i in range(1, top + 1):
-        assert mono_xi(1, i) in seen, i
-        if p != 2:
-            assert Monomial(tau=(0,), xi=((1, i),)) in seen, i
-    assert mono_xi(1, top + 1) not in seen
+    ops = [mono_xi(1, i) for i in range(1, top + 2)] + [ts("x1*x2")]
+    ops += [Monomial(tau=(0,), xi=((1, i),)) for i in range(1, top + 2)] if p != 2 else []
+    ops += [mono_tau(1)] if p != 2 else []
+    _stub_table(monkeypatch, {op: {0: FpMatrix.identity(p, 1)} for op in ops})
+    preset = M.preset
+    assert instability_check(M) == [
+        f"act({op}) does not vanish on degree 0 < {preset.right_degree(op)}" for op in ops]
 
 
 @pytest.mark.parametrize("p, box", [(3, 12), (5, 24), (2, 5)])
 def test_instability_thresholds_are_e_plus_2i_and_i_at_p_2(monkeypatch, p, box):
     # an action that is nonzero one degree below the threshold and at it is
     # reported exactly below it: beta^e P^i at e + 2i, Sq^i at i
-    from supercomod import comodule
     from supercomod.objects import build_H, theta_psi_H
 
     M = theta_psi_H(p, box) if p != 2 else build_H(2, box)
-    real = comodule.steenrod_action
     thresholds = {}
     for i in range(1, box // (2 * p - 2 if p != 2 else 1) + 1):
         for e in (0, 1) if p != 2 else (0,):
             thresholds[Monomial(tau=(0,) * e, xi=((1, i),))] = e + 2 * i if p != 2 else i
-
-    def action(obj, lam):
-        if lam not in thresholds:
-            return real(obj, lam)
-        t = thresholds[lam]
-        return {t - 1: FpMatrix.identity(p, 1), t: FpMatrix.identity(p, 1)}
-
-    monkeypatch.setattr(comodule, "steenrod_action", action)
+    one = FpMatrix.identity(p, 1)
+    _stub_table(monkeypatch, {op: {t - 1: one, t: one} for op, t in thresholds.items()})
     assert instability_check(M) == [
-        f"{'Bockstein of ' if op.tau else ''}power operation {op.xi[0][1]} "
-        f"does not vanish on degree {t - 1} < {t}" for op, t in thresholds.items()]
+        f"act({op}) does not vanish on degree {t - 1} < {t}" for op, t in thresholds.items()]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_instability_check_tests_that_beta_squares_to_zero(monkeypatch, p):
+    # beta blocks that compose to a nonzero map in degrees 2 -> 3 -> 4, above
+    # beta's threshold 1, fail only the beta o beta test
+    from supercomod.objects import theta_psi_H
+
+    one = FpMatrix.identity(p, 1)
+    _stub_table(monkeypatch, {mono_tau(0): {1: one.scale(0), 2: one, 3: one}})
+    assert instability_check(theta_psi_H(p, 12)) == [
+        "Bockstein does not square to zero on degree 2"]
+    _stub_table(monkeypatch, {mono_tau(0): {2: one, 4: one}})
+    assert instability_check(theta_psi_H(p, 12)) == []
 
 
 def test_closure_of_single_grouplike():

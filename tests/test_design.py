@@ -436,10 +436,11 @@ def test_the_region_is_applied_by_restricting_the_objects():
     assert found and {(f, func) for f, func, _ in found} == ALLOWED_REGION_TESTS, found
 
 
-# comodule reads monomials through bialgebra: the grouplike pad of a Steenrod
-# action is the preset row's `is_padded`, and the instability thresholds are
-# right degrees, so comodule reads no letter field of a monomial (only the
-# generator flags of a preset's `row`) and asks no prime what it is.
+# comodule reads monomials through bialgebra: `action_table` clears the
+# grouplike pad of each term with the preset row's `unpadded`, and the
+# instability thresholds are right degrees, so comodule reads no letter field
+# of a monomial (only the generator flags of a preset's `row`) and asks no
+# prime what it is.
 LETTER_FIELDS = {"w", "tau", "u", "xi"}
 
 
@@ -467,7 +468,7 @@ def test_comodule_reads_no_monomial_letter_and_no_prime():
     path = SRC / "comodule.py"
     assert not _find(path, _is_letter_field_read)
     assert not _find(path, _is_prime_literal_comparison)
-    assert not _is_nested_function(_top_level_function(path, "steenrod_action"))
+    assert not _is_nested_function(_top_level_function(path, "action_table"))
 
 
 def test_the_parser_takes_its_sign_from_product():

@@ -104,10 +104,39 @@ def test_axioms(p, box):
     assert len(rep.checks) == n_expected
 
 
-@pytest.mark.parametrize("p,box", [(2, 14), (3, 24), (5, 24)])
+def assert_refused(name, least, **params):
+    """run_suite refuses the box with a ValueError naming the least box."""
+    with pytest.raises(ValueError, match=f"the least box for these parameters is {least}$"):
+        run_suite(name, **params)
+
+
+# the least box of unstable is the degree of P^1 x = x^p: 2 at p = 2, else 2p
+@pytest.mark.parametrize("p,box", [(2, 14), (3, 24), (5, 24), (2, 1), (2, 2), (3, 5), (3, 6),
+                                   (5, 9), (5, 10)])
 def test_unstable(p, box):
+    least = 2 if p == 2 else 2 * p
+    if box < least:
+        assert_refused("unstable", least, p=p, box=box)
+        return
     rep = run_suite("unstable", p=p, box=box)
     assert rep.ok, failures(rep)
+
+
+def test_unstable_builds_one_action_table(monkeypatch):
+    from supercomod import comodule, verify
+
+    built = []
+
+    def counting(M, real=comodule.action_table):
+        built.append(M)
+        return real(M)
+
+    monkeypatch.setattr(comodule, "action_table", counting)
+    monkeypatch.setattr(verify, "action_table", counting)
+    for p in (2, 3, 5):
+        built.clear()
+        assert run_suite("unstable", p=p, box=24).ok
+        assert len(built) == 1, p
 
 
 def test_j0n_small():
@@ -127,8 +156,12 @@ def test_g_filtration_small():
     assert rep.ok, failures(rep)
 
 
-@pytest.mark.parametrize("p,n_max,box", [(3, 3, 30), (5, 2, 24)])
+# the least box of fn_structure is n_max, where F(a,b) with a + 2b = n_max starts
+@pytest.mark.parametrize("p,n_max,box", [(3, 3, 30), (5, 2, 24), (3, 3, 2), (3, 3, 3)])
 def test_fn_structure_small(p, n_max, box):
+    if box < n_max:
+        assert_refused("fn_structure", n_max, p=p, n_max=n_max, box=box)
+        return
     rep = run_suite("fn_structure", p=p, n_max=n_max, box=box)
     assert rep.ok, failures(rep)
 
@@ -147,6 +180,22 @@ def test_brown_gitler_small(p, n_max):
 
 def test_h_tensor_small():
     rep = run_suite("h_tensor", p=3, n_max=2, box=24)
+    assert rep.ok, failures(rep)
+
+
+# the least box of each suite: below it a check would be decided on no
+# instance, or on an object that the box leaves empty
+@pytest.mark.parametrize("name,params,least", [
+    ("h_tensor", {"p": 3, "n_max": 2}, 4),  # the witness H^(x)2 at (1,2)
+    ("h_tensor", {"p": 5, "n_max": 2}, 4),
+    ("h_tensor", {"p": 2, "n_max": 2}, 0),
+    ("tensor_splittings", {"p": 3, "a_max": 2, "b_max": 1}, 4),  # F(a,b) starts at a + 2b
+    ("g_filtration", {"p": 5, "a_max": 3}, 3),  # F(a,0) starts in degree a
+])
+def test_suite_refuses_a_box_below_its_least(name, params, least):
+    if least:
+        assert_refused(name, least, box=least - 1, **params)
+    rep = run_suite(name, box=least, **params)
     assert rep.ok, failures(rep)
 
 
