@@ -9,12 +9,12 @@ where each b_i is a bialgebra monomial satisfying the matric convention
 
     left(b_i) = degree(m'_i),        right(b_i) = degree(m).
 
-Infinite comodules are truncated: `box` bounds the total degree of the
-basis that is guaranteed complete, and `margin` extra layers of basis
-elements are stored beyond it so that coassociativity can be tested
-honestly at the edge (coactions over the full algebra can lower total
-degree by one, through w).  `box=None` means the comodule is finite and
-complete, and every check is exact.
+Infinite comodules are truncated: a comodule with a `box` stores every
+basis element of total degree at most box and none above it.  A truncation
+is exact in every degree it stores, since both sides of each coaction
+identity lose the same terms past the cut, even over the full algebra,
+where w lowers total degree by one.  `box=None` means the comodule is
+finite and complete.
 
 Outside data (a JSON document, a test, a user) goes through the validating
 `Comodule(...)`, which checks and merges it.  Every construction here emits
@@ -89,10 +89,10 @@ def deg_key(d):
 class TrustedRegion:
     """The degrees a computation over the given comodules may trust.
 
-    A truncated comodule is complete up to total degree box + margin; a
-    computation over several of them trusts the degrees that all of them
-    store completely.  `bound` is that total degree, None when nothing
-    bounds it.  A computation `restrict`s its objects to the region once,
+    A truncated comodule is complete up to total degree box; a computation
+    over several of them trusts the degrees that all of them store.
+    `bound` is that total degree, the least box, None when nothing bounds
+    it.  A computation `restrict`s its objects to the region once,
     then walks their coactions whole; `d in region` tests a degree that no
     stored label carries.  A smaller region comes from smaller objects:
     `truncate` them.
@@ -101,51 +101,36 @@ class TrustedRegion:
     __slots__ = ("bound",)
 
     def __init__(self, *objects: "Comodule"):
-        bounds = [M.box + M.margin for M in objects if M.box is not None]
-        self.bound = min(bounds) if bounds else None
+        boxes = [M.box for M in objects if M.box is not None]
+        self.bound = min(boxes) if boxes else None
 
     def __contains__(self, d) -> bool:
         return self.bound is None or total_of(d) <= self.bound
 
     def restrict(self, M: "Comodule") -> "Comodule":
-        return _restrict(M, self.bound)
+        """M without its degrees above the bound: M itself when none can lie
+        there (M's box is within it), else `_cut` of M, which keeps M's
+        labels and their order in each degree it keeps."""
+        bound = self.bound
+        if bound is None or (M.box <= bound if M.box is not None
+                             else all(total_of(d) <= bound for d in M.components)):
+            return M
+        return _cut(M, bound)
 
 
-def _restrict(M: "Comodule", bound: int | None) -> "Comodule":
-    """M without its degrees above `bound`: M itself when none can lie there
-    (M stores no degree above its box + margin), else `_cut` of M, which
-    keeps M's labels and their order in each degree it keeps."""
-    if bound is None or (M.box + M.margin <= bound if M.box is not None
-                         else all(total_of(d) <= bound for d in M.components)):
-        return M
-    return _cut(M, bound - M.margin, M.margin)
-
-
-def _cut(M: "Comodule", box: int, margin: int) -> "Comodule":
-    """M with this box and margin: its degrees above box + margin dropped,
-    and with them the coaction terms that hit their labels."""
-    bound = box + margin
-    components = {d: list(labs) for d, labs in M.components.items() if total_of(d) <= bound}
+def _cut(M: "Comodule", box: int) -> "Comodule":
+    """M with this box: its degrees above box dropped, and with them the
+    coaction terms that hit their labels."""
+    components = {d: list(labs) for d, labs in M.components.items() if total_of(d) <= box}
     kept = {lab for labs in components.values() for lab in labs}
     coaction = {lab: tuple(t for t in M.coaction[lab] if t[1] in kept)
                 for labs in components.values() for lab in labs}
-    return Comodule._trusted(M.preset, components, coaction, box=box, margin=margin,
-                             name=M.name)
-
-
-def _joint_truncation(mods) -> tuple[int | None, int]:
-    """The (box, margin) of a construction over the given comodules: the
-    least box and the least margin among the truncated ones, or (None, 0)
-    when none is truncated."""
-    boxed = [M for M in mods if M.box is not None]
-    if not boxed:
-        return None, 0
-    return min(M.box for M in boxed), min(M.margin for M in boxed)
+    return Comodule._trusted(M.preset, components, coaction, box=box, name=M.name)
 
 
 class Comodule:
     """A truncated right comodule with a chosen homogeneous basis.  It
-    stores no degree above box + margin: the constructor rejects one.
+    stores no degree above its box: the constructor rejects one.
 
     `cofree_on` is the degree d on which the comodule is cofree on one
     cogenerator, so that a morphism into it is the same thing as a
@@ -158,17 +143,16 @@ class Comodule:
     cofree_on = free_on = None
 
     def __init__(self, preset: CoalgebraPreset, components: dict, coaction: dict,
-                 box: int | None, margin: int = 0, name: str = ""):
+                 box: int | None, name: str = ""):
         """The validating constructor, for outside data: it checks the
         degrees and labels, and merges each label's terms by (label,
         monomial) in the order first met, dropping those that sum to 0."""
-        margin = int(margin)
         kept = {d: list(labels) for d, labels in components.items()}
         kept = {d: labels for d, labels in kept.items() if labels}
         for d in kept:
-            if box is not None and total_of(d) > box + margin:
-                raise ValueError(f"degree {d} lies above box + margin = {box + margin}")
-        self._store(preset, kept, {}, box, margin, name)
+            if box is not None and total_of(d) > box:
+                raise ValueError(f"degree {d} lies above box = {box}")
+        self._store(preset, kept, {}, box, name)
         p = preset.p
         for lab, terms in coaction.items():
             if lab not in self._deg_of:
@@ -184,20 +168,20 @@ class Comodule:
             self.coaction.setdefault(lab, ())
 
     @classmethod
-    def _trusted(cls, preset, components: dict, coaction: dict, box, margin=0,
+    def _trusted(cls, preset, components: dict, coaction: dict, box,
                  name: str = "") -> "Comodule":
         """The trusted constructor, for the internal builders: the comodule
         that `Comodule(...)` would build from arguments that are already in
-        its stored form (no empty component, no degree above box + margin,
+        its stored form (no empty component, no degree above its box,
         and for every label a tuple of merged terms with coefficients nonzero
         mod p, each hitting a label).  Only a repeated label raises."""
         M = cls.__new__(cls)
-        M._store(preset, components, coaction, box, margin, name)
+        M._store(preset, components, coaction, box, name)
         return M
 
-    def _store(self, preset, components: dict, coaction: dict, box, margin, name) -> None:
+    def _store(self, preset, components: dict, coaction: dict, box, name) -> None:
         """Set the stored fields: the one place both constructors do."""
-        self.preset, self.box, self.margin, self.name = preset, box, margin, name
+        self.preset, self.box, self.name = preset, box, name
         self.components, self.coaction = components, coaction
         self._deg_of, self._index_of = {}, {}
         for d, labels in components.items():
@@ -358,7 +342,6 @@ class Comodule:
             "p": self.p,
             "preset": self.preset.name,
             "box": self.box,
-            "margin": self.margin,
             "name": self.name,
             "components": comps,
             "coaction": coact,
@@ -371,16 +354,15 @@ class Comodule:
     def from_dict(cls, data: dict) -> "Comodule":
         """The comodule of a `to_dict` document.  A malformed entry raises a
         ValueError naming it: a missing key, a number that is not a plain int
-        (a float or a bool), a negative box or margin, a bidegree not of the
+        (a float or a bool), a negative box, a bidegree not of the
         preset's grading, a list of entries that are not objects, or a preset,
         name, label or monomial that is not a string."""
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {json.dumps(data)[:60]}")
         _json_keys(data, ("p", "preset", "components", "coaction"), "document")
-        box, margin = data.get("box"), _json_int(data.get("margin", 0), "margin")
-        for key, n in (("box", box), ("margin", margin)):
-            if n is not None and _json_int(n, key) < 0:
-                raise ValueError(f"{key}: {n} is negative")
+        box = data.get("box")
+        if box is not None and _json_int(box, "box") < 0:
+            raise ValueError(f"box: {box} is negative")
         for key in ("preset", "name"):
             if not isinstance(data.get(key, ""), str):
                 raise ValueError(f"{key}: {data[key]!r} is not a string")
@@ -412,7 +394,7 @@ class Comodule:
             c, text = _json_int(entry["coeff"], f"{where} coeff"), entry["monomial"]
             b = parsed.get(text) or parsed.setdefault(text, parse_monomial(text))
             coaction.setdefault(entry["from_label"], []).append((c, entry["to_label"], b))
-        return cls(preset, components, coaction, box=box, margin=margin, name=name)
+        return cls(preset, components, coaction, box=box, name=name)
 
     @classmethod
     def from_json(cls, text: str) -> "Comodule":
@@ -482,14 +464,13 @@ def tensor(M: Comodule, N: Comodule, name: str = "") -> Comodule:
     and merges the terms in bialgebra, so they are stored as built."""
     if M.preset != N.preset:
         raise ValueError("tensor requires matching presets")
-    box, margin = _joint_truncation((M, N))
-    bound = None if box is None else box + margin
+    box = TrustedRegion(M, N).bound
     components: dict = {}
     pair_label: dict[tuple[str, str], str] = {}
     for dm in M.degrees():
         for dn in N.degrees():
             d = add_deg(dm, dn)
-            if bound is not None and total_of(d) > bound:
+            if box is not None and total_of(d) > box:
                 continue
             labs = components.setdefault(d, [])
             for lm in M.components[dm]:
@@ -497,7 +478,7 @@ def tensor(M: Comodule, N: Comodule, name: str = "") -> Comodule:
                     labs.append(pair_label.setdefault((lm, ln), f"{lm}|{ln}"))
     odd = {ln: parity_of(d) for ln, d in N._deg_of.items()}
     coaction = _coaction_product(M.p, pair_label, M.coaction, N.coaction, odd)
-    return Comodule._trusted(M.preset, components, coaction, box=box, margin=margin,
+    return Comodule._trusted(M.preset, components, coaction, box=box,
                              name=name or f"{M.name}(x){N.name}")
 
 
@@ -531,8 +512,7 @@ def corestrict_psi(M: Comodule) -> Comodule:
         raise ValueError("corestrict_psi starts from preset b")
     dst = get_preset("bbar", M.p)
     return Comodule._trusted(dst, {d: list(labs) for d, labs in M.components.items()},
-                             _push_coaction(M, dst), box=M.box, margin=M.margin,
-                             name=f"Psi({M.name})")
+                             _push_coaction(M, dst), box=M.box, name=f"Psi({M.name})")
 
 
 def corestrict_theta(M: Comodule) -> Comodule:
@@ -548,7 +528,7 @@ def corestrict_theta(M: Comodule) -> Comodule:
     for n in components:
         components[n].sort()
     return Comodule._trusted(dst, components, _push_coaction(M, dst), box=M.box,
-                             margin=M.margin, name=f"Theta({M.name})")
+                             name=f"Theta({M.name})")
 
 
 def embed_xi_polynomial(M: Comodule) -> Comodule:
@@ -557,20 +537,14 @@ def embed_xi_polynomial(M: Comodule) -> Comodule:
     if M.preset.name != "xi_poly":
         raise ValueError("embed_xi_polynomial starts from preset xi_poly")
     dst = get_preset("bbar", M.p)
-    return Comodule._trusted(dst, M.components, M.coaction, box=M.box, margin=M.margin,
-                             name=M.name)
+    return Comodule._trusted(dst, M.components, M.coaction, box=M.box, name=M.name)
 
 
 def truncate(M: Comodule, box: int) -> Comodule:
-    """Restrict a comodule to the sub-box `box`, keeping its margin."""
+    """Restrict a comodule to the sub-box `box`."""
     if M.box is not None and box > M.box:
         raise ValueError(f"cannot grow the box from {M.box} to {box}")
-    if M.preset.row.w and M.box is not None and M.margin < 1:
-        raise ValueError(
-            "margin violation: coactions over the full algebra can lower "
-            "degree, so truncating needs at least one stored margin layer"
-        )
-    return _cut(M, box, M.margin)
+    return _cut(M, box)
 
 
 # ---------------------------------------------------------------------------
@@ -708,19 +682,18 @@ def direct_sum(mods: list) -> Comodule:
     if not mods:
         raise ValueError("empty direct sum")
     preset = mods[0].preset
-    box, margin = _joint_truncation(mods)
-    bound = None if box is None else box + margin
+    region = TrustedRegion(*mods)
     components: dict = {}
     coaction: dict = {}
     for i, M in enumerate(mods):
         if M.preset != preset:
             raise ValueError("direct sum requires matching presets")
-        M = _restrict(M, bound)
+        M = region.restrict(M)
         for d in M.degrees():
             components.setdefault(d, []).extend(f"{i}:{lab}" for lab in M.components[d])
         for lab, terms in M.coaction.items():
             coaction[f"{i}:{lab}"] = tuple([(c, f"{i}:{t}", b) for c, t, b in terms])
-    return Comodule._trusted(preset, components, coaction, box=box, margin=margin,
+    return Comodule._trusted(preset, components, coaction, box=region.bound,
                              name="(+)".join(M.name for M in mods))
 
 

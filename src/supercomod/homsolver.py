@@ -6,8 +6,8 @@ A degree-preserving linear map f: M -> N is a comodule morphism when
 psi_N(f(m)) = (f (x) 1)(psi_M(m)) for every basis element m.  Over a
 truncation every computation here first restricts its objects to the
 degrees that `comodule.TrustedRegion` trusts, then reads the restricted
-objects whole; the region comes from the objects' box and margin alone,
-so a smaller one comes from `truncate`-ing the objects.
+objects whole; the region is the least box of the objects, so a smaller
+one comes from `truncate`-ing the objects.
 The solver sets up one global linear system over F_p whose unknowns are
 the entries of all blocks of f and returns a basis of its solution space.
 The system is emitted as sparse rows {unknown: coeff}, one per coordinate
@@ -180,7 +180,7 @@ def _induced(M: Comodule, vectors: dict, coords: dict, name: str, sub: bool):
                     raise ValueError(f"span not closed under the coaction at degree {d2}")
                 terms.extend((c, labels[d2][r], b) for r, c in x.column(0))
             coaction[lab] = tuple(terms)
-    S = Comodule._trusted(M.preset, labels, coaction, box=M.box, margin=M.margin, name=name)
+    S = Comodule._trusted(M.preset, labels, coaction, box=M.box, name=name)
     if sub:
         return S, ComoduleMorphism(S, M, {d: vectors[d] for d in labels})
     return S, ComoduleMorphism(M, S, {d: coords[d] for d in labels})

@@ -130,16 +130,15 @@ def build_H(p: int, box: int) -> Comodule:
     """The comodule algebra Lambda(y) (x) F[x] over the full bialgebra,
     with psi(y) = y (x) u + sum x^{p^i} (x) t_i and
     psi(x) = y (x) w + sum x^{p^j} (x) x_j.  At p = 2 this is F_2[x] with
-    psi(x) = sum x^{2^j} (x) x_j.  At odd p, where coactions can lower
-    total degree through w, it is stored one layer past the box.
+    psi(x) = sum x^{2^j} (x) x_j.  It is stored up to its box, as every
+    truncation is, though w lowers total degree.
 
     Lambda(y) (x) F[x] is the subalgebra Lambda(t0) (x) F[x0] of the
     bialgebra, with y = t0 (odd) and x = x0 (even), so psi(y), psi(x) and
     the powers of psi(x) are TensorSums multiplied by ``TensorSum.mul``,
-    their terms past the bound dropped after each product."""
+    their terms past the box dropped after each product."""
     odd = p != 2
     preset = get_preset("b" if odd else "b2", p)
-    bound = box + 1 if odd else box
     xdeg = 2 if odd else 1  # total degree of x; y has degree 1
 
     def eps_m(a: Monomial) -> tuple[int, int]:
@@ -147,7 +146,7 @@ def build_H(p: int, box: int) -> Comodule:
         return len(a.tau), dict(a.xi).get(0, 0)
 
     def within(eps: int, m: int) -> bool:
-        return eps + xdeg * m <= bound
+        return eps + xdeg * m <= box
 
     def bounded(ts: TensorSum) -> TensorSum:
         return TensorSum(p, {k: c for k, c in ts.items() if within(*eps_m(k[0]))})
@@ -166,7 +165,7 @@ def build_H(p: int, box: int) -> Comodule:
 
     components: dict = {}
     coaction: dict = {}
-    for m in range(bound // xdeg + 1):
+    for m in range(box // xdeg + 1):
         for eps in (0, 1) if odd else (0,):
             if not within(eps, m):
                 continue
@@ -174,7 +173,7 @@ def build_H(p: int, box: int) -> Comodule:
             components.setdefault((eps, m) if odd else m, []).append(lab)
             ts = bounded(psi_y.mul(powers[m])) if eps else powers[m]
             coaction[lab] = tuple([(c, h_label(*eps_m(a)), b) for (a, b), c in ts.items()])
-    return Comodule._trusted(preset, components, coaction, box=box, margin=bound - box, name="H")
+    return Comodule._trusted(preset, components, coaction, box=box, name="H")
 
 
 def build_H_tensor(p: int, n: int, box: int) -> Comodule:

@@ -124,12 +124,13 @@ def _fmt(obj) -> str:
 # suites
 
 
-def _require_box(suite: str, box: int, least: int) -> None:
-    """A ValueError below the suite's least box, where some check would be
-    decided on no instance, or on an object that the box leaves empty."""
-    if box < least:
-        raise ValueError(f"suite {suite!r} cannot decide its checks at box {box}: "
-                         f"the least box for these parameters is {least}")
+def _require_least(suite: str, param: str, value: int, least: int) -> None:
+    """A ValueError when the suite's parameter `param` is below its least
+    value, where some check would be decided on no instance, or on an object
+    that the box leaves empty."""
+    if value < least:
+        raise ValueError(f"suite {suite!r} cannot decide its checks at {param} {value}: "
+                         f"the least {param} for these parameters is {least}")
 
 
 def suite_axioms(p: int = 3, box: int = 30) -> SuiteReport:
@@ -176,7 +177,7 @@ def suite_unstable(p: int = 3, box: int = 40) -> SuiteReport:
     )
     T = theta_psi_H(p, box) if p != 2 else build_H(2, box)
     xdeg = T.preset.collapse(0, 1)  # the degree of x, in bidegree (0, 1)
-    _require_box("unstable", box, p * xdeg)  # the degree of P^1 x = x^p
+    _require_least("unstable", "box", box, p * xdeg)  # the degree of P^1 x = x^p
     table = action_table(T)
 
     def entry(lam, src_deg, expect):
@@ -247,7 +248,7 @@ def suite_tensor_splittings(p: int = 3, a_max: int = 3, b_max: int = 3,
             "by certified isomorphisms"
         ),
     )
-    _require_box("tensor_splittings", box, a_max + 2 * b_max)  # F(a,b) starts at a + 2b
+    _require_least("tensor_splittings", "box", box, a_max + 2 * b_max)  # F(a,b) starts at a + 2b
     J = functools.cache(lambda a, b: build_J(p, a, b))
     F = functools.cache(lambda a, b: build_F(p, a, b, box))
     for a in range(a_max + 1):
@@ -273,7 +274,7 @@ def suite_g_filtration(p: int = 3, a_max: int = 5, box: int = 60) -> SuiteReport
             "by u is surjective with kernel the dual of Lambda^a"
         ),
     )
-    _require_box("g_filtration", box, a_max)  # F(a,0) starts in degree a
+    _require_least("g_filtration", "box", box, a_max)  # F(a,0) starts in degree a
     for a in range(a_max + 1):
         F = build_F(p, a, 0, box)
         predicted: dict = {}
@@ -326,7 +327,7 @@ def suite_fn_structure(p: int = 3, n_max: int = 6, box: int = 60) -> SuiteReport
             "the associated graded of the Verschiebung-kernel filtration"
         ),
     )
-    _require_box("fn_structure", box, n_max)  # F(a,b) with a + 2b = n starts at n
+    _require_least("fn_structure", "box", box, n_max)  # F(a,b) with a + 2b = n starts at n
     F = functools.cache(lambda a, b: build_F(p, a, b, box))
     shifted = functools.cache(lambda shift, a, b: suspend(F(a, b), shift))
     PhiF = functools.cache(lambda a: build_PhiF(p, a, box)[0])
@@ -424,6 +425,8 @@ def suite_mahowald(p: int = 3, n_max: int = 4, m_max: int = 20) -> SuiteReport:
             "isomorphism exactly when m is not 0 or 1 mod p"
         ),
     )
+    _require_least("mahowald", "n_max", n_max, 1)
+    _require_least("mahowald", "m_max", m_max, p + 1)  # m = 1..p+1: every residue, 1 twice
     for n in range(1, n_max + 1):
         f = xi0_multiplication(p, p * n)
         g = verschiebung(p, n)
@@ -479,7 +482,7 @@ def suite_h_tensor(p: int = 3, n_max: int = 4, box: int = 40) -> SuiteReport:
             "standard objects"
         ),
     )
-    _require_box("h_tensor", box, 0 if p == 2 else 4)  # H^(x)2 at (1,2); J(2,1) probes
+    _require_least("h_tensor", "box", box, 0 if p == 2 else 5)  # H^(x)2 at (1,2)
     H = build_H(p, box)
     T2 = tensor(H, H, name="H^(x)2") if n_max >= 2 else None
     # the tables of H^(x)n for n <= 2 are read off the objects themselves

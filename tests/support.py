@@ -226,13 +226,12 @@ def tensor_reference(M: Comodule, N: Comodule) -> Comodule:
     multiplied pairwise by `product` and merged by `Comodule(...)`."""
     boxed = [X for X in (M, N) if X.box is not None]
     box = min((X.box for X in boxed), default=None)
-    margin = min((X.margin for X in boxed), default=0)
     components: dict = {}
     pair_label: dict = {}
     for dm in M.degrees():
         for dn in N.degrees():
             d = add_deg(dm, dn)
-            if box is not None and total_of(d) > box + margin:
+            if box is not None and total_of(d) > box:
                 continue
             for lm in M.components[dm]:
                 for ln in N.components[dn]:
@@ -250,7 +249,7 @@ def tensor_reference(M: Comodule, N: Comodule) -> Comodule:
                 if s:
                     out.append((c1 * c2 * sign * s, pair_label[(lm2, ln2)], b))
         coaction[lab] = out
-    return Comodule(M.preset, components, coaction, box=box, margin=margin)
+    return Comodule(M.preset, components, coaction, box=box)
 
 
 def steenrod_action_reference(M: Comodule, lam: Monomial) -> dict:

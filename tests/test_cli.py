@@ -315,7 +315,6 @@ def test_verify_json_independent_of_hash_seed():
      ("null", "expected a JSON object, got null"),
      ({"coaction": {"monomial": 5}}, "coaction[0] (t0 -> x0) monomial 5 is not a string"),
      ({"box": -5}, "box: -5 is negative"),
-     ({"margin": -1}, "margin: -1 is negative"),
      ({"components": {"bidegree": [0, 1, 2]}},
       "components[0] bidegree [0, 1, 2] is not a bidegree of bbar"),
      ({"components": {"labels": "ab"}}, "components[0] labels 'ab': not a list of strings"),
@@ -336,9 +335,9 @@ def test_verify_json_independent_of_hash_seed():
                       {"bidegree": [0, 0], "labels": ["b"]}],
        "coaction": [{"from_label": "b", "to_label": "b", "monomial": "1", "coeff": 1}]},
       "components[1] bidegree [0, 0] is listed twice"),
-     ({"box": 1}, "degree (0, 1) lies above box + margin = 1")],
+     ({"box": 1}, "degree (0, 1) lies above box = 1")],
     ids=["not-json", "list", "string", "null", "monomial-int", "box-negative",
-         "margin-negative", "bidegree-three", "labels-string", "name-int", "preset-list",
+         "bidegree-three", "labels-string", "name-int", "preset-list",
          "component-list", "components-object", "coaction-string", "to-label-list",
          "from-label-list", "bidegree-missing", "coeff-missing", "from-label-missing",
          "preset-missing", "bidegree-twice", "degree-above-box"],
@@ -366,6 +365,20 @@ def test_load_garbage(capsys, tmp_path, edit, message):
     rc, _, err = run(capsys, "load", str(path))
     assert rc == 1
     assert "load failed" in err and message in err
+
+
+def test_load_reads_dumps_that_carry_a_margin(capsys, tmp_path):
+    # dumps once stored a "margin" of layers past the box: load ignores the
+    # key, and refuses a component that lies past the box
+    path = tmp_path / "old.json"
+    doc = json.loads(run(capsys, "dump", "--object", "J:1,3")[1])
+    path.write_text(json.dumps({**doc, "margin": 0}))
+    rc, out, _ = run(capsys, "load", str(path))
+    assert rc == 0 and out.startswith("J(1,3): preset bbar p=3 box=None")
+    doc = json.loads(run(capsys, "dump", "--object", "H", "--p", "3", "--max-degree", "31")[1])
+    path.write_text(json.dumps({**doc, "box": 30, "margin": 1}))
+    rc, _, err = run(capsys, "load", str(path))
+    assert rc == 1 and err == "load failed: degree (1, 15) lies above box = 30\n"
 
 
 def test_load_broken_coaction(capsys, tmp_path):
@@ -482,11 +495,14 @@ def test_env_bad_value(capsys, monkeypatch):
     ("3", ["--suite", "unstable", "--max-degree", "0"], 6),
     ("2", ["--suite", "all", "--max-degree", "1"], 2),
     ("3", ["--suite", "fn_structure", "--max-degree", "5"], 6),
+    ("3", ["--suite", "mahowald", "--m", "3"], ("m_max", 4)),
 ])
 def test_verify_refuses_a_box_below_the_least(capsys, p, argv, least):
+    # least is the least box, or (parameter, least value) for another one
+    param, least = least if isinstance(least, tuple) else ("box", least)
     rc, out, err = run(capsys, "verify", "--p", p, *argv)
     assert rc == 2 and out == ""
-    assert f"the least box for these parameters is {least}" in err
+    assert f"the least {param} for these parameters is {least}" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -173,21 +173,21 @@ def test_tensor_poincare_is_product():
     assert T.poincare() == poincare_product(M.poincare(), N.poincare())
 
 
-def test_tensor_and_direct_sum_take_the_least_box_and_margin():
-    def unit(box, margin):
-        return Comodule(BBAR3, {(0, 0): ["e"]}, {"e": [(1, "e", Monomial())]},
-                        box=box, margin=margin)
+def test_tensor_and_direct_sum_take_the_least_box():
+    def unit(box):
+        return Comodule(BBAR3, {(0, 0): ["e"]}, {"e": [(1, "e", Monomial())]}, box=box)
 
-    cases = [  # (box, margin) of the two inputs, then of the result
-        ((None, 0), (None, 0), (None, 0)),
-        ((8, 2), (None, 0), (8, 2)),
-        ((None, 0), (6, 1), (6, 1)),
-        ((8, 1), (6, 2), (6, 1)),
+    cases = [  # box of the two inputs, then of the result
+        (None, None, None),
+        (8, None, 8),
+        (None, 6, 6),
+        (8, 6, 6),
+        (0, 0, 0),
     ]
     for first, second, want in cases:
-        M, N = unit(*first), unit(*second)
+        M, N = unit(first), unit(second)
         for out in (tensor(M, N), direct_sum([M, N])):
-            assert (out.box, out.margin) == want, (first, second)
+            assert out.box == want, (first, second)
 
 
 def test_tensor_rejects_colliding_labels():
@@ -289,11 +289,16 @@ def test_truncate_H_and_idempotence():
     assert T2.components == T.components
 
 
-def test_truncate_margin_violation():
-    B3 = get_preset("b", 3)
-    M = Comodule(B3, {(0, 0): ["e"]}, {"e": [(1, "e", Monomial())]}, box=5, margin=0)
-    with pytest.raises(ValueError, match="margin"):
-        truncate(M, 3)
+@pytest.mark.parametrize("p", [3, 5])
+def test_truncate_H_over_b_validates_at_every_box(p):
+    # a truncation is exact in each degree it stores, though w lowers degree
+    from supercomod.objects import build_H
+
+    H = build_H(p, 12)
+    assert H.preset.row.w
+    for box in range(3, 13):
+        T = truncate(H, box)
+        assert T.box == box and T.validate() == [], box
 
 
 def test_truncate_cannot_grow():

@@ -396,8 +396,8 @@ def test_every_src_name_has_a_reader():
     assert not unread, unread
 
 
-# The degrees a computation trusts come from its objects (their box and
-# margin, through comodule.TrustedRegion); a smaller box is had by
+# The degrees a computation trusts come from its objects (their least box,
+# through comodule.TrustedRegion); a smaller box is had by
 # truncating the objects, so no solver or check takes a second cap.
 REGION_READERS = (
     comodule.TrustedRegion,

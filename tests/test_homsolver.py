@@ -420,7 +420,7 @@ def test_hom_space_respects_box():
 def _cut_to_common_bound(*mods):
     """The objects truncated to the bound of their trusted region."""
     bound = TrustedRegion(*mods).bound
-    return [truncate(M, bound - M.margin) for M in mods]
+    return [truncate(M, bound) for M in mods]
 
 
 def test_objects_with_different_bounds_are_read_in_their_common_region():
@@ -458,7 +458,7 @@ def test_objects_with_different_bounds_are_read_in_their_common_region():
 
     mods = [F40, F30, build_J(3, 1, 1)]
     S, C = direct_sum(mods), direct_sum(_cut_to_common_bound(*mods))
-    assert S.matches(C) and (S.box, S.margin, S.name) == (C.box, C.margin, C.name)
+    assert S.matches(C) and (S.box, S.name) == (C.box, C.name)
 
 
 def test_restrict_cuts_only_an_object_that_may_store_past_the_bound():
@@ -468,10 +468,10 @@ def test_restrict_cuts_only_an_object_that_may_store_past_the_bound():
     assert TrustedRegion(F30, J).restrict(J) is J
     assert TrustedRegion(J).restrict(J) is J
     cut = TrustedRegion(F40, F30).restrict(F40)
-    assert cut.matches(truncate(F40, 30)) and (cut.box, cut.margin) == (30, 0)
-    H = truncate(psi_H(3, 30), 3)  # box 3, margin 1
+    assert cut.matches(truncate(F40, 30)) and cut.box == 30
+    H = truncate(psi_H(3, 30), 3)  # stored up to total degree 3
     cut = TrustedRegion(H, J).restrict(J)
-    assert cut.matches(truncate(J, 4)) and (cut.box, cut.margin) == (4, 0)
+    assert cut.matches(truncate(J, 3)) and cut.box == 3
 
 
 # ---------------------------------------------------------------------------

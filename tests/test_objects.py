@@ -31,6 +31,7 @@ from supercomod.comodule import (
     simple_comodule,
     suspend,
     tensor,
+    truncate,
     zero_comodule,
 )
 from supercomod.functorcomb import count_hom
@@ -248,7 +249,7 @@ def test_H_p5():
 def test_theta_psi_H_dims():
     T = theta_psi_H(3, 30)
     assert all(T.dim(d) == 1 for d in T.degrees())
-    assert sorted(T.degrees()) == list(range(32))
+    assert sorted(T.degrees()) == list(range(31))
     assert T.validate() == []
 
 
@@ -555,7 +556,7 @@ def _validated_push(M, dst_name, regrade):
         for d in M.degrees():
             components.setdefault(total_of(d), []).extend(M.components[d])
         components = {n: sorted(labs) for n, labs in components.items()}
-    return Comodule(dst, components, coaction, box=M.box, margin=M.margin)
+    return Comodule(dst, components, coaction, box=M.box)
 
 
 def _assert_same(trusted, validated):
@@ -564,7 +565,7 @@ def _assert_same(trusted, validated):
     # dump writes each coaction in its stored order
     assert trusted.coaction == validated.coaction
     assert all(type(terms) is tuple for terms in trusted.coaction.values())
-    assert (trusted.box, trusted.margin) == (validated.box, validated.margin)
+    assert trusted.box == validated.box
     for lab in validated.coaction:
         assert trusted.degree_of(lab) == validated.degree_of(lab)
         assert trusted.index_of(lab) == validated.index_of(lab)
@@ -621,7 +622,25 @@ def _revalidated(M):
     constructor stores it."""
     return Comodule(M.preset, M.components,
                     {lab: list(terms) for lab, terms in M.coaction.items()},
-                    box=M.box, margin=M.margin)
+                    box=M.box)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_no_builder_stores_a_degree_above_its_box(p):
+    # a truncation stores no degree above its box; H, which has a basis
+    # element in every degree, fills it
+    H, H9 = build_H(p, 13), build_H(p, 9)
+    filled = [H, build_H_tensor(p, 2, 13), truncate(build_H(p, 20), 13),
+              tensor(H, H9), direct_sum([H9, H])]
+    built = []
+    if p != 2:
+        F, P9 = build_F(p, 1, 1, 13), psi_H(p, 9)
+        filled.append(theta_psi_H(p, 13))
+        built = [F, tensor(F, P9), direct_sum([P9, F, build_J(p, 1, 2)])]
+    for M in filled + built:
+        top = max(total_of(d) for d in M.components)
+        assert top <= M.box and M.box in (9, 13), (M.name, M.box, top)
+        assert top == M.box or M in built, (M.name, M.box, top)
 
 
 # ---------------------------------------------------------------------------

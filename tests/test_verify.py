@@ -104,9 +104,10 @@ def test_axioms(p, box):
     assert len(rep.checks) == n_expected
 
 
-def assert_refused(name, least, **params):
-    """run_suite refuses the box with a ValueError naming the least box."""
-    with pytest.raises(ValueError, match=f"the least box for these parameters is {least}$"):
+def assert_refused(name, least, param="box", **params):
+    """run_suite refuses the parameter (the box by default) with a ValueError
+    naming its least value."""
+    with pytest.raises(ValueError, match=f"the least {param} for these parameters is {least}$"):
         run_suite(name, **params)
 
 
@@ -183,19 +184,24 @@ def test_h_tensor_small():
     assert rep.ok, failures(rep)
 
 
-# the least box of each suite: below it a check would be decided on no
-# instance, or on an object that the box leaves empty
+# the least box of each suite, or (parameter, least value) for another
+# parameter: below it a check would be decided on no instance, or on an
+# object that the box leaves empty
 @pytest.mark.parametrize("name,params,least", [
-    ("h_tensor", {"p": 3, "n_max": 2}, 4),  # the witness H^(x)2 at (1,2)
-    ("h_tensor", {"p": 5, "n_max": 2}, 4),
+    ("h_tensor", {"p": 3, "n_max": 2}, 5),  # the witness H^(x)2 at (1,2)
+    ("h_tensor", {"p": 5, "n_max": 2}, 5),
     ("h_tensor", {"p": 2, "n_max": 2}, 0),
     ("tensor_splittings", {"p": 3, "a_max": 2, "b_max": 1}, 4),  # F(a,b) starts at a + 2b
     ("g_filtration", {"p": 5, "a_max": 3}, 3),  # F(a,0) starts in degree a
+    ("mahowald", {"p": 3, "m_max": 4}, ("n_max", 1)),  # the sequences start at n = 1
+    ("mahowald", {"p": 3, "n_max": 1}, ("m_max", 4)),  # m = 1..p+1: every residue, 1 twice
+    ("mahowald", {"p": 5, "n_max": 1}, ("m_max", 6)),
 ])
 def test_suite_refuses_a_box_below_its_least(name, params, least):
+    param, least = least if isinstance(least, tuple) else ("box", least)
     if least:
-        assert_refused(name, least, box=least - 1, **params)
-    rep = run_suite(name, box=least, **params)
+        assert_refused(name, least, param, **{param: least - 1}, **params)
+    rep = run_suite(name, **{param: least}, **params)
     assert rep.ok, failures(rep)
 
 
@@ -250,7 +256,7 @@ def test_run_all_caps_the_workers_at_the_number_of_suites(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    reports = run_all(names=["mahowald", "brown_gitler"], jobs=64, p=3, n_max=1, m_max=2)
+    reports = run_all(names=["mahowald", "brown_gitler"], jobs=64, p=3, n_max=1, m_max=4)
     assert [r.suite for r in reports] == ["mahowald", "brown_gitler"]
     assert _RecordingPool.sizes == [2]
     # one suite runs in this process, whatever jobs asks for
