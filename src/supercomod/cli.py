@@ -63,12 +63,13 @@ def _check_nonnegative(value, flag: str) -> None:
 
 def parse_degree(text: str):
     """Either a single integer degree or a pair 'a,b'."""
-    parts = text.split(",")
-    if len(parts) == 1:
-        return int(parts[0])
-    if len(parts) == 2:
-        return (int(parts[0]), int(parts[1]))
-    raise ValueError(f"bad degree {text!r}; expected 'n' or 'a,b'")
+    try:
+        degree = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        degree = ()
+    if len(degree) not in (1, 2):
+        raise ValueError(f"bad degree {text!r}; expected 'n' or 'a,b'")
+    return degree if len(degree) == 2 else degree[0]
 
 
 def _check_degree(preset, deg, flag: str):

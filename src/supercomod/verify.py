@@ -1,6 +1,8 @@
 """Named verification suites for the structure theory: each suite runs a
-battery of exact checks at desk scale and returns a structured report
-with per-check witnesses.
+battery of exact checks at desk scale into a structured report with
+per-check witnesses. The runner builds the report from the suite's name and
+parameters and passes it in as `rep`; the suite states its claim and adds
+its checks.
 
 Reports serialize to JSON as
 {suite, params, status, checks: [{name, status, witness}], claim};
@@ -133,17 +135,10 @@ def _require_least(suite: str, param: str, value: int, least: int) -> None:
                          f"the least {param} for these parameters is {least}")
 
 
-def suite_axioms(p: int = 3, box: int = 30) -> SuiteReport:
-    rep = SuiteReport(
-        "axioms",
-        {"p": p, "box": box},
-        claim=(
-            "the endomorphism super-bialgebra and its quotients satisfy "
-            "coassociativity, counit, multiplicativity, graded commutativity "
-            "and mod-2 grading compatibility; (w) and (w, xi0 - u^2) are "
-            "Hopf ideals"
-        ),
-    )
+def suite_axioms(rep: SuiteReport, p: int = 3, box: int = 30) -> None:
+    rep.claim = ("the endomorphism super-bialgebra and its quotients satisfy coassociativity, "
+                 "counit, multiplicativity, graded commutativity and mod-2 grading compatibility; "
+                 "(w) and (w, xi0 - u^2) are Hopf ideals")
     names = ["b2"] if p == 2 else ["b", "bbar", "atilde"]
     for name in names:
         preset = get_preset(name, p)
@@ -162,19 +157,12 @@ def suite_axioms(p: int = 3, box: int = 30) -> SuiteReport:
                 r.is_hopf_ideal,
                 r.counterexample or "coideal with vanishing counit",
             )
-    return rep
 
 
-def suite_unstable(p: int = 3, box: int = 40) -> SuiteReport:
-    rep = SuiteReport(
-        "unstable",
-        {"p": p, "box": box},
-        claim=(
-            "the coaction on H = Lambda(y) (x) F[x] carries the unstable "
-            "Steenrod action: beta(y) = x, beta(x^m) = 0, P^i(x^m) = "
-            "C(m,i) x^{m+i(p-1)}, and the top power is the Frobenius"
-        ),
-    )
+def suite_unstable(rep: SuiteReport, p: int = 3, box: int = 40) -> None:
+    rep.claim = ("the coaction on H = Lambda(y) (x) F[x] carries the unstable Steenrod action: "
+                 "beta(y) = x, beta(x^m) = 0, P^i(x^m) = C(m,i) x^{m+i(p-1)}, "
+                 "and the top power is the Frobenius")
     T = theta_psi_H(p, box) if p != 2 else build_H(2, box)
     xdeg = T.preset.collapse(0, 1)  # the degree of x, in bidegree (0, 1)
     _require_least("unstable", "box", box, p * xdeg)  # the degree of P^1 x = x^p
@@ -201,19 +189,12 @@ def suite_unstable(p: int = 3, box: int = 40) -> SuiteReport:
     problems = instability_check(T, table)
     rep.add("operations below the instability threshold vanish", not problems,
             "; ".join(problems))
-    return rep
 
 
-def suite_j0n(p: int = 3, n_max: int = 12) -> SuiteReport:
-    rep = SuiteReport(
-        "j0n",
-        {"p": p, "n_max": n_max},
-        claim=(
-            "J(0,n) realizes Hom(Gamma^n, Lambda^a (x) Gamma^b): its "
-            "dimension in bidegree (a,b) is the number of p-power "
-            "decompositions of n into a distinct and b repeatable parts"
-        ),
-    )
+def suite_j0n(rep: SuiteReport, p: int = 3, n_max: int = 12) -> None:
+    rep.claim = ("J(0,n) realizes Hom(Gamma^n, Lambda^a (x) Gamma^b): "
+                 "its dimension in bidegree (a,b) is the number of p-power decompositions of n "
+                 "into a distinct and b repeatable parts")
     for n in range(n_max + 1):
         J = build_J(p, 0, n)
         bad = []
@@ -235,19 +216,12 @@ def suite_j0n(p: int = 3, n_max: int = 12) -> SuiteReport:
         "t <= b already fails for J(0,1), which has a class in bidegree "
         "(1,0); reports state the computed bound without adjudicating",
     )
-    return rep
 
 
-def suite_tensor_splittings(p: int = 3, a_max: int = 3, b_max: int = 3,
-                            box: int = 60) -> SuiteReport:
-    rep = SuiteReport(
-        "tensor_splittings",
-        {"p": p, "a_max": a_max, "b_max": b_max, "box": box},
-        claim=(
-            "J(a,b) = J(a,0) (x) J(0,b) and F(a,b) = F(a,0) (x) F(0,b) "
-            "by certified isomorphisms"
-        ),
-    )
+def suite_tensor_splittings(rep: SuiteReport, p: int = 3, a_max: int = 3, b_max: int = 3,
+                            box: int = 60) -> None:
+    rep.claim = ("J(a,b) = J(a,0) (x) J(0,b) and F(a,b) = F(a,0) (x) F(0,b) "
+                 "by certified isomorphisms")
     _require_least("tensor_splittings", "box", box, a_max + 2 * b_max)  # F(a,b) starts at a + 2b
     J = functools.cache(lambda a, b: build_J(p, a, b))
     F = functools.cache(lambda a, b: build_F(p, a, b, box))
@@ -261,19 +235,12 @@ def suite_tensor_splittings(p: int = 3, a_max: int = 3, b_max: int = 3,
             rep.add(f"F({a},{b}) splits", verdict == "iso",
                     f"dim {sum(F(a, b).poincare().values())}" if verdict == "iso"
                     else f"verdict {verdict}")
-    return rep
 
 
-def suite_g_filtration(p: int = 3, a_max: int = 5, box: int = 60) -> SuiteReport:
-    rep = SuiteReport(
-        "g_filtration",
-        {"p": p, "a_max": a_max, "box": box},
-        claim=(
-            "F(a,0) carries a finite filtration by u-divisibility whose "
-            "quotients are suspended duals of exterior powers; dividing "
-            "by u is surjective with kernel the dual of Lambda^a"
-        ),
-    )
+def suite_g_filtration(rep: SuiteReport, p: int = 3, a_max: int = 5, box: int = 60) -> None:
+    rep.claim = ("F(a,0) carries a finite filtration by u-divisibility whose quotients are "
+                 "suspended duals of exterior powers; "
+                 "dividing by u is surjective with kernel the dual of Lambda^a")
     _require_least("g_filtration", "box", box, a_max)  # F(a,0) starts in degree a
     for a in range(a_max + 1):
         F = build_F(p, a, 0, box)
@@ -296,7 +263,6 @@ def suite_g_filtration(p: int = 3, a_max: int = 5, box: int = 60) -> SuiteReport
                     K.poincare() == {(0, t): dim for t, dim
                                      in poincare_r_prime(p, a, 0, box // 2).items()},
                     _fmt(K.poincare()))
-    return rep
 
 
 def _theta_morphism(f, TM, TN):
@@ -316,17 +282,11 @@ def _fn_slots(n: int) -> list:
 DIVISIONS = (((2, 0), canonical_l, "u^2"), ((0, 1), canonical_r, "xi0"))
 
 
-def suite_fn_structure(p: int = 3, n_max: int = 6, box: int = 60) -> SuiteReport:
-    rep = SuiteReport(
-        "fn_structure",
-        {"p": p, "n_max": n_max, "box": box},
-        claim=(
-            "F(n) embeds by the quotient-dual maps mu into the sum of "
-            "Theta F(a,b) with a+2b = n, identifies with the equalizer of "
-            "the u^2/xi0-division diagram, and its Poincare series equals "
-            "the associated graded of the Verschiebung-kernel filtration"
-        ),
-    )
+def suite_fn_structure(rep: SuiteReport, p: int = 3, n_max: int = 6, box: int = 60) -> None:
+    rep.claim = ("F(n) embeds by the quotient-dual maps mu into the sum of Theta F(a,b) with "
+                 "a+2b = n, identifies with the equalizer of the u^2/xi0-division diagram, "
+                 "and its Poincare series equals the associated graded of the "
+                 "Verschiebung-kernel filtration")
     _require_least("fn_structure", "box", box, n_max)  # F(a,b) with a + 2b = n starts at n
     F = functools.cache(lambda a, b: build_F(p, a, b, box))
     shifted = functools.cache(lambda shift, a, b: suspend(F(a, b), shift))
@@ -412,19 +372,12 @@ def suite_fn_structure(p: int = 3, n_max: int = 6, box: int = 60) -> SuiteReport
                 _fmt(fn_table))
         rep.add(f"Poincare(F({n})) matches the associated graded",
                 fn_table == graded, _fmt(graded))
-    return rep
 
 
-def suite_mahowald(p: int = 3, n_max: int = 4, m_max: int = 20) -> SuiteReport:
-    rep = SuiteReport(
-        "mahowald",
-        {"p": p, "n_max": n_max, "m_max": m_max},
-        claim=(
-            "xi0-multiplication, the Verschiebung and its twist form short "
-            "exact sequences of standard objects; xi0-multiplication is an "
-            "isomorphism exactly when m is not 0 or 1 mod p"
-        ),
-    )
+def suite_mahowald(rep: SuiteReport, p: int = 3, n_max: int = 4, m_max: int = 20) -> None:
+    rep.claim = ("xi0-multiplication, the Verschiebung and its twist form short exact sequences "
+                 "of standard objects; "
+                 "xi0-multiplication is an isomorphism exactly when m is not 0 or 1 mod p")
     _require_least("mahowald", "n_max", n_max, 1)
     _require_least("mahowald", "m_max", m_max, p + 1)  # m = 1..p+1: every residue, 1 twice
     for n in range(1, n_max + 1):
@@ -451,37 +404,22 @@ def suite_mahowald(p: int = 3, n_max: int = 4, m_max: int = 20) -> SuiteReport:
     rep.add("xi0-multiplication iso pattern (m not 0,1 mod p)",
             pattern == expected,
             _fmt({m: v for m, v in pattern.items() if v}))
-    return rep
 
 
-def suite_brown_gitler(p: int = 3, n_max: int = 8) -> SuiteReport:
-    rep = SuiteReport(
-        "brown_gitler",
-        {"p": p, "n_max": n_max},
-        claim=(
-            "the doubling functor Theta carries J(0,n) to J(2n) and "
-            "J(1,n) to J(2n+1), by certified isomorphisms"
-        ),
-    )
+def suite_brown_gitler(rep: SuiteReport, p: int = 3, n_max: int = 8) -> None:
+    rep.claim = ("the doubling functor Theta carries J(0,n) to J(2n) and J(1,n) to J(2n+1), "
+                 "by certified isomorphisms")
     for n in range(n_max + 1):
         for eps in (0, 1):
             J = build_Jn(p, 2 * n + eps)
             verdict, _ = find_isomorphism(theta_J(p, eps, n), J)
             rep.add(f"Theta J({eps},{n}) = J({2*n+eps})", verdict == "iso",
                     _fmt(J.poincare()) if verdict == "iso" else f"verdict {verdict}")
-    return rep
 
 
-def suite_h_tensor(p: int = 3, n_max: int = 4, box: int = 40) -> SuiteReport:
-    rep = SuiteReport(
-        "h_tensor",
-        {"p": p, "n_max": n_max, "box": box},
-        claim=(
-            "the n-fold tensor power of H has dimension C(n,a) C(b+n-1,n-1) "
-            "in bidegree (a,b) and represents evaluation against the "
-            "standard objects"
-        ),
-    )
+def suite_h_tensor(rep: SuiteReport, p: int = 3, n_max: int = 4, box: int = 40) -> None:
+    rep.claim = ("the n-fold tensor power of H has dimension C(n,a) C(b+n-1,n-1) "
+                 "in bidegree (a,b) and represents evaluation against the standard objects")
     _require_least("h_tensor", "box", box, 0 if p == 2 else 5)  # H^(x)2 at (1,2)
     H = build_H(p, box)
     T2 = tensor(H, H, name="H^(x)2") if n_max >= 2 else None
@@ -518,7 +456,6 @@ def suite_h_tensor(p: int = 3, n_max: int = 4, box: int = 40) -> SuiteReport:
                 bad.append(((a, b), hs.dim, eval_dims(2, a, b)))
         rep.add("hom(Psi H^(x)2, J(a,b)) dims represent evaluation",
                 not bad, _fmt(bad))
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +479,18 @@ P2_SUITES = ("axioms", "unstable", "h_tensor")
 
 
 def run_suite(name: str, **params) -> SuiteReport:
+    """The suite's report at its defaults overridden by the non-None params it reads."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if params.get("p") == 2 and name not in P2_SUITES:
         raise ValueError(f"suite {name!r} needs an odd prime; at p = 2 only "
                          f"{', '.join(P2_SUITES)} run")
     fn = SUITES[name]
-    accepted = inspect.signature(fn).parameters
-    return fn(**{k: v for k, v in params.items() if k in accepted and v is not None})
+    _, *accepted = inspect.signature(fn).parameters.values()  # all but `rep`
+    rep = SuiteReport(name, {a.name: a.default if params.get(a.name) is None
+                             else params[a.name] for a in accepted})
+    fn(rep, **rep.params)
+    return rep
 
 
 def run_all(names=None, jobs: int = 1, **params) -> list:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -51,3 +52,18 @@ def test_axioms_workload_runs():
     checks = [check for item in items for check in workloads.run_item(item)]
     assert len(checks) == len(items)
     assert all(status == "pass" for _, status, _ in checks), checks
+
+
+def test_workload_suite_params_name_suite_parameters():
+    # run_suite drops a key its suite does not read, so a renamed parameter
+    # would leave the benchmark running the suite at its default
+    from supercomod.verify import SUITES
+
+    workloads = _load("workloads")
+    items = [item for smoke in (False, True) for name in workloads.NAMES
+             for repetition in workloads.plan(name, seed=1, smoke=smoke)
+             for item in repetition if item["kind"] == "suite"]
+    assert {item["suite"] for item in items} == {"brown_gitler", *workloads.STRUCTURE_SUITES}
+    unread = [(item["suite"], key) for item in items for key in item["params"]
+              if key not in inspect.signature(SUITES[item["suite"]]).parameters]
+    assert not unread, unread

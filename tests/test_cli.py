@@ -78,6 +78,15 @@ def test_basis_rejects_negative_degrees(capsys):
         assert flag.split("=")[0] in err and ">= 0" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--left", "x,1"), ("--right", "1,y"),
+                                        ("--left", ""), ("--left", "1,2,3")])
+def test_basis_rejects_a_malformed_degree(capsys, flag, value):
+    rc, out, err = run(capsys, "basis", "--preset", "bbar", "--p", "3", flag, value)
+    assert (rc, out) == (2, "")
+    assert f"bad degree {value!r}; expected 'n' or 'a,b'" in err
+    assert "invalid literal" not in err
+
+
 # ---------------------------------------------------------------------------
 # poincare
 

@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 import supercomod
-from supercomod import bialgebra, comodule, homsolver
+from supercomod import bialgebra, comodule, homsolver, verify
 
 SRC = Path(supercomod.__file__).resolve().parent
 
@@ -476,3 +476,23 @@ def test_the_parser_takes_its_sign_from_product():
     parser = _top_level_function(SRC / "bialgebra.py", "parse_monomial")
     assert any(_is_product_use(node) for node in ast.walk(parser))
     assert not any(isinstance(node, ast.comprehension) for node in ast.walk(parser))
+
+
+# The runner builds every suite report from the suite's name and parameters
+# and passes it in as `rep`; a suite states its claim, adds its checks and
+# returns nothing.
+REPORT_BUILDERS = {("verify.py", "run_suite")}
+
+
+def _is_value_return(node) -> bool:
+    return isinstance(node, ast.Return) and node.value is not None
+
+
+def test_the_runner_builds_every_suite_report():
+    found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _calls("SuiteReport"))]
+    assert {(f, func) for f, func, _ in found} == REPORT_BUILDERS and len(found) == 1, found
+    assert all(next(iter(inspect.signature(fn).parameters)) == "rep"
+               for fn in verify.SUITES.values())
+    # _find names the innermost function, so a nested helper's return is not counted
+    returning = [c for c in _find(SRC / "verify.py", _is_value_return) if c[1].startswith("suite_")]
+    assert not returning, returning

@@ -78,6 +78,18 @@ def test_suites_reproduce_the_benchmark_reference(key):
     assert [[c.name, c.status, c.witness] for c in rep.checks] == REFERENCE[key]
 
 
+# Every suite's full report (suite, params, status, checks, claim) at small
+# sizes, recorded before the runner took over building the reports.
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reports_match_the_recorded_ones(p):
+    reports = run_all(p=p, box=10, n_max=2, m_max=6, a_max=1, b_max=1)
+    assert [r.as_dict() for r in reports] == \
+        json.loads((GOLDEN / f"reports_p{p}.json").read_text())
+
+
 def test_run_all_covers_registry():
     assert sorted(SUITES) == [
         "axioms",
