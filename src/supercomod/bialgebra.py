@@ -37,7 +37,7 @@ then a disjoint-mask test, one integer addition and one table lookup, with
 the sign of reordering the exterior letters counted from the two masks.
 That count, ``_exterior_sign``, is the one sign rule: ``parse_monomial``
 reaches it by multiplying the factors it reads with ``product``.
-Only this module multiplies monomials: ``TensorSum.mul`` (B (x) B) and
+Only this module multiplies monomials: ``tensor_mul`` (B (x) B) and
 ``_coaction_product`` (comodule tensor products) work on packed keys too.
 The limits are t_i for i <= MAX_TAU_INDEX, x_j for j <= MAX_XI_INDEX, a u
 exponent up to MAX_U_EXPONENT and an x_j exponent up to MAX_XI_EXPONENT;
@@ -56,6 +56,10 @@ monomials.  A preset row tests membership with one mask on the packed key,
 and ``PresetRow.unpadded`` clears a monomial's power of the row's grouplike
 pad (u, or x0 without u) with another.
 A canonical quotient sends a monomial to one monomial or to 0.
+
+An element of B (x) B is a plain dict {(a, b): c} of monomial pairs with
+coefficients nonzero mod p; ``tensor_mul`` multiplies two, and a memoised
+coproduct is one such dict, shared and so read only.
 """
 
 from __future__ import annotations
@@ -491,75 +495,57 @@ def get_preset(name: str, p: int) -> CoalgebraPreset:
 # tensor-square arithmetic
 
 
-class TensorSum:
-    """An element of B (x) B: a finite sum of monomial pairs with F_p coeffs."""
+def tensor_mul(p: int, x: dict, y: dict) -> dict:
+    """The product of the elements x and y of B (x) B:
+    (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd, summed over pairs of terms.
+    A sum that reaches 0 mod p is popped, so a term that cancels and returns
+    goes to the end."""
+    get = _INTERNED.get
+    terms: dict = {}
+    right = [(c._code, c._code & _EXT, d._code, d._code & _EXT, c.parity, c2)
+             for (c, d), c2 in y.items()]
+    for (a, b), c1 in x.items():
+        ka, kb, pb = a._code, b._code, b.parity
+        ea, eb = ka & _EXT, kb & _EXT
+        for kc, ec, kd, ed, pc, c2 in right:
+            if ea & ec:
+                continue
+            ac = get(ka + kc) or _from_code(ka + kc)
+            if eb & ed:
+                continue
+            bd = get(kb + kd) or _from_code(kb + kd)
+            c = -c1 * c2 if pb and pc else c1 * c2  # Koszul sign (-1)^{|b||c|}
+            if ea and ec:
+                c *= _exterior_sign(ea, ec)
+            if eb and ed:
+                c *= _exterior_sign(eb, ed)
+            key = (ac, bd)
+            new = (terms.get(key, 0) + c) % p
+            if new:
+                terms[key] = new
+            else:
+                terms.pop(key, None)
+    return terms
 
-    __slots__ = ("p", "terms")
 
-    def __init__(self, p: int, terms: dict[tuple[Monomial, Monomial], int] | None = None):
-        self.p = p
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c %= p
-                if c:
-                    self.terms[key] = c
-
-    def items(self):
-        return self.terms.items()
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorSum) and self.p == other.p and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"{c}*({a})(x)({b})" for (a, b), c in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
-        ))
-        return f"TensorSum[{body or '0'}]"
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add_term(self, a: Monomial, b: Monomial, c: int) -> None:
-        key = (a, b)
-        new = (self.terms.get(key, 0) + c) % self.p
+def _sum_mod(p: int, terms) -> dict:
+    """The sum mod p of the (key, coefficient) pairs `terms`, as a dict of
+    the keys whose sum is nonzero; as in ``tensor_mul``, a sum that reaches
+    0 is popped, so a key that returns goes to the end."""
+    out: dict = {}
+    for key, c in terms:
+        new = (out.get(key, 0) + c) % p
         if new:
-            self.terms[key] = new
+            out[key] = new
         else:
-            self.terms.pop(key, None)
+            out.pop(key, None)
+    return out
 
-    def mul(self, other: "TensorSum") -> "TensorSum":
-        """(a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd, summed over pairs of terms."""
-        p, get = self.p, _INTERNED.get
-        out = TensorSum(p)
-        terms = out.terms
-        right = [(c._code, c._code & _EXT, d._code, d._code & _EXT, c.parity, c2)
-                 for (c, d), c2 in other.terms.items()]
-        for (a, b), c1 in self.terms.items():
-            ka, kb, pb = a._code, b._code, b.parity
-            ea, eb = ka & _EXT, kb & _EXT
-            for kc, ec, kd, ed, pc, c2 in right:
-                if ea & ec:
-                    continue
-                ac = get(ka + kc) or _from_code(ka + kc)
-                if eb & ed:
-                    continue
-                bd = get(kb + kd) or _from_code(kb + kd)
-                c = -c1 * c2 if pb and pc else c1 * c2  # Koszul sign (-1)^{|b||c|}
-                if ea and ec:
-                    c *= _exterior_sign(ea, ec)
-                if eb and ed:
-                    c *= _exterior_sign(eb, ed)
-                key = (ac, bd)
-                new = (terms.get(key, 0) + c) % p
-                if new:
-                    terms[key] = new
-                else:
-                    terms.pop(key, None)
-        return out
+
+def _format_sum(terms: dict) -> str:
+    """An element of B (x) B as c*(a)(x)(b) + ..., sorted by (a, b)."""
+    return " + ".join(f"{c}*({a})(x)({b})" for (a, b), c in sorted(
+        terms.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))) or "0"
 
 
 def _coaction_product(p: int, pairs: dict, left: dict, right: dict, odd: dict) -> dict:
@@ -605,42 +591,35 @@ def first_difference(p: int, lhs: dict, rhs: dict, order):
 # coproduct, counit
 
 
-def _letter_coproduct(preset: CoalgebraPreset, g: Monomial) -> TensorSum:
+def _letter_coproduct(preset: CoalgebraPreset, g: Monomial) -> dict:
     """D(g) of a letter g, by the formula of the module docstring for u, w,
-    t_i or x_j."""
+    t_i or x_j; its terms are distinct pairs, each of coefficient 1."""
     p = preset.p
-    ts = TensorSum(p)
 
     def x(j: int, e: int) -> Monomial:
         """x_j^e, with x0 rewritten as u^2 where the preset identifies them."""
         return _x0_to_u2(mono_xi(j, e)) if preset.row.x0_is_u2 else mono_xi(j, e)
 
     if g.u:
-        ts.add_term(g, g, 1)
-        if preset.row.w:
-            ts.add_term(mono_w(), mono_tau(0), 1)
+        pairs = [(g, g)] + ([(mono_w(), mono_tau(0))] if preset.row.w else [])
     elif g.w:
-        ts.add_term(mono_u(), g, 1)
-        ts.add_term(g, mono_xi(0), 1)
+        pairs = [(mono_u(), g), (g, mono_xi(0))]
     elif g.tau:
         i = g.tau[0]
-        for s in range(i + 1):
-            ts.add_term(x(i - s, p**s), mono_tau(s), 1)
-        ts.add_term(g, mono_u(), 1)
+        pairs = [(x(i - s, p**s), mono_tau(s)) for s in range(i + 1)] + [(g, mono_u())]
     else:
         j = g.xi[0][0]
-        for s in range(j + 1):
-            ts.add_term(x(j - s, p**s), x(s, 1), 1)
-        if preset.row.w:
-            ts.add_term(mono_tau(j), mono_w(), 1)
-    return ts
+        pairs = [(x(j - s, p**s), x(s, 1)) for s in range(j + 1)]
+        pairs += [(mono_tau(j), mono_w())] if preset.row.w else []
+    return dict.fromkeys(pairs, 1)
 
 
 @lru_cache(maxsize=None)
-def coproduct(preset: CoalgebraPreset, m: Monomial) -> TensorSum:
-    """The coproduct of a basis monomial, as a TensorSum: D(m / g^e) D(g^e)
-    for the last letter power g^e of m (sign +1, as g^e comes last),
-    D(g^(e-1)) D(g) for a power, and the formula of a letter."""
+def coproduct(preset: CoalgebraPreset, m: Monomial) -> dict:
+    """The coproduct of a basis monomial, as a dict {(a, b): c} that the
+    memo shares, so read only: ``tensor_mul`` of D(m / g^e) and D(g^e) for
+    the last letter power g^e of m (sign +1, as g^e comes last), of
+    D(g^(e-1)) and D(g) for a power, and the formula of a letter."""
     preset.validate_monomial(m)
     code = m._code
     if m.xi:
@@ -657,8 +636,8 @@ def coproduct(preset: CoalgebraPreset, m: Monomial) -> TensorSum:
     elif e > 1:  # m = g^(e-1) * g
         rest, last = _from_code(code - unit), _from_code(unit)
     else:
-        return _letter_coproduct(preset, m) if e else TensorSum(preset.p, {(ONE, ONE): 1})
-    return coproduct(preset, rest).mul(coproduct(preset, last))
+        return _letter_coproduct(preset, m) if e else {(ONE, ONE): 1}
+    return tensor_mul(preset.p, coproduct(preset, rest), coproduct(preset, last))
 
 
 # bound here, so that the report still reaches the cache when a caller has
@@ -806,9 +785,10 @@ class AxiomFailure:
         return f"{self.axiom} fails at {ms}: {self.detail}"
 
 
-def _coproduct_on_slot(preset, ts: TensorSum, coproduct_fn, slot: int) -> dict:
-    """(D (x) 1) for slot 0 or (1 (x) D) for slot 1, applied to a TensorSum,
-    as {(m1, m2, m3): coeff}, the coefficients not reduced mod p."""
+def _coproduct_on_slot(preset, ts: dict, coproduct_fn, slot: int) -> dict:
+    """(D (x) 1) for slot 0 or (1 (x) D) for slot 1, applied to ts, an
+    element {(b1, b2): c} of B (x) B as ``tensor_mul`` takes it, as
+    {(m1, m2, m3): coeff}, the coefficients not reduced mod p."""
     out: dict = {}
     for (b1, b2), c in ts.items():
         for (a1, a2), d in coproduct_fn(preset, b2 if slot else b1).items():
@@ -817,7 +797,7 @@ def _coproduct_on_slot(preset, ts: TensorSum, coproduct_fn, slot: int) -> dict:
     return out
 
 
-def check_homogeneity(preset: CoalgebraPreset, m: Monomial, ts: TensorSum) -> str | None:
+def check_homogeneity(preset: CoalgebraPreset, m: Monomial, ts: dict) -> str | None:
     """Matric homogeneity of a coproduct term: returns a problem or None."""
     lm, rm = preset.left_degree(m), preset.right_degree(m)
     for (b1, b2), _ in ts.items():
@@ -847,10 +827,10 @@ def check_bialgebra_axioms(preset: CoalgebraPreset, box: int, coproduct_fn=None,
     D(1) = 1 (x) 1, as only 1 has left or right degree 0).  The letters
     g <= h satisfy D(g)D(h) = (-1)^{|g||h|} D(h)D(g), so D(g)^2 = 0 for odd
     g (p is odd wherever there are odd letters): the relations of A.  With
-    the signs of ``product`` and the associativity of ``TensorSum.mul``,
-    which takes its signs from ``product``'s helper (all property-tested,
-    ``mul`` also against the pairwise product through ``product``), D on the
-    letters extends to an algebra map phi: A -> A (x) A.  Every other
+    the signs of ``product`` and the associativity of ``tensor_mul``, which
+    takes its signs from ``product``'s helper (all property-tested,
+    ``tensor_mul`` also against the pairwise product through ``product``),
+    D on the letters extends to an algebra map phi: A -> A (x) A.  Every other
     monomial m of the box + 1 is peeled once: g is the first letter (in the
     order of ``enumerate_box``) that divides m, g*r = s*m, D(m) is compared
     term by term with D(g)D(r) or its negative, and r*g = (-1)^{|g||r|} g*r
@@ -882,16 +862,14 @@ def check_bialgebra_axioms(preset: CoalgebraPreset, box: int, coproduct_fn=None,
             return AxiomFailure(
                 "parity", (g,), f"total degree {preset.total_degree(g)} has wrong parity"
             )
-        left_g, right_g = TensorSum(p), TensorSum(p)  # as 1 (x) b and b (x) 1
-        for (b1, b2), c in ts.items():
-            if counit(preset, b1):
-                left_g.add_term(ONE, b2, c)
-            if counit(preset, b2):
-                right_g.add_term(b1, ONE, c)
-        if left_g.terms != {(ONE, g): 1}:
-            return AxiomFailure("counit-left", (g,), f"(eps (x) 1) D({g}) = {left_g}")
-        if right_g.terms != {(g, ONE): 1}:
-            return AxiomFailure("counit-right", (g,), f"(1 (x) eps) D({g}) = {right_g}")
+        left_g = _sum_mod(p, (((ONE, b2), c) for (b1, b2), c in ts.items() if counit(preset, b1)))
+        if left_g != {(ONE, g): 1}:
+            return AxiomFailure("counit-left", (g,),
+                                f"(eps (x) 1) D({g}) = {_format_sum(left_g)}")
+        right_g = _sum_mod(p, (((b1, ONE), c) for (b1, b2), c in ts.items() if counit(preset, b2)))
+        if right_g != {(g, ONE): 1}:
+            return AxiomFailure("counit-right", (g,),
+                                f"(1 (x) eps) D({g}) = {_format_sum(right_g)}")
         lhs = _coproduct_on_slot(preset, ts, cop, 0)
         rhs = _coproduct_on_slot(preset, ts, cop, 1)
         witness = first_difference(p, lhs, rhs, lambda t: tuple(x.sort_key() for x in t))
@@ -905,17 +883,17 @@ def check_bialgebra_axioms(preset: CoalgebraPreset, box: int, coproduct_fn=None,
     for i, g in enumerate(letters):
         for h in letters[i:]:
             sign = -1 if g.parity and h.parity else 1
-            gh = cop(preset, g).mul(cop(preset, h))
-            hg = cop(preset, h).mul(cop(preset, g))
-            if gh.terms != (hg.terms if sign == 1 else {k: p - c for k, c in hg.items()}):
+            gh = tensor_mul(p, cop(preset, g), cop(preset, h))
+            hg = tensor_mul(p, cop(preset, h), cop(preset, g))
+            if gh != (hg if sign == 1 else {k: p - c for k, c in hg.items()}):
                 return AxiomFailure("multiplicativity", (g, h),
                                     f"D({g})*D({h}) != {sign}*D({h})*D({g})")
     for m in monomials[1:]:
         g = next(g for g in letters if _divides(g, m))
         r = _from_code(m._code - g._code)
         s, _ = product(g, r)
-        gr = cop(preset, g).mul(cop(preset, r))
-        if cop(preset, m).terms != (gr.terms if s == 1 else {k: p - c for k, c in gr.items()}):
+        gr = tensor_mul(p, cop(preset, g), cop(preset, r))
+        if cop(preset, m) != (gr if s == 1 else {k: p - c for k, c in gr.items()}):
             return AxiomFailure("multiplicativity", (g, r), f"D({m}) != {s}*D({g})*D({r})")
         t, rg = product(r, g)
         if rg is not m or t != (-s if g.parity and r.parity else s):
@@ -1012,13 +990,10 @@ def check_hopf_ideal(preset: CoalgebraPreset, gens,
     counit_ok = all(sum(c * counit(preset, m) for c, m in gen_terms[g]) % p == 0
                     for g in gens)
     for g in gens:
-        residue = TensorSum(p)
-        for c, gm in gen_terms[g]:
-            for (b1, b2), d in coproduct(preset, gm).items():
-                q1, q2 = q(b1), q(b2)
-                if q1 is not None and q2 is not None:
-                    residue.add_term(q1, q2, c * d)
-        if not residue.is_zero():
+        residue = _sum_mod(p, (((q1, q2), c * d) for c, gm in gen_terms[g]
+                               for (b1, b2), d in coproduct(preset, gm).items()
+                               if (q1 := q(b1)) is not None and (q2 := q(b2)) is not None))
+        if residue:
             (b1, b2), c = next(iter(residue.items()))
             return HopfIdealReport(
                 gens, counit_ok, False, f"D({g} * 1) has residue {c}*({b1})(x)({b2}) mod I")

@@ -21,7 +21,6 @@ from __future__ import annotations
 from .bialgebra import (
     ONE,
     Monomial,
-    TensorSum,
     coproduct,
     enumerate_left,
     enumerate_right,
@@ -32,6 +31,7 @@ from .bialgebra import (
     mono_w,
     mono_xi,
     parse_monomial,
+    tensor_mul,
 )
 from .comodule import (
     Comodule,
@@ -135,8 +135,8 @@ def build_H(p: int, box: int) -> Comodule:
 
     Lambda(y) (x) F[x] is the subalgebra Lambda(t0) (x) F[x0] of the
     bialgebra, with y = t0 (odd) and x = x0 (even), so psi(y), psi(x) and
-    the powers of psi(x) are TensorSums multiplied by ``TensorSum.mul``,
-    their terms past the box dropped after each product."""
+    the powers of psi(x) are elements {(a, b): c} of B (x) B multiplied by
+    ``tensor_mul``, their terms past the box dropped after each product."""
     odd = p != 2
     preset = get_preset("b" if odd else "b2", p)
     xdeg = 2 if odd else 1  # total degree of x; y has degree 1
@@ -148,20 +148,20 @@ def build_H(p: int, box: int) -> Comodule:
     def within(eps: int, m: int) -> bool:
         return eps + xdeg * m <= box
 
-    def bounded(ts: TensorSum) -> TensorSum:
-        return TensorSum(p, {k: c for k, c in ts.items() if within(*eps_m(k[0]))})
+    def bounded(ts: dict) -> dict:
+        return {k: c for k, c in ts.items() if within(*eps_m(k[0]))}
 
-    psi_y = TensorSum(p, {(mono_tau(0), mono_u()): 1})  # used only at odd p
-    psi_x = TensorSum(p, {(mono_tau(0), mono_w()): 1} if odd else {})
+    psi_y = {(mono_tau(0), mono_u()): 1}  # used only at odd p
+    psi_x = {(mono_tau(0), mono_w()): 1} if odd else {}
     i = 0
     while within(0, p**i):
-        psi_y.add_term(mono_xi(0, p**i), mono_tau(i), 1)
-        psi_x.add_term(mono_xi(0, p**i), mono_xi(i), 1)
+        psi_y[mono_xi(0, p**i), mono_tau(i)] = 1
+        psi_x[mono_xi(0, p**i), mono_xi(i)] = 1
         i += 1
 
-    powers = [TensorSum(p, {(ONE, ONE): 1})]
+    powers = [{(ONE, ONE): 1}]
     while within(0, len(powers)):
-        powers.append(bounded(powers[-1].mul(psi_x)))
+        powers.append(bounded(tensor_mul(p, powers[-1], psi_x)))
 
     components: dict = {}
     coaction: dict = {}
@@ -171,7 +171,7 @@ def build_H(p: int, box: int) -> Comodule:
                 continue
             lab = h_label(eps, m)
             components.setdefault((eps, m) if odd else m, []).append(lab)
-            ts = bounded(psi_y.mul(powers[m])) if eps else powers[m]
+            ts = bounded(tensor_mul(p, psi_y, powers[m])) if eps else powers[m]
             coaction[lab] = tuple([(c, h_label(*eps_m(a)), b) for (a, b), c in ts.items()])
     return Comodule._trusted(preset, components, coaction, box=box, name="H")
 
@@ -317,13 +317,24 @@ def build_PhiF(p: int, a: int, box: int):
 
 
 def parse_object_id(text: str, p: int, box: int) -> Comodule:
-    """Build a standard object from its id.
+    """Build a standard object from its id; a ValueError when the box leaves
+    it no basis element, which for F:a,b and Fn:n names the least box, the
+    total degree a + 2b or n of the generator.
 
     Supported:  H | H^k | F:a,b | J:a,b | Fn:n | Jn:n | S:a,b | PhiF:a
     """
     text = text.strip()
+    M, least = _build_object(text, p, box)
+    if not M.total_dim():
+        hint = "" if least is None else f"; the least box for it is {least}"
+        raise ValueError(f"object {text!r} has no basis element in the box {box}{hint}")
+    return M
+
+
+def _build_object(text: str, p: int, box: int) -> tuple[Comodule, int | None]:
+    """The object of an id, and the least box of an F:a,b or Fn:n."""
     if text == "H":
-        return build_H(p, box)
+        return build_H(p, box), None
     head, sep, rest = text.partition("^" if text.startswith("H^") else ":")
     if not rest:
         raise ValueError(f"unrecognized object id {text!r}")
@@ -334,17 +345,17 @@ def parse_object_id(text: str, p: int, box: int) -> Comodule:
     if any(x < 0 for x in args):
         raise ValueError(f"object id {text!r}: indices must be >= 0")
     if sep == "^" and len(args) == 1:
-        return build_H_tensor(p, args[0], box)
+        return build_H_tensor(p, args[0], box), None
     if head == "F" and len(args) == 2:
-        return build_F(p, args[0], args[1], box)
+        return build_F(p, args[0], args[1], box), args[0] + 2 * args[1]
     if head == "J" and len(args) == 2:
-        return build_J(p, args[0], args[1])
+        return build_J(p, args[0], args[1]), None
     if head == "Fn" and len(args) == 1:
-        return build_Fn(p, args[0], box)
+        return build_Fn(p, args[0], box), args[0]
     if head == "Jn" and len(args) == 1:
-        return build_Jn(p, args[0])
+        return build_Jn(p, args[0]), None
     if head == "S" and len(args) == 2:
-        return simple_comodule(get_preset("bbar", p), (args[0], args[1]))
+        return simple_comodule(get_preset("bbar", p), (args[0], args[1])), None
     if head == "PhiF" and len(args) == 1:
-        return build_PhiF(p, args[0], box)[0]
+        return build_PhiF(p, args[0], box)[0], None
     raise ValueError(f"unrecognized object id {text!r}")

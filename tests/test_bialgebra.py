@@ -19,7 +19,6 @@ from supercomod.bialgebra import (
     PRESET_NAMES,
     HopfIdealReport,
     Monomial,
-    TensorSum,
     _ideal_reduction,
     _QUOTIENTS,
     add_deg,
@@ -42,6 +41,7 @@ from supercomod.bialgebra import (
     parse_monomial,
     product,
     quotient_map,
+    tensor_mul,
 )
 
 B3 = get_preset("b", 3)
@@ -51,11 +51,22 @@ B2 = get_preset("b2", 2)
 ODD_PRESETS = ("b", "bbar", "atilde", "bpp", "u_xi0", "u_only", "xi_poly")
 
 
-def ts(p, *terms):
-    out = TensorSum(p)
-    for c, a, b in terms:
-        out.add_term(parse_monomial(a), parse_monomial(b), c)
+def _sum(p, pairs):
+    """The sum mod p of the (key, coefficient) pairs, as a dict of the keys
+    whose sum is nonzero; a sum that reaches 0 is popped, as in the engine."""
+    out: dict = {}
+    for key, c in pairs:
+        new = (out.get(key, 0) + c) % p
+        if new:
+            out[key] = new
+        else:
+            out.pop(key, None)
     return out
+
+
+def ts(p, *terms):
+    """The element sum c * a (x) b of B (x) B, from (c, "a", "b") triples."""
+    return _sum(p, (((parse_monomial(a), parse_monomial(b)), c) for c, a, b in terms))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +407,7 @@ def test_product_is_associative_and_graded_commutative(m1, m2, m3):
 
 def _tensor_sums(monomials):
     return st.lists(st.tuples(st.integers(1, 2), monomials, monomials), max_size=3).map(
-        lambda terms: TensorSum(3, {(a, b): c for c, a, b in terms}))
+        lambda terms: {(a, b): c for c, a, b in terms})
 
 
 coproducts_drawn = st.sampled_from(enumerate_box(B3, 8)).map(lambda m: coproduct(B3, m))
@@ -405,18 +416,16 @@ coproducts_drawn = st.sampled_from(enumerate_box(B3, 8)).map(lambda m: coproduct
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(*[coproducts_drawn] * 3, *[_tensor_sums(monomials_drawn)] * 3)
 def test_tensor_mul_is_associative(a, b, c, x, y, z):
-    assert a.mul(b).mul(c) == a.mul(b.mul(c))
-    assert x.mul(y).mul(z) == x.mul(y.mul(z))
+    assert tensor_mul(3, tensor_mul(3, a, b), c) == tensor_mul(3, a, tensor_mul(3, b, c))
+    assert tensor_mul(3, tensor_mul(3, x, y), z) == tensor_mul(3, x, tensor_mul(3, y, z))
 
 
-def _pairwise_mul(x, y):
-    """The reference for the kernel of ``TensorSum.mul``: the same loop over
+def _pairwise_mul(p, x, y):
+    """The reference for the kernel of ``tensor_mul``: the same loop over
     the pairs of terms, each factor multiplied by ``product``."""
-    p = x.p
-    out = TensorSum(p)
-    terms = out.terms
-    for (a, b), c1 in x.terms.items():
-        for (c, d), c2 in y.terms.items():
+    pairs = []
+    for (a, b), c1 in x.items():
+        for (c, d), c2 in y.items():
             s1, ac = product(a, c)
             if not s1:
                 continue
@@ -425,31 +434,44 @@ def _pairwise_mul(x, y):
                 continue
             if b.parity and c.parity:  # Koszul sign (-1)^{|b||c|}
                 s2 = -s2
-            key = (ac, bd)
-            new = (terms.get(key, 0) + c1 * c2 * s1 * s2) % p
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-    return out
+            pairs.append(((ac, bd), c1 * c2 * s1 * s2))
+    return _sum(p, pairs)
 
 
 # Coproducts, and sums whose factors from a small box collide and cancel and
 # whose drawn factors reach the exterior letters, the highest t and x indices
 # and half of each exponent limit.
 kernel_factors = st.one_of(st.sampled_from(enumerate_box(B3, 5)), _monomials(2))
-kernel_pairs = st.one_of(st.tuples(coproducts_drawn, coproducts_drawn), st.sampled_from(
-    [2, 3, 5]).flatmap(lambda p: st.tuples(*[st.lists(
-        st.tuples(st.integers(1, p - 1), kernel_factors, kernel_factors), max_size=6).map(
-            lambda terms, p=p: TensorSum(p, {(a, b): c for c, a, b in terms}))] * 2)))
+
+
+def _kernel_sums(p):
+    return st.lists(st.tuples(st.integers(1, p - 1), kernel_factors, kernel_factors),
+                    max_size=6).map(lambda terms: {(a, b): c for c, a, b in terms})
+
+
+kernel_pairs = st.one_of(
+    st.tuples(st.just(3), coproducts_drawn, coproducts_drawn),
+    st.sampled_from([2, 3, 5]).flatmap(
+        lambda p: st.tuples(st.just(p), _kernel_sums(p), _kernel_sums(p))))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(kernel_pairs)
 def test_tensor_mul_matches_the_pairwise_product(pair):
-    x, y = pair
-    got, want = x.mul(y), _pairwise_mul(x, y)
-    assert list(got.terms.items()) == list(want.terms.items()), (x, y)
+    p, x, y = pair
+    got, want = tensor_mul(p, x, y), _pairwise_mul(p, x, y)
+    assert list(got.items()) == list(want.items()), (p, x, y)
+
+
+def test_tensor_mul_moves_a_sum_that_cancels_and_returns_to_the_end():
+    # at p = 3 the sum at u^2 (x) 1 runs 1, 0, 2: popped at 0, it comes back
+    # after u^4 (x) 1
+    u = mono_u
+    x = {(ONE, ONE): 1, (u(1), ONE): 1, (u(2), ONE): 1}
+    y = {(u(2), ONE): 1, (u(1), ONE): 2, (ONE, ONE): 2}
+    want = [((u(1), ONE), 1), ((ONE, ONE), 2), ((u(4), ONE), 1), ((u(2), ONE), 2)]
+    assert list(tensor_mul(3, x, y).items()) == want
+    assert list(_pairwise_mul(3, x, y).items()) == want
 
 
 @pytest.mark.parametrize("slot", [0, 1])
@@ -459,11 +481,11 @@ def test_tensor_mul_overflow_raises_the_product_error(slot):
         product(big, more)
 
     def one_term(m):
-        return TensorSum(3, {(ONE, m) if slot else (m, ONE): 1})
+        return {(ONE, m) if slot else (m, ONE): 1}
 
-    for multiply in (TensorSum.mul, _pairwise_mul):
+    for multiply in (tensor_mul, _pairwise_mul):
         with pytest.raises(ValueError) as got:
-            multiply(one_term(big), one_term(more))
+            multiply(3, one_term(big), one_term(more))
         assert str(got.value) == str(expected.value)
 
 
@@ -772,9 +794,7 @@ def test_axioms_catch_corrupted_coproduct():
 
     def corrupted(preset, m):
         if m == u:
-            out = TensorSum(preset.p)
-            out.add_term(u, u, 1)
-            return out
+            return {(u, u): 1}
         return coproduct(preset, m)
 
     failure = check_bialgebra_axioms(B3, 6, coproduct_fn=corrupted)
@@ -790,9 +810,9 @@ def test_axioms_catch_wrong_sign():
 
     def corrupted(preset, m):
         out = coproduct(preset, m)
-        if bad_key in out.terms:
-            flipped = TensorSum(preset.p, dict(out.terms))
-            flipped.terms[bad_key] = (-flipped.terms[bad_key]) % preset.p
+        if bad_key in out:
+            flipped = dict(out)
+            flipped[bad_key] = (-flipped[bad_key]) % preset.p
             return flipped
         return out
 
@@ -803,6 +823,28 @@ def test_axioms_catch_wrong_sign():
     assert failure.axiom == "multiplicativity"
     assert failure.monomials == (mono_tau(0), mono_tau(1))
     assert "D(t0*t1)" in failure.detail
+
+
+def test_axioms_name_the_counit_sum_that_fails():
+    # doubling the grouplike term x0 (x) x0 of D(x0) keeps it homogeneous,
+    # and the left counit law, checked first, then sums to 2 * 1 (x) x0
+    x0 = mono_xi(0)
+
+    def corrupted(preset, m):
+        out = coproduct(preset, m)
+        return {k: 2 * c if k == (x0, x0) else c for k, c in out.items()} if m is x0 else out
+
+    failure = check_bialgebra_axioms(B3, 6, coproduct_fn=corrupted)
+    assert failure is not None
+    assert (failure.axiom, failure.monomials) == ("counit-left", (x0,))
+    assert "(eps (x) 1) D(x0) = " in failure.detail and "2*(1)(x)(x0)" in failure.detail
+
+
+def test_a_failure_lists_its_sum_sorted():
+    two_terms = ts(3, (2, "u", "x0"), (1, "x0", "u"))
+    assert list(two_terms) == [(mono_u(), mono_xi(0)), (mono_xi(0), mono_u())]
+    assert bialgebra._format_sum(two_terms) == "1*(x0)(x)(u) + 2*(u)(x)(x0)"
+    assert bialgebra._format_sum({}) == "0"
 
 
 def _swept_axioms(preset, box, cop=coproduct):
@@ -824,8 +866,8 @@ def _swept_axioms(preset, box, cop=coproduct):
     for m1 in monomials:
         for m2 in monomials:
             s, m12 = product(m1, m2)
-            want = TensorSum(p, {k: s * c for k, c in cop(preset, m12).items()} if s else {})
-            if cop(preset, m1).mul(cop(preset, m2)) != want:
+            want = {k: s * c % p for k, c in cop(preset, m12).items()} if s else {}
+            if tensor_mul(p, cop(preset, m1), cop(preset, m2)) != want:
                 return "multiplicativity"
             t, m21 = product(m2, m1)
             if m12 is not m21 or s != (-t if m1.parity and m2.parity else t):
@@ -900,7 +942,7 @@ def _mutant(change):
     returns a replacement."""
     def cop(preset, m):
         true = coproduct(preset, m)
-        new = change(m, TensorSum(preset.p, dict(true.terms)))
+        new = change(m, dict(true))
         return true if new is None else new
     return cop
 
@@ -913,7 +955,7 @@ def test_letter_proof_catches_a_dropped_term():
 
     def drop(m1, ts):
         if m1 is m:
-            del ts.terms[key]
+            del ts[key]
             return ts
 
     failure = check_bialgebra_axioms(BBAR3, 20, coproduct_fn=_mutant(drop))
@@ -940,13 +982,13 @@ def test_letter_proof_catches_a_sign_flip_deep_in_the_box():
     # one term of D(t0*t1*u*x0*x1), left total 17 of 20, that neither
     # counit sees, with its sign flipped
     m = parse_monomial("t0*t1*u*x0*x1")
-    key = min((k for k in coproduct(BBAR3, m).terms
+    key = min((k for k in coproduct(BBAR3, m)
                if not counit(BBAR3, k[0]) and not counit(BBAR3, k[1])),
               key=lambda k: (k[0].sort_key(), k[1].sort_key()))
 
     def flip(m1, ts):
         if m1 is m:
-            ts.terms[key] = -ts.terms[key] % 3
+            ts[key] = -ts[key] % 3
             return ts
 
     failure = check_bialgebra_axioms(BBAR3, 20, coproduct_fn=_mutant(flip))
@@ -1077,13 +1119,14 @@ def _hopf_by_box_sweep(preset, gens, box):
     counit_ok = all(sum(c * counit(preset, x) for c, x in terms[g]) % p == 0 for g in gens)
     for g in gens:
         for m in enumerate_box(preset, box):
-            residue = TensorSum(p)
+            pairs = []
             for c, x in terms[g]:
                 s, gm = product(x, m)
                 for (b1, b2), d in (coproduct(preset, gm).items() if s else ()):
                     if q(b1) is not None and q(b2) is not None:
-                        residue.add_term(q(b1), q(b2), c * s * d)
-            if not residue.is_zero():
+                        pairs.append(((q(b1), q(b2)), c * s * d))
+            residue = _sum(p, pairs)
+            if residue:
                 (b1, b2), c = next(iter(residue.items()))
                 return HopfIdealReport(gens, counit_ok, False,
                                        f"D({g} * {m}) has residue {c}*({b1})(x)({b2}) mod I")

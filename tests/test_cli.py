@@ -140,6 +140,18 @@ def test_poincare_bad_object(capsys):
     assert "--max-degree" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("hom", "--source", "F:1,1", "--target", "J:1,1", "--max-degree", "2"),
+    ("poincare", "--object", "Fn:5", "--max-degree", "4"),
+    ("poincare", "--object", "PhiF:3", "--max-degree", "8"),
+    ("dump", "--object", "F:1,1", "--max-degree", "2"),
+])
+def test_an_object_its_box_leaves_empty_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "has no basis element in the box" in err
+
+
 # ---------------------------------------------------------------------------
 # hom
 

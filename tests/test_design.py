@@ -69,19 +69,19 @@ MATRIX_STORAGE = "_columns"
 
 
 # Monomials are multiplied in bialgebra only.  The Koszul-signed product in
-# B (x) B is TensorSum.mul, through which H's coaction is built; the tensor
+# B (x) B is tensor_mul, through which H's coaction is built; the tensor
 # product of comodules multiplies through _coaction_product, given the
 # parity of each label's degree.  No other module reads `product`.
 ALLOWED_PRODUCT_USES: set = set()
 
 
 # The sign of moving exterior letters past each other has one rule,
-# bialgebra's _exterior_sign: `product` and the kernels of TensorSum.mul and
+# bialgebra's _exterior_sign: `product` and the kernels of tensor_mul and
 # of the comodule tensor product take it from there, and the kernels
 # multiply packed keys themselves rather than calling `product` per pair of
 # terms.
 SIGN_RULE = "_exterior_sign"
-SIGN_RULE_CALLERS = {"product", "mul", "_coaction_product"}
+SIGN_RULE_CALLERS = {"product", "tensor_mul", "_coaction_product"}
 
 
 # Presets are interned like monomials: `get_preset` builds the one preset of

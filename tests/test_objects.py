@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+from pathlib import Path
 
 import pytest
 
@@ -505,6 +506,38 @@ def test_constructions_name_their_results():
 def test_parse_object_id_rejects(bad):
     with pytest.raises(ValueError):
         parse_object_id(bad, 3, 16)
+
+
+
+@pytest.mark.parametrize("text,box,message", [
+    ("F:1,1", 2, "object 'F:1,1' has no basis element in the box 2; the least box for it is 3"),
+    ("Fn:5", 4, "object 'Fn:5' has no basis element in the box 4; the least box for it is 5"),
+    ("PhiF:3", 8, "object 'PhiF:3' has no basis element in the box 8"),
+])
+def test_parse_object_id_refuses_an_object_its_box_leaves_empty(text, box, message):
+    with pytest.raises(ValueError) as refused:
+        parse_object_id(text, 3, box)
+    assert str(refused.value) == message
+    assert parse_object_id(text, 3, 20).total_dim()
+
+
+# The dump of each object, recorded before the elements of B (x) B became
+# plain dicts: it pins the order of every coaction's terms, which the
+# coproduct, the product in B (x) B and the coaction of a tensor product set.
+DUMPS = Path(__file__).resolve().parent / "data" / "dumps"
+
+
+@pytest.mark.parametrize("p,text,box,file", [
+    (3, "J:1,3", 30, "J1-3_p3.json"),
+    (3, "Jn:7", 30, "Jn7_p3.json"),
+    (3, "PhiF:2", 20, "PhiF2_p3_box20.json"),
+    (3, "F:2,1", 20, "F2-1_p3_box20.json"),
+    (3, "H", 20, "H_p3_box20.json"),
+    (2, "H", 20, "H_p2_box20.json"),
+    (3, "H^2", 8, "H2_p3_box8.json"),
+])
+def test_dump_matches_the_recorded_one(p, text, box, file):
+    assert parse_object_id(text, p, box).to_json(indent=2) == (DUMPS / file).read_text()
 
 
 # ---------------------------------------------------------------------------
