@@ -648,7 +648,9 @@ _COPRODUCT_CACHE = coproduct
 def cache_stats() -> dict:
     """Hits, misses and size of the coproduct cache and of the xi-partition
     and tau-subset memos, the size of each degree memo (under
-    "degree_memos", keyed "name p=p") and the number of interned monomials."""
+    "degree_memos", keyed "name p=p") and the number of interned monomials,
+    in this process: of a suite that fans its rows out to forked processes
+    (verify._fan_out), they count only this process's share."""
     out: dict = {}
     for name, cached in (("coproduct", _COPRODUCT_CACHE), ("xi_partitions", _xi_partitions),
                          ("tau_subsets", _tau_subsets)):

@@ -8,6 +8,17 @@ Reports serialize to JSON as
 {suite, params, status, checks: [{name, status, witness}], claim};
 a check's status is "pass", "fail", or "note" (informational, never
 adjudicating), and the suite passes iff no check fails.
+
+A suite whose rows are independent computes them with `_fan_out(fn, items)`:
+the items are dealt round-robin to one process per usable CPU (at most one
+per item), the calling process computes the first share and forked children
+the others, and the rows come back in item order, so the report is the same
+on any number of CPUs. A child's exception is re-raised in the caller. The
+rows run inline in one process where there is one usable CPU, no `os.fork`
+or another running thread, and inside a fan-out child or a `run_all`
+worker, so fan-outs never nest. The caches of a forked child die with it:
+counters such as `bialgebra.cache_stats()` see only the calling process's
+share.
 """
 from __future__ import annotations
 
@@ -15,6 +26,8 @@ import functools
 import inspect
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 from .bialgebra import (
@@ -123,6 +136,81 @@ def _fmt(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
+# independent rows on every usable CPU
+
+# True in a fan-out child and in run_all's workers, which run rows inline
+_INLINE = False
+
+
+def _run_inline() -> None:
+    """Make this process run its fan-outs inline (run_all's pool initializer)."""
+    global _INLINE
+    _INLINE = True
+
+
+def _fan_out(fn, items: list) -> list:
+    """[fn(x) for x in items], the items dealt round-robin to
+    k = min(usable CPUs, len(items)) processes: this one computes share 0,
+    and a forked child each other share, whose rows (or exception) it
+    pickles back through a pipe."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    k = min(cpus, len(items))
+    # a forked child would inherit the locks of other threads, held or not
+    if k <= 1 or _INLINE or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(x) for x in items]
+    import pickle
+
+    rows = [None] * len(items)
+    children = []  # (pid, read end of its pipe)
+    try:
+        for share in range(1, k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve_share(fn, items[share::k], r, w)
+            os.close(w)
+            children.append((pid, r))
+        rows[0::k] = [fn(x) for x in items[0::k]]
+    finally:
+        # read every child, so that none blocks on a full pipe, and reap it
+        payloads = []
+        for pid, r in children:
+            with os.fdopen(r, "rb") as pipe:
+                data = pipe.read()
+            payloads.append((pid, data, os.waitpid(pid, 0)[1]))
+    for share, (pid, data, status) in enumerate(payloads, 1):
+        if not data:
+            raise RuntimeError(f"fan-out child {pid} died without its rows "
+                               f"(exit status {os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        rows[share::k] = value
+    return rows
+
+
+def _serve_share(fn, items: list, r: int, w: int) -> None:
+    """In a fan-out child: pickle (True, rows), or (False, exception), to the
+    pipe's write end `w`, and leave without the parent's cleanup."""
+    status = 1
+    try:
+        import pickle
+
+        _run_inline()
+        os.close(r)
+        try:
+            payload = (True, [fn(x) for x in items])
+        except BaseException as exc:
+            payload = (False, exc)
+        with os.fdopen(w, "wb") as out:
+            out.write(pickle.dumps(payload))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 
@@ -139,6 +227,7 @@ def suite_axioms(rep: SuiteReport, p: int = 3, box: int = 30) -> None:
     rep.claim = ("the endomorphism super-bialgebra and its quotients satisfy coassociativity, "
                  "counit, multiplicativity, graded commutativity and mod-2 grading compatibility; "
                  "(w) and (w, xi0 - u^2) are Hopf ideals")
+    _require_least("axioms", "box", box, 0)
     names = ["b2"] if p == 2 else ["b", "bbar", "atilde"]
     for name in names:
         preset = get_preset(name, p)
@@ -195,6 +284,7 @@ def suite_j0n(rep: SuiteReport, p: int = 3, n_max: int = 12) -> None:
     rep.claim = ("J(0,n) realizes Hom(Gamma^n, Lambda^a (x) Gamma^b): "
                  "its dimension in bidegree (a,b) is the number of p-power decompositions of n "
                  "into a distinct and b repeatable parts")
+    _require_least("j0n", "n_max", n_max, 0)
     for n in range(n_max + 1):
         J = build_J(p, 0, n)
         bad = []
@@ -222,6 +312,8 @@ def suite_tensor_splittings(rep: SuiteReport, p: int = 3, a_max: int = 3, b_max:
                             box: int = 60) -> None:
     rep.claim = ("J(a,b) = J(a,0) (x) J(0,b) and F(a,b) = F(a,0) (x) F(0,b) "
                  "by certified isomorphisms")
+    _require_least("tensor_splittings", "a_max", a_max, 0)
+    _require_least("tensor_splittings", "b_max", b_max, 0)
     _require_least("tensor_splittings", "box", box, a_max + 2 * b_max)  # F(a,b) starts at a + 2b
     J = functools.cache(lambda a, b: build_J(p, a, b))
     F = functools.cache(lambda a, b: build_F(p, a, b, box))
@@ -241,6 +333,7 @@ def suite_g_filtration(rep: SuiteReport, p: int = 3, a_max: int = 5, box: int = 
     rep.claim = ("F(a,0) carries a finite filtration by u-divisibility whose quotients are "
                  "suspended duals of exterior powers; "
                  "dividing by u is surjective with kernel the dual of Lambda^a")
+    _require_least("g_filtration", "a_max", a_max, 0)
     _require_least("g_filtration", "box", box, a_max)  # F(a,0) starts in degree a
     for a in range(a_max + 1):
         F = build_F(p, a, 0, box)
@@ -287,6 +380,7 @@ def suite_fn_structure(rep: SuiteReport, p: int = 3, n_max: int = 6, box: int = 
                  "a+2b = n, identifies with the equalizer of the u^2/xi0-division diagram, "
                  "and its Poincare series equals the associated graded of the "
                  "Verschiebung-kernel filtration")
+    _require_least("fn_structure", "n_max", n_max, 0)
     _require_least("fn_structure", "box", box, n_max)  # F(a,b) with a + 2b = n starts at n
     F = functools.cache(lambda a, b: build_F(p, a, b, box))
     shifted = functools.cache(lambda shift, a, b: suspend(F(a, b), shift))
@@ -409,17 +503,25 @@ def suite_mahowald(rep: SuiteReport, p: int = 3, n_max: int = 4, m_max: int = 20
 def suite_brown_gitler(rep: SuiteReport, p: int = 3, n_max: int = 8) -> None:
     rep.claim = ("the doubling functor Theta carries J(0,n) to J(2n) and J(1,n) to J(2n+1), "
                  "by certified isomorphisms")
-    for n in range(n_max + 1):
-        for eps in (0, 1):
-            J = build_Jn(p, 2 * n + eps)
-            verdict, _ = find_isomorphism(theta_J(p, eps, n), J)
-            rep.add(f"Theta J({eps},{n}) = J({2*n+eps})", verdict == "iso",
-                    _fmt(J.poincare()) if verdict == "iso" else f"verdict {verdict}")
+    _require_least("brown_gitler", "n_max", n_max, 0)
+
+    def row(n_eps):
+        n, eps = n_eps
+        J = build_Jn(p, 2 * n + eps)
+        verdict, _ = find_isomorphism(theta_J(p, eps, n), J)
+        return (f"Theta J({eps},{n}) = J({2*n+eps})", verdict == "iso",
+                _fmt(J.poincare()) if verdict == "iso" else f"verdict {verdict}")
+
+    # the rows are independent; on two CPUs the shares are the eps = 0 and
+    # eps = 1 chains
+    for check in _fan_out(row, [(n, eps) for n in range(n_max + 1) for eps in (0, 1)]):
+        rep.add(*check)
 
 
 def suite_h_tensor(rep: SuiteReport, p: int = 3, n_max: int = 4, box: int = 40) -> None:
     rep.claim = ("the n-fold tensor power of H has dimension C(n,a) C(b+n-1,n-1) "
                  "in bidegree (a,b) and represents evaluation against the standard objects")
+    _require_least("h_tensor", "n_max", n_max, 0)
     _require_least("h_tensor", "box", box, 0 if p == 2 else 5)  # H^(x)2 at (1,2)
     H = build_H(p, box)
     T2 = tensor(H, H, name="H^(x)2") if n_max >= 2 else None
@@ -508,6 +610,6 @@ def run_all(names=None, jobs: int = 1, **params) -> list:
         # process machinery that only this branch uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_run_inline) as pool:
             return list(pool.map(run, names))
     return [run(name) for name in names]

@@ -2,15 +2,17 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from supercomod import bialgebra, homsolver
+from supercomod import bialgebra, homsolver, verify
 from supercomod.verify import SUITES, SuiteReport, run_all, run_suite
 
 
@@ -217,6 +219,20 @@ def test_suite_refuses_a_box_below_its_least(name, params, least):
     assert rep.ok, failures(rep)
 
 
+# every size parameter of every suite (all but p)
+SIZE_PARAMS = [(name, param) for name, fn in SUITES.items()
+               for param in list(inspect.signature(fn).parameters)[2:]]
+
+
+@pytest.mark.parametrize("name,param", SIZE_PARAMS)
+def test_every_size_parameter_refuses_minus_one(name, param):
+    # a negative size would decide the suite on no instance, or on none of
+    # its objects
+    with pytest.raises(ValueError, match=f"cannot decide its checks at {param} -1: "
+                                         f"the least {param} for these parameters is"):
+        run_suite(name, p=3, **{param: -1})
+
+
 def test_brown_gitler_is_certified_without_a_hom_solve(monkeypatch):
     # every Theta J(eps,n) -> J(2n+eps) takes the closed-form candidate
     def refuse(*args, **kwargs):
@@ -246,12 +262,15 @@ def test_tensor_splittings_are_certified_without_a_hom_solve(monkeypatch):
 
 
 class _RecordingPool:
-    """Stands in for the process pool: records its size, maps serially."""
+    """Stands in for the process pool: records its size and initializer,
+    maps serially."""
 
     sizes: list = []
+    initializers: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
+        self.initializers.append(initializer)
 
     def __enter__(self):
         return self
@@ -268,9 +287,12 @@ def test_run_all_caps_the_workers_at_the_number_of_suites(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "initializers", [])
     reports = run_all(names=["mahowald", "brown_gitler"], jobs=64, p=3, n_max=1, m_max=4)
     assert [r.suite for r in reports] == ["mahowald", "brown_gitler"]
     assert _RecordingPool.sizes == [2]
+    # the workers run their rows inline: a fan-out never nests in the pool
+    assert _RecordingPool.initializers == [verify._run_inline]
     # one suite runs in this process, whatever jobs asks for
     assert run_all(names=["brown_gitler"], jobs=64, p=3, n_max=1)[0].ok
     assert _RecordingPool.sizes == [2]
@@ -282,8 +304,112 @@ def test_run_all_caps_the_workers_at_the_number_of_suites(monkeypatch):
 def test_importing_verify_leaves_out_the_process_pool():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys, supercomod.verify; "
-            "print('concurrent.futures.process' in sys.modules)")
+            "print('concurrent.futures.process' in sys.modules, 'pickle' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+# ---------------------------------------------------------------------------
+# independent rows on every usable CPU
+
+
+def usable_cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fan_out_deals_the_items_round_robin_and_merges_them_in_order(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    rows = verify._fan_out(lambda x: (x, os.getpid()), list(range(5)))
+    assert [x for x, _ in rows] == list(range(5))
+    parent = {pid for _, pid in rows[0::2]}
+    child = {pid for _, pid in rows[1::2]}
+    assert parent == {os.getpid()} and len(child) == 1 and child != parent
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, None])
+def test_brown_gitler_report_is_the_same_on_any_number_of_cpus(monkeypatch, cpus):
+    if cpus is None:  # no sched_getaffinity: os.cpu_count() says how many
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    else:
+        usable_cpus(monkeypatch, cpus)
+    got = run_suite("brown_gitler", p=3, n_max=4).as_dict()
+    monkeypatch.setattr(verify, "_INLINE", True)
+    assert got == run_suite("brown_gitler", p=3, n_max=4).as_dict()
+    assert got["status"] == "pass" and len(got["checks"]) == 10
+    assert_no_child_left()
+
+
+def raise_on(bad):
+    def row(x):
+        if x == bad:
+            raise ValueError(f"row {x} is wrong")
+        return x
+    return row
+
+
+@pytest.mark.parametrize("bad", [3, 0])  # in the child's share, in this process's
+def test_fan_out_reraises_a_row_error_and_leaves_no_child(monkeypatch, bad):
+    usable_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match=f"^row {bad} is wrong$"):
+        verify._fan_out(raise_on(bad), list(range(6)))
+    assert_no_child_left()
+
+
+def test_fan_out_names_a_child_that_dies_without_its_rows(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+
+    def row(x):
+        if x == 1:
+            os._exit(3)
+        return x
+
+    with pytest.raises(RuntimeError, match=r"fan-out child \d+ died without its rows "
+                                           r"\(exit status 3\)"):
+        verify._fan_out(row, list(range(4)))
+    assert_no_child_left()
+
+
+def refuse_fork():
+    raise AssertionError("os.fork called")
+
+
+def test_fan_out_runs_inline_without_os_fork(monkeypatch):
+    usable_cpus(monkeypatch, 3)
+    monkeypatch.delattr(os, "fork")
+    assert verify._fan_out(lambda x: (x, os.getpid()), list(range(4))) == \
+        [(x, os.getpid()) for x in range(4)]
+
+
+def test_fork_is_never_called_while_the_fan_out_is_off(monkeypatch):
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    usable_cpus(monkeypatch, 1)
+    assert run_suite("brown_gitler", p=3, n_max=2).ok
+    # in a fan-out child or a run_all worker, on any number of CPUs
+    usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(verify, "_INLINE", False)  # restored after the test
+    verify._run_inline()
+    assert run_suite("brown_gitler", p=3, n_max=2).ok
+    assert verify._fan_out(raise_on(None), list(range(4))) == list(range(4))
+
+
+def test_fan_out_runs_inline_beside_another_thread(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert verify._fan_out(raise_on(None), list(range(4))) == list(range(4))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
