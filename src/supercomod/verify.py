@@ -9,16 +9,8 @@ Reports serialize to JSON as
 a check's status is "pass", "fail", or "note" (informational, never
 adjudicating), and the suite passes iff no check fails.
 
-A suite whose rows are independent computes them with `_fan_out(fn, items)`:
-the items are dealt round-robin to one process per usable CPU (at most one
-per item), the calling process computes the first share and forked children
-the others, and the rows come back in item order, so the report is the same
-on any number of CPUs. A child's exception is re-raised in the caller. The
-rows run inline in one process where there is one usable CPU, no `os.fork`
-or another running thread, and inside a fan-out child or a `run_all`
-worker, so fan-outs never nest. The caches of a forked child die with it:
-counters such as `bialgebra.cache_stats()` see only the calling process's
-share.
+The Brown-Gitler rows are independent: `_fan_out` computes them in two
+processes where two CPUs are usable, and the report is the same either way.
 """
 from __future__ import annotations
 
@@ -136,7 +128,7 @@ def _fmt(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# independent rows on every usable CPU
+# independent rows on two CPUs
 
 # True in a fan-out child and in run_all's workers, which run rows inline
 _INLINE = False
@@ -149,65 +141,56 @@ def _run_inline() -> None:
 
 
 def _fan_out(fn, items: list) -> list:
-    """[fn(x) for x in items], the items dealt round-robin to
-    k = min(usable CPUs, len(items)) processes: this one computes share 0,
-    and a forked child each other share, whose rows (or exception) it
-    pickles back through a pipe."""
+    """[fn(x) for x in items], in two processes where two CPUs are usable:
+    this one computes items[0::2] and a forked child items[1::2], whose rows
+    (or exception) it pickles back through a pipe. Where the pipe or the fork
+    fails, this process computes every row."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    k = min(cpus, len(items))
     # a forked child would inherit the locks of other threads, held or not
-    if k <= 1 or _INLINE or not hasattr(os, "fork") or threading.active_count() > 1:
+    if (cpus < 2 or len(items) < 2 or _INLINE or not hasattr(os, "fork")
+            or threading.active_count() > 1):
         return [fn(x) for x in items]
     import pickle
 
-    rows = [None] * len(items)
-    children = []  # (pid, read end of its pipe)
+    fds: tuple = ()
     try:
-        for share in range(1, k):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _serve_share(fn, items[share::k], r, w)
-            os.close(w)
-            children.append((pid, r))
-        rows[0::k] = [fn(x) for x in items[0::k]]
-    finally:
-        # read every child, so that none blocks on a full pipe, and reap it
-        payloads = []
-        for pid, r in children:
-            with os.fdopen(r, "rb") as pipe:
-                data = pipe.read()
-            payloads.append((pid, data, os.waitpid(pid, 0)[1]))
-    for share, (pid, data, status) in enumerate(payloads, 1):
-        if not data:
-            raise RuntimeError(f"fan-out child {pid} died without its rows "
-                               f"(exit status {os.waitstatus_to_exitcode(status)})")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        rows[share::k] = value
-    return rows
-
-
-def _serve_share(fn, items: list, r: int, w: int) -> None:
-    """In a fan-out child: pickle (True, rows), or (False, exception), to the
-    pipe's write end `w`, and leave without the parent's cleanup."""
-    status = 1
-    try:
-        import pickle
-
-        _run_inline()
-        os.close(r)
+        fds = r, w = os.pipe()
+        pid = os.fork()
+    except OSError:  # short of processes or memory
+        for fd in fds:
+            os.close(fd)
+        return [fn(x) for x in items]
+    if pid == 0:  # the child: pickle its rows, or its exception, and leave
+        status = 1
         try:
-            payload = (True, [fn(x) for x in items])
+            _run_inline()
+            payload = (True, [fn(x) for x in items[1::2]])
         except BaseException as exc:
             payload = (False, exc)
-        with os.fdopen(w, "wb") as out:
-            out.write(pickle.dumps(payload))
-        status = 0
+        try:
+            with os.fdopen(w, "wb") as out:
+                out.write(pickle.dumps(payload))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    rows = [None] * len(items)
+    try:
+        rows[0::2] = [fn(x) for x in items[0::2]]
     finally:
-        os._exit(status)
+        # read the child to EOF, so that it never blocks on a full pipe, and reap it
+        with os.fdopen(r, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    if not data:
+        raise RuntimeError(f"fan-out child {pid} died without its rows "
+                           f"(exit status {os.waitstatus_to_exitcode(status)})")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    rows[1::2] = value
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +495,7 @@ def suite_brown_gitler(rep: SuiteReport, p: int = 3, n_max: int = 8) -> None:
         return (f"Theta J({eps},{n}) = J({2*n+eps})", verdict == "iso",
                 _fmt(J.poincare()) if verdict == "iso" else f"verdict {verdict}")
 
-    # the rows are independent; on two CPUs the shares are the eps = 0 and
-    # eps = 1 chains
+    # on two CPUs the eps = 0 and eps = 1 chains run side by side
     for check in _fan_out(row, [(n, eps) for n in range(n_max + 1) for eps in (0, 1)]):
         rep.add(*check)
 

@@ -324,13 +324,38 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_fan_out_deals_the_items_round_robin_and_merges_them_in_order(monkeypatch):
-    usable_cpus(monkeypatch, 2)
+@pytest.mark.parametrize("cpus", [2, 32])
+def test_fan_out_splits_the_items_between_two_processes(monkeypatch, cpus):
+    # one child, however many CPUs are usable
+    usable_cpus(monkeypatch, cpus)
     rows = verify._fan_out(lambda x: (x, os.getpid()), list(range(5)))
     assert [x for x, _ in rows] == list(range(5))
     parent = {pid for _, pid in rows[0::2]}
     child = {pid for _, pid in rows[1::2]}
     assert parent == {os.getpid()} and len(child) == 1 and child != parent
+    assert_no_child_left()
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds through /proc")
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_fan_out_computes_every_row_here_when_it_cannot_fork(monkeypatch, call):
+    # a host short of processes or memory refuses the pipe or the fork
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "_INLINE", True)
+    inline = run_suite("brown_gitler", p=3, n_max=3).as_dict()
+    monkeypatch.setattr(verify, "_INLINE", False)
+
+    def refuse(*args):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, call, refuse)
+    before = open_fds()
+    assert run_suite("brown_gitler", p=3, n_max=3).as_dict() == inline
+    assert open_fds() == before
     assert_no_child_left()
 
 
