@@ -9,8 +9,10 @@ Reports serialize to JSON as
 a check's status is "pass", "fail", or "note" (informational, never
 adjudicating), and the suite passes iff no check fails.
 
-The Brown-Gitler rows are independent: `_fan_out` computes them in two
-processes where two CPUs are usable, and the report is the same either way.
+The rows of brown_gitler, tensor_splittings, mahowald and fn_structure are
+independent (fn_structure's even and odd n build disjoint objects): `_fan_out`
+computes them in two processes where two CPUs are usable, and the report is the
+same either way. j0n and g_filtration run serially, in about what a fork costs.
 """
 from __future__ import annotations
 
@@ -104,6 +106,12 @@ class SuiteReport:
 
     def note(self, name: str, witness: str) -> None:
         self.checks.append(Check(name, "note", witness))
+
+    def add_rows(self, rows) -> None:
+        """Add the checks of each row, a list of (name, passed, witness), in order."""
+        for checks in rows:
+            for check in checks:
+                self.add(*check)
 
     def as_dict(self) -> dict:
         return {
@@ -300,16 +308,21 @@ def suite_tensor_splittings(rep: SuiteReport, p: int = 3, a_max: int = 3, b_max:
     _require_least("tensor_splittings", "box", box, a_max + 2 * b_max)  # F(a,b) starts at a + 2b
     J = functools.cache(lambda a, b: build_J(p, a, b))
     F = functools.cache(lambda a, b: build_F(p, a, b, box))
-    for a in range(a_max + 1):
-        for b in range(b_max + 1):
-            # closed-form candidates into the cofree J(a,b) and out of the free F(a,b)
-            verdict, _ = find_isomorphism(tensor(J(a, 0), J(0, b)), J(a, b))
-            rep.add(f"J({a},{b}) splits", verdict == "iso",
-                    _fmt(J(a, b).poincare()) if verdict == "iso" else f"verdict {verdict}")
-            verdict, _ = find_isomorphism(F(a, b), tensor(F(a, 0), F(0, b)))
-            rep.add(f"F({a},{b}) splits", verdict == "iso",
-                    f"dim {sum(F(a, b).poincare().values())}" if verdict == "iso"
-                    else f"verdict {verdict}")
+
+    def cell(ab):
+        a, b = ab
+        # closed-form candidates into the cofree J(a,b) and out of the free F(a,b)
+        verdict, _ = find_isomorphism(tensor(J(a, 0), J(0, b)), J(a, b))
+        yield (f"J({a},{b}) splits", verdict == "iso",
+               _fmt(J(a, b).poincare()) if verdict == "iso" else f"verdict {verdict}")
+        verdict, _ = find_isomorphism(F(a, b), tensor(F(a, 0), F(0, b)))
+        yield (f"F({a},{b}) splits", verdict == "iso",
+               f"dim {sum(F(a, b).poincare().values())}" if verdict == "iso"
+               else f"verdict {verdict}")
+
+    # each process builds the J(a,0) and F(a,0) column of its own cells
+    rep.add_rows(_fan_out(lambda ab: list(cell(ab)),
+                          [(a, b) for a in range(a_max + 1) for b in range(b_max + 1)]))
 
 
 def suite_g_filtration(rep: SuiteReport, p: int = 3, a_max: int = 5, box: int = 60) -> None:
@@ -367,8 +380,10 @@ def suite_fn_structure(rep: SuiteReport, p: int = 3, n_max: int = 6, box: int = 
     _require_least("fn_structure", "box", box, n_max)  # F(a,b) with a + 2b = n starts at n
     F = functools.cache(lambda a, b: build_F(p, a, b, box))
     shifted = functools.cache(lambda shift, a, b: suspend(F(a, b), shift))
+    shifted_theta = functools.cache(lambda shift, a, b: corestrict_theta(shifted(shift, a, b)))
     PhiF = functools.cache(lambda a: build_PhiF(p, a, box)[0])
-    for n in range(n_max + 1):
+
+    def row(n):
         slots = _fn_slots(n)
         Fn = build_Fn(p, n, box)
         thetas = {ab: corestrict_theta(F(*ab)) for ab in slots}
@@ -379,14 +394,14 @@ def suite_fn_structure(rep: SuiteReport, p: int = 3, n_max: int = 6, box: int = 
             leg = summand_inclusion(D, list(thetas.values()), i).compose(mu)
             summed = leg if summed is None else summed.add(leg)
         bad = [d for d in Fn.degrees() if summed.block(d).rank() != Fn.dim(d)]
-        rep.add(f"(+) mu into sum Theta F(a,b) is injective, n={n}", not bad, _fmt(bad))
+        yield f"(+) mu into sum Theta F(a,b) is injective, n={n}", not bad, _fmt(bad)
 
         # each division F(a,b) -> shifted F((a,b) - shift): representability
         # checks, and (through Theta) one leg of the equalizer diagram on
         # explicit direct sums; the two suspensions collapse to the same
         # single grading, so both legs land in the (2,0)-suspension's Theta
         tslots = _fn_slots(n - 2)
-        targets = {ab: corestrict_theta(shifted((2, 0), *ab)) for ab in tslots}
+        targets = {ab: shifted_theta((2, 0), *ab) for ab in tslots}
         DT = direct_sum(list(targets.values())) if targets else None
         legs = []
         checks = {}
@@ -405,7 +420,7 @@ def suite_fn_structure(rep: SuiteReport, p: int = 3, n_max: int = 6, box: int = 
                     f"spanned by {word}-division",
                     hs.dim == 1 and surj and not g.check() and not g.is_zero(),
                     f"dim hom = {hs.dim}")
-                if not corestrict_theta(S).matches(targets[q]):
+                if not shifted_theta(shift, *q).matches(targets[q]):
                     raise ValueError("suspension collapse mismatch")
                 T = _theta_morphism(g, thetas[(a, b)], targets[q])
                 leg = (summand_inclusion(DT, list(targets.values()), tslots.index(q))
@@ -416,17 +431,16 @@ def suite_fn_structure(rep: SuiteReport, p: int = 3, n_max: int = 6, box: int = 
         if n >= 2:
             L, R = legs
             square = L.compose(summed).sub(R.compose(summed))
-            rep.add(f"l o mu = r o mu on F({n})", square.is_zero(),
-                    "commuting square with scalar 1")
+            yield f"l o mu = r o mu on F({n})", square.is_zero(), "commuting square with scalar 1"
             E, _ = equalizer(L, R)
-            rep.add(f"equalizer of the diagram has F({n}) dims",
-                    E.poincare() == Fn.poincare(), _fmt(Fn.poincare()))
+            yield (f"equalizer of the diagram has F({n}) dims",
+                   E.poincare() == Fn.poincare(), _fmt(Fn.poincare()))
         elif slots:
             ab = slots[0]
-            rep.add(f"F({n}) = Theta F{ab} (single slot)",
-                    Fn.poincare() == thetas[ab].poincare(), _fmt(Fn.poincare()))
+            yield (f"F({n}) = Theta F{ab} (single slot)",
+                   Fn.poincare() == thetas[ab].poincare(), _fmt(Fn.poincare()))
         for key in sorted(checks):
-            rep.add(*checks[key])
+            yield checks[key]
 
         # Poincare identities: via Phi-decomposition and via the
         # associated-graded count
@@ -444,11 +458,13 @@ def suite_fn_structure(rep: SuiteReport, p: int = 3, n_max: int = 6, box: int = 
                 if d1 and 2 * t + 1 <= box:
                     graded[2 * t + 1] = graded.get(2 * t + 1, 0) + d1
         fn_table = {d: dim for d, dim in Fn.poincare().items() if d <= box}
-        rep.add(f"Poincare(F({n})) = sum of Theta(Phi F(a,0) (x) F(0,b))",
-                fn_table == {d: v for d, v in table.items() if d <= box},
-                _fmt(fn_table))
-        rep.add(f"Poincare(F({n})) matches the associated graded",
-                fn_table == graded, _fmt(graded))
+        yield (f"Poincare(F({n})) = sum of Theta(Phi F(a,0) (x) F(0,b))",
+               fn_table == {d: v for d, v in table.items() if d <= box}, _fmt(fn_table))
+        yield f"Poincare(F({n})) matches the associated graded", fn_table == graded, _fmt(graded)
+
+    # row n reads F(a,b) with a + 2b in {n, n - 2} and PhiF(a) with a = n mod 2,
+    # so the even and the odd rows, one process each, build disjoint objects
+    rep.add_rows(_fan_out(lambda n: list(row(n)), list(range(n_max + 1))))
 
 
 def suite_mahowald(rep: SuiteReport, p: int = 3, n_max: int = 4, m_max: int = 20) -> None:
@@ -457,29 +473,36 @@ def suite_mahowald(rep: SuiteReport, p: int = 3, n_max: int = 4, m_max: int = 20
                  "xi0-multiplication is an isomorphism exactly when m is not 0 or 1 mod p")
     _require_least("mahowald", "n_max", n_max, 1)
     _require_least("mahowald", "m_max", m_max, p + 1)  # m = 1..p+1: every residue, 1 twice
-    for n in range(1, n_max + 1):
+
+    def row(item):
+        n, m = item
+        if m:  # an entry of the iso pattern
+            return is_isomorphism(xi0_multiplication(p, m))
         f = xi0_multiplication(p, p * n)
         g = verschiebung(p, n)
         report = is_short_exact(f, g)
         dims = (sum(f.source.poincare().values()),
                 sum(g.target.poincare().values()),
                 sum(f.target.poincare().values()))
-        rep.add(f"0 -> shifted J(0,{p*n-1}) -> J(0,{p*n}) -> J(0,{n}) -> 0",
-                report.ok and dims[0] + dims[1] == dims[2],
-                f"dims {dims[0]} + {dims[1]} = {dims[2]}"
-                + ("; " + "; ".join(report.failures) if report.failures else ""))
         f2 = xi0_multiplication(p, p * n + 1)
         g2 = verschiebung_twisted(p, n)
         report2 = is_short_exact(f2, g2)
-        rep.add(f"0 -> shifted J(0,{p*n}) -> J(0,{p*n+1}) -> J(1,{n}) -> 0",
-                report2.ok, "; ".join(report2.failures))
-        rep.add(f"J(1,{n}) is the u-suspension of J(0,{n})",
-                is_isomorphism(u_suspension_iso(p, n)), "")
-    pattern = {m: is_isomorphism(xi0_multiplication(p, m))
-               for m in range(1, m_max + 1)}
+        return [(f"0 -> shifted J(0,{p*n-1}) -> J(0,{p*n}) -> J(0,{n}) -> 0",
+                 report.ok and dims[0] + dims[1] == dims[2],
+                 f"dims {dims[0]} + {dims[1]} = {dims[2]}"
+                 + ("; " + "; ".join(report.failures) if report.failures else "")),
+                (f"0 -> shifted J(0,{p*n}) -> J(0,{p*n+1}) -> J(1,{n}) -> 0",
+                 report2.ok, "; ".join(report2.failures)),
+                (f"J(1,{n}) is the u-suspension of J(0,{n})",
+                 is_isomorphism(u_suspension_iso(p, n)), "")]
+
+    # no objects are cached, so the n rows and the m entries share one fan-out
+    rows = _fan_out(row, [(n, 0) for n in range(1, n_max + 1)]
+                    + [(0, m) for m in range(1, m_max + 1)])
+    rep.add_rows(rows[:n_max])
+    pattern = dict(zip(range(1, m_max + 1), rows[n_max:]))
     expected = {m: (m % p not in (0, 1)) for m in pattern}
-    rep.add("xi0-multiplication iso pattern (m not 0,1 mod p)",
-            pattern == expected,
+    rep.add("xi0-multiplication iso pattern (m not 0,1 mod p)", pattern == expected,
             _fmt({m: v for m, v in pattern.items() if v}))
 
 
@@ -492,12 +515,11 @@ def suite_brown_gitler(rep: SuiteReport, p: int = 3, n_max: int = 8) -> None:
         n, eps = n_eps
         J = build_Jn(p, 2 * n + eps)
         verdict, _ = find_isomorphism(theta_J(p, eps, n), J)
-        return (f"Theta J({eps},{n}) = J({2*n+eps})", verdict == "iso",
-                _fmt(J.poincare()) if verdict == "iso" else f"verdict {verdict}")
+        return [(f"Theta J({eps},{n}) = J({2*n+eps})", verdict == "iso",
+                 _fmt(J.poincare()) if verdict == "iso" else f"verdict {verdict}")]
 
     # on two CPUs the eps = 0 and eps = 1 chains run side by side
-    for check in _fan_out(row, [(n, eps) for n in range(n_max + 1) for eps in (0, 1)]):
-        rep.add(*check)
+    rep.add_rows(_fan_out(row, [(n, eps) for n in range(n_max + 1) for eps in (0, 1)]))
 
 
 def suite_h_tensor(rep: SuiteReport, p: int = 3, n_max: int = 4, box: int = 40) -> None:

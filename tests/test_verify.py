@@ -345,8 +345,9 @@ def open_fds():
 def test_fan_out_computes_every_row_here_when_it_cannot_fork(monkeypatch, call):
     # a host short of processes or memory refuses the pipe or the fork
     usable_cpus(monkeypatch, 2)
+    suites = [("brown_gitler", {"n_max": 3}), ("fn_structure", {"n_max": 3, "box": 12})]
     monkeypatch.setattr(verify, "_INLINE", True)
-    inline = run_suite("brown_gitler", p=3, n_max=3).as_dict()
+    inline = [run_suite(name, p=3, **params).as_dict() for name, params in suites]
     monkeypatch.setattr(verify, "_INLINE", False)
 
     def refuse(*args):
@@ -354,7 +355,7 @@ def test_fan_out_computes_every_row_here_when_it_cannot_fork(monkeypatch, call):
 
     monkeypatch.setattr(os, call, refuse)
     before = open_fds()
-    assert run_suite("brown_gitler", p=3, n_max=3).as_dict() == inline
+    assert [run_suite(name, p=3, **params).as_dict() for name, params in suites] == inline
     assert open_fds() == before
     assert_no_child_left()
 
@@ -370,6 +371,43 @@ def test_brown_gitler_report_is_the_same_on_any_number_of_cpus(monkeypatch, cpus
     monkeypatch.setattr(verify, "_INLINE", True)
     assert got == run_suite("brown_gitler", p=3, n_max=4).as_dict()
     assert got["status"] == "pass" and len(got["checks"]) == 10
+    assert_no_child_left()
+
+
+STRUCTURE_SUITES = {
+    "fn_structure": {"n_max": 4, "box": 20},
+    "tensor_splittings": {"a_max": 2, "b_max": 2, "box": 20},
+    "mahowald": {"n_max": 2, "m_max": 6},
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(STRUCTURE_SUITES))
+def test_structure_report_is_the_same_on_any_number_of_cpus(monkeypatch, name, cpus):
+    usable_cpus(monkeypatch, cpus)
+    got = run_suite(name, p=3, **STRUCTURE_SUITES[name]).as_dict()
+    monkeypatch.setattr(verify, "_INLINE", True)
+    assert got == run_suite(name, p=3, **STRUCTURE_SUITES[name]).as_dict()
+    assert got["status"] == "pass"
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds through /proc")
+def test_fn_structure_reraises_an_error_of_the_odd_rows(monkeypatch):
+    # row n builds PhiF(a) only for a = n mod 2, so the odd a fail in the child's share
+    usable_cpus(monkeypatch, 2)
+    build_PhiF = verify.build_PhiF
+
+    def odd_fails(p, a, box):
+        if a % 2:
+            raise ValueError("odd row")
+        return build_PhiF(p, a, box)
+
+    monkeypatch.setattr(verify, "build_PhiF", odd_fails)
+    before = open_fds()
+    with pytest.raises(ValueError, match="^odd row$"):
+        run_suite("fn_structure", p=3, n_max=3, box=12)
+    assert open_fds() == before
     assert_no_child_left()
 
 
@@ -418,11 +456,13 @@ def test_fork_is_never_called_while_the_fan_out_is_off(monkeypatch):
     monkeypatch.setattr(os, "fork", refuse_fork)
     usable_cpus(monkeypatch, 1)
     assert run_suite("brown_gitler", p=3, n_max=2).ok
+    assert run_suite("tensor_splittings", p=3, a_max=1, b_max=1, box=12).ok
     # in a fan-out child or a run_all worker, on any number of CPUs
     usable_cpus(monkeypatch, 3)
     monkeypatch.setattr(verify, "_INLINE", False)  # restored after the test
     verify._run_inline()
     assert run_suite("brown_gitler", p=3, n_max=2).ok
+    assert run_suite("tensor_splittings", p=3, a_max=1, b_max=1, box=12).ok
     assert verify._fan_out(raise_on(None), list(range(4))) == list(range(4))
 
 
