@@ -82,11 +82,11 @@ def _check_degree(preset, deg, flag: str):
         raise ValueError(f"{flag} must be >= 0 in every component, got {deg}")
 
 
-def _open_out(path):
-    """`path` opened for writing, or a context of None for no path; a path
-    that cannot be written is a usage error."""
+def _open_out(path, mode: str = "w"):
+    """`path` opened for writing in mode, or a context of None for no path; a
+    path that cannot be written is a usage error."""
     try:
-        return open(path, "w") if path else contextlib.nullcontext()
+        return open(path, mode) if path else contextlib.nullcontext()
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -213,10 +213,11 @@ def cmd_verify(args) -> int:
         "m_max": args.m,
     }
     names = None if args.suite == "all" else [args.suite]
-    with _open_out(args.out) as out:  # before any suite runs
-        reports = run_all(names=names, jobs=args.jobs, **params)
+    with _open_out(args.out, "a") as out:  # before any suite runs, emptied after
+        reports = run_all(names=names, **params)
         payload = [r.as_dict() for r in reports]
         if out:
+            out.truncate(0)
             json.dump(payload, out, indent=2)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -314,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a verification suite (or all of them)")
     q.add_argument("--suite", required=True,
                    help="suite name or 'all': " + ", ".join(sorted(SUITES)))
-    q.add_argument("--jobs", type=int, default=1,
-                   help="run suites in parallel processes")
     q.add_argument("--n", type=int, default=None,
                    help="override the suite's n_max")
     q.add_argument("--m", type=int, default=None,

@@ -9,10 +9,11 @@ Reports serialize to JSON as
 a check's status is "pass", "fail", or "note" (informational, never
 adjudicating), and the suite passes iff no check fails.
 
-The rows of brown_gitler, tensor_splittings, mahowald and fn_structure are
-independent (fn_structure's even and odd n build disjoint objects): `_fan_out`
-computes them in two processes where two CPUs are usable, and the report is the
-same either way. j0n and g_filtration run serially, in about what a fork costs.
+The suites of run_all are independent, and so are the rows of brown_gitler,
+tensor_splittings, mahowald and fn_structure (fn_structure's even and odd n
+build disjoint objects): `_fan_out` computes either in two processes where two
+CPUs are usable, and the reports are the same either way; fan-outs never nest.
+j0n and g_filtration run serially, in about what a fork costs.
 """
 from __future__ import annotations
 
@@ -136,23 +137,30 @@ def _fmt(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# independent rows on two CPUs
+# independent suites and rows on two CPUs
 
-# True in a fan-out child and in run_all's workers, which run rows inline
+# True while this process computes a share of a fan-out, so fan-outs never nest
 _INLINE = False
 
 
-def _run_inline() -> None:
-    """Make this process run its fan-outs inline (run_all's pool initializer)."""
-    global _INLINE
-    _INLINE = True
+def _share(fn, items: list, start: int) -> tuple:
+    """(rows, i, exc): the rows of items[start::2] up to items[i], the first
+    whose row raises exc, or all of them, len(items) and None."""
+    rows = []
+    for i in range(start, len(items), 2):
+        try:
+            rows.append(fn(items[i]))
+        except Exception as exc:
+            return rows, i, exc
+    return rows, len(items), None
 
 
 def _fan_out(fn, items: list) -> list:
     """[fn(x) for x in items], in two processes where two CPUs are usable:
     this one computes items[0::2] and a forked child items[1::2], whose rows
-    (or exception) it pickles back through a pipe. Where the pipe or the fork
-    fails, this process computes every row."""
+    (or first error) it pickles back through a pipe; neither share fans out
+    again. Where the pipe or the fork fails, this process computes every row."""
+    global _INLINE
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     # a forked child would inherit the locks of other threads, held or not
@@ -169,24 +177,22 @@ def _fan_out(fn, items: list) -> list:
         for fd in fds:
             os.close(fd)
         return [fn(x) for x in items]
-    if pid == 0:  # the child: pickle its rows, or its exception, and leave
+    if pid == 0:  # the child: pickle its share's outcome, and leave
         status = 1
         try:
-            _run_inline()
-            payload = (True, [fn(x) for x in items[1::2]])
-        except BaseException as exc:
-            payload = (False, exc)
-        try:
+            _INLINE = True
+            data = pickle.dumps(_share(fn, items, 1))
             with os.fdopen(w, "wb") as out:
-                out.write(pickle.dumps(payload))
+                out.write(data)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
-    rows = [None] * len(items)
+    _INLINE = True
     try:
-        rows[0::2] = [fn(x) for x in items[0::2]]
+        ours = _share(fn, items, 0)
     finally:
+        _INLINE = False
         # read the child to EOF, so that it never blocks on a full pipe, and reap it
         with os.fdopen(r, "rb") as pipe:
             data = pipe.read()
@@ -194,10 +200,12 @@ def _fan_out(fn, items: list) -> list:
     if not data:
         raise RuntimeError(f"fan-out child {pid} died without its rows "
                            f"(exit status {os.waitstatus_to_exitcode(status)})")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    rows[1::2] = value
+    (even, i, error), (odd, j, odd_error) = ours, pickle.loads(data)
+    error = error if i < j else odd_error  # the first item's, as on one CPU
+    if error is not None:
+        raise error
+    rows = [None] * len(items)
+    rows[0::2], rows[1::2] = even, odd
     return rows
 
 
@@ -599,21 +607,10 @@ def run_suite(name: str, **params) -> SuiteReport:
     return rep
 
 
-def run_all(names=None, jobs: int = 1, **params) -> list:
+def run_all(names=None, **params) -> list:
     """The reports of the named suites (all that run at p by default), in
-    order, run in min(jobs, number of suites) worker processes when that is
-    more than one."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    order, computed through `_fan_out`: a lone suite here, so that it fans
+    out its own rows."""
     if not names:
         names = [n for n in SUITES if params.get("p") != 2 or n in P2_SUITES]
-    run = functools.partial(run_suite, **params)
-    workers = min(jobs, len(names))
-    if workers > 1:
-        # imported here, so that importing this module does not load the
-        # process machinery that only this branch uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers, initializer=_run_inline) as pool:
-            return list(pool.map(run, names))
-    return [run(name) for name in names]
+    return _fan_out(functools.partial(run_suite, **params), names)

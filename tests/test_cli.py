@@ -262,6 +262,15 @@ def test_out_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, monk
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
+def test_verify_keeps_an_old_report_when_a_suite_raises(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("old report")
+    rc, out, _ = run(capsys, "verify", "--suite", "unstable", "--max-degree", "3",
+                     "--out", str(path))
+    assert (rc, out) == (2, "")
+    assert path.read_text() == "old report"
+
+
 def test_verify_csv(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "mahowald", "--n", "1",
                      "--m", "6", "--format", "csv")
@@ -517,6 +526,7 @@ def test_env_bad_value(capsys, monkeypatch):
     ("2", ["--suite", "all", "--max-degree", "1"], 2),
     ("3", ["--suite", "fn_structure", "--max-degree", "5"], 6),
     ("3", ["--suite", "mahowald", "--m", "3"], ("m_max", 4)),
+    ("3", ["--suite", "all", "--max-degree", "3"], 6),  # unstable's, the first suite to raise
 ])
 def test_verify_refuses_a_box_below_the_least(capsys, p, argv, least):
     # least is the least box, or (parameter, least value) for another one
@@ -524,10 +534,3 @@ def test_verify_refuses_a_box_below_the_least(capsys, p, argv, least):
     rc, out, err = run(capsys, "verify", "--p", p, *argv)
     assert rc == 2 and out == ""
     assert f"the least {param} for these parameters is {least}" in err
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_verify_rejects_jobs_below_one(capsys, jobs):
-    rc, out, err = run(capsys, "verify", "--suite", "unstable", "--jobs", jobs)
-    assert rc == 2 and out == ""
-    assert f"jobs must be >= 1, got {jobs}" in err

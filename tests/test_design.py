@@ -496,3 +496,33 @@ def test_the_runner_builds_every_suite_report():
     # _find names the innermost function, so a nested helper's return is not counted
     returning = [c for c in _find(SRC / "verify.py", _is_value_return) if c[1].startswith("suite_")]
     assert not returning, returning
+
+
+# More than one CPU is used in one way: verify._fan_out forks one child for
+# every other row, or every other suite of run_all.  No module starts
+# processes otherwise, so no second set of pickling, error and nesting rules
+# grows beside it.
+FORKERS = {("verify.py", "_fan_out")}
+PROCESS_MODULES = {"concurrent", "multiprocessing", "subprocess"}
+
+
+def _is_fork_use(node) -> bool:
+    """`fork` as an attribute, an imported name or a string getattr could take."""
+    return (isinstance(node, ast.Attribute) and node.attr == "fork") or (
+        isinstance(node, ast.alias) and node.name == "fork") or (
+        isinstance(node, ast.Constant) and node.value == "fork")
+
+
+def _is_process_import(node) -> bool:
+    """An import of concurrent.futures, multiprocessing or subprocess."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] in PROCESS_MODULES for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] \
+        in PROCESS_MODULES
+
+
+def test_one_fan_out_forks_and_no_module_imports_a_process_pool():
+    found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_fork_use)]
+    assert found and {(f, func) for f, func, _ in found} == FORKERS, found
+    found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_process_import)]
+    assert not found, found

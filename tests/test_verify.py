@@ -61,7 +61,7 @@ def test_run_suite_drops_irrelevant_params():
 
 
 def test_run_all_subset_parallel():
-    reports = run_all(names=["mahowald", "brown_gitler"], jobs=2, p=3, n_max=2)
+    reports = run_all(names=["mahowald", "brown_gitler"], p=3, n_max=2)
     assert [r.suite for r in reports] == ["mahowald", "brown_gitler"]
     assert all(r.ok for r in reports)
 
@@ -86,10 +86,13 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_reports_match_the_recorded_ones(p):
-    reports = run_all(p=p, box=10, n_max=2, m_max=6, a_max=1, b_max=1)
-    assert [r.as_dict() for r in reports] == \
-        json.loads((GOLDEN / f"reports_p{p}.json").read_text())
+def test_reports_match_the_recorded_ones(monkeypatch, p):
+    golden = json.loads((GOLDEN / f"reports_p{p}.json").read_text())
+    for cpus in (1, 2):  # run_all inline, and through a fork
+        usable_cpus(monkeypatch, cpus)
+        reports = run_all(p=p, box=10, n_max=2, m_max=6, a_max=1, b_max=1)
+        assert [r.as_dict() for r in reports] == golden, f"{cpus} CPUs"
+    assert_no_child_left()
 
 
 def test_run_all_covers_registry():
@@ -261,46 +264,6 @@ def test_tensor_splittings_are_certified_without_a_hom_solve(monkeypatch):
     assert rep.ok, failures(rep)
 
 
-class _RecordingPool:
-    """Stands in for the process pool: records its size and initializer,
-    maps serially."""
-
-    sizes: list = []
-    initializers: list = []
-
-    def __init__(self, max_workers, initializer=None):
-        self.sizes.append(max_workers)
-        self.initializers.append(initializer)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, names):
-        return map(fn, names)
-
-
-def test_run_all_caps_the_workers_at_the_number_of_suites(monkeypatch):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RecordingPool, "initializers", [])
-    reports = run_all(names=["mahowald", "brown_gitler"], jobs=64, p=3, n_max=1, m_max=4)
-    assert [r.suite for r in reports] == ["mahowald", "brown_gitler"]
-    assert _RecordingPool.sizes == [2]
-    # the workers run their rows inline: a fan-out never nests in the pool
-    assert _RecordingPool.initializers == [verify._run_inline]
-    # one suite runs in this process, whatever jobs asks for
-    assert run_all(names=["brown_gitler"], jobs=64, p=3, n_max=1)[0].ok
-    assert _RecordingPool.sizes == [2]
-    for jobs in (0, -1):
-        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
-            run_all(names=["brown_gitler"], jobs=jobs, p=3, n_max=1)
-
-
 def test_importing_verify_leaves_out_the_process_pool():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys, supercomod.verify; "
@@ -411,9 +374,9 @@ def test_fn_structure_reraises_an_error_of_the_odd_rows(monkeypatch):
     assert_no_child_left()
 
 
-def raise_on(bad):
+def raise_on(*bad):
     def row(x):
-        if x == bad:
+        if x in bad:
             raise ValueError(f"row {x} is wrong")
         return x
     return row
@@ -424,6 +387,26 @@ def test_fan_out_reraises_a_row_error_and_leaves_no_child(monkeypatch, bad):
     usable_cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match=f"^row {bad} is wrong$"):
         verify._fan_out(raise_on(bad), list(range(6)))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (2, 3)])  # the even rows are this process's share
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fan_out_raises_the_error_of_the_first_item_on_any_number_of_cpus(monkeypatch, cpus,
+                                                                          bad):
+    usable_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match=f"^row {bad[0]} is wrong$"):
+        verify._fan_out(raise_on(*bad), list(range(4)))
+    assert_no_child_left()
+
+
+def test_neither_share_of_a_fan_out_fans_out_again(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    assert verify._fan_out(lambda x: verify._INLINE, list(range(4))) == [True] * 4
+    assert verify._INLINE is False
+    with pytest.raises(ValueError, match="^row 2 is wrong$"):
+        verify._fan_out(raise_on(2), list(range(4)))
+    assert verify._INLINE is False
     assert_no_child_left()
 
 
@@ -457,10 +440,9 @@ def test_fork_is_never_called_while_the_fan_out_is_off(monkeypatch):
     usable_cpus(monkeypatch, 1)
     assert run_suite("brown_gitler", p=3, n_max=2).ok
     assert run_suite("tensor_splittings", p=3, a_max=1, b_max=1, box=12).ok
-    # in a fan-out child or a run_all worker, on any number of CPUs
+    # in a share of a fan-out, on any number of CPUs
     usable_cpus(monkeypatch, 3)
-    monkeypatch.setattr(verify, "_INLINE", False)  # restored after the test
-    verify._run_inline()
+    monkeypatch.setattr(verify, "_INLINE", True)
     assert run_suite("brown_gitler", p=3, n_max=2).ok
     assert run_suite("tensor_splittings", p=3, a_max=1, b_max=1, box=12).ok
     assert verify._fan_out(raise_on(None), list(range(4))) == list(range(4))
