@@ -46,15 +46,19 @@ names the limit, and a product whose sum sets a guard bit raises rather
 than carry into the next field.  Only this module reads the key.
 
 A preset memoises ``left_degree`` and ``right_degree`` on itself, keyed by
-the interned monomial, and enumeration memoises the xi partitions of each
-total.  The coproduct is one memo: D of a monomial is the product of the
-memoised D of its last letter power and of the rest, D of a power that of
-the next lower power and of its letter, so the coproduct is an algebra map
-fixed by its four letter formulas.  ``cache_stats()`` reports that memo, the
-partition memo, the size of each degree memo and the number of interned
-monomials.  A preset row tests membership with one mask on the packed key,
-and ``PresetRow.unpadded`` clears a monomial's power of the row's grouplike
-pad (u, or x0 without u) with another.
+the interned monomial.  Enumeration is one memoised recursion over the t
+and x letters, from the highest index that fits down, with the left weight
+left to spend (exactly, or at most a box) and any fixed numbers of t's and
+x factors; it builds a monomial only for a part that meets every bound, so
+it interns only the monomials it returns.  The coproduct is one memo: D of
+a monomial is the product of the memoised D of its last letter power and of
+the rest, D of a power that of the next lower power and of its letter, so
+the coproduct is an algebra map fixed by its four letter formulas.
+``cache_stats()`` reports that memo, the enumeration memo, the size of each
+degree memo and the number of interned monomials.  A preset row tests
+membership with one mask on the packed key, and ``PresetRow.unpadded``
+clears a monomial's power of the row's grouplike pad (u, or x0 without u)
+with another.
 A canonical quotient sends a monomial to one monomial or to 0.
 
 An element of B (x) B is a plain dict {(a, b): c} of monomial pairs with
@@ -66,7 +70,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, groupby
 from operator import index
 
 ODD_PRIMES = (3, 5, 7)
@@ -646,14 +649,13 @@ _COPRODUCT_CACHE = coproduct
 
 
 def cache_stats() -> dict:
-    """Hits, misses and size of the coproduct cache and of the xi-partition
-    and tau-subset memos, the size of each degree memo (under
-    "degree_memos", keyed "name p=p") and the number of interned monomials,
-    in this process: after verify._fan_out forks, for a suite's rows or for
-    run_all's suites, they count only this process's share."""
+    """Hits, misses and size of the coproduct cache and of the enumeration
+    memo, the size of each degree memo (under "degree_memos", keyed
+    "name p=p") and the number of interned monomials, in this process: after
+    verify._fan_out forks, for a suite's rows or for run_all's suites, they
+    count only this process's share."""
     out: dict = {}
-    for name, cached in (("coproduct", _COPRODUCT_CACHE), ("xi_partitions", _xi_partitions),
-                         ("tau_subsets", _tau_subsets)):
+    for name, cached in (("coproduct", _COPRODUCT_CACHE), ("enumeration", _parts)):
         info = cached.cache_info()
         out[name] = {"hits": info.hits, "misses": info.misses, "size": info.currsize}
     out["degree_memos"] = {f"{name} p={p}": {"left": len(preset._left),
@@ -674,55 +676,66 @@ def counit(preset: CoalgebraPreset, m: Monomial) -> int:
 
 
 @lru_cache(maxsize=None)
-def _xi_partitions(row: PresetRow, p: int, total: int) -> tuple:
-    """All xi exponent tuples over the row's xi indices with sum e_j p^j == total."""
-    # p >= 2, so p^j <= total implies j < total.bit_length()
-    usable = [j for j in range(total.bit_length()) if p**j <= total and row.allows_xi(j)]
-
-    def rec(rem: int, pos: int):
-        if rem == 0:
-            yield ()
-            return
-        if pos < 0:
-            return
-        pw = p ** usable[pos]
-        for e in range(rem // pw, -1, -1):
-            for rest in rec(rem - e * pw, pos - 1):
-                yield rest + (((usable[pos], e),) if e else ())
-
-    return tuple(rec(total, len(usable) - 1))
-
-
-@lru_cache(maxsize=None)
-def _tau_subsets(p: int, bound: int) -> tuple:
-    """All (subset, sum of p^i) with distinct indices and sum <= bound."""
-    indices = []
-    i = 0
-    while p**i <= bound:
-        indices.append(i)
-        i += 1
-    out = []
-    for r in range(len(indices) + 1):
-        for s in combinations(indices, r):
-            tot = sum(p**i for i in s)
-            if tot <= bound:
-                out.append((s, tot))
+def _parts(preset: CoalgebraPreset, i: int, budget: int, exact: bool, taus, xs) -> tuple:
+    """The t and x parts (packed key, tau, xi), in the letters t_k and x_k
+    with k <= i, whose left weight (p^k for each t_k and each factor x_k) is
+    `budget`, or at most `budget` when not `exact`, with `taus` t's and `xs`
+    x factors where these are not None.  The letters of index i are chosen
+    first, then those below by recursion; a branch ends as soon as its x
+    factors cannot fit the weight left.  The one enumeration memo."""
+    p = preset.p
+    if i >= 0 and p**i > budget:  # no letter of index i fits: start lower
+        while i >= 0 and p**i > budget:
+            i -= 1
+        return _parts(preset, i, budget, exact, taus, xs)
+    if taus and (taus > i + 1 or not preset.row.tau):  # too few t letters left
+        return ()
+    if i < 0:
+        return () if exact and budget or xs else ((0, (), ()),)
+    row, weight = preset.row, p**i
+    lightest_x = p ** row.xi[0] if row.xi else 1
+    out: list = []
+    for t in ((0, 1) if row.tau and taus != 0 else (0,)):
+        most = budget // weight - t if row.allows_xi(i) else 0
+        for e in range(most + 1 if xs is None else min(most, xs) + 1):
+            rest = budget - (t + e) * weight
+            if xs is not None and (xs - e) * lightest_x > rest:
+                break
+            sub = _parts(preset, i - 1, rest, exact, taus and taus - t, xs and xs - e)
+            if sub:
+                tau, xi = (i,) * t, ((i, e),) if e else ()
+                key = _pack(0, tau, 0, xi)
+                out.extend((key + c, t2 + tau, x2 + xi) for c, t2, x2 in sub)
     return tuple(out)
+
+
+def _monomials(w: int, u: int, parts: tuple) -> list[Monomial]:
+    """The monomials w^w u^u times each part of `parts`."""
+    base, get = _pack(w, (), u, ()), _INTERNED.get
+    return [get(base + c) or _new_monomial(base + c, w, tau, u, xi) for c, tau, xi in parts]
 
 
 def enumerate_left(preset: CoalgebraPreset, left) -> list[Monomial]:
     """All monomials of the preset with the given left degree, sorted."""
-    row, p = preset.row, preset.p
+    return enumerate_component(preset, left, None)
+
+
+def enumerate_component(preset: CoalgebraPreset, left, right) -> list[Monomial]:
+    """All monomials of the preset with the given left degree and, unless
+    `right` is None, the given right degree, sorted."""
+    row = preset.row
     out: list[Monomial] = []
-    # left bidegree (u + w, b): b is shared out between the tau's and the xi's
+    # left bidegree (u + w, b) and right bidegree (u + number of t's,
+    # w + number of x factors): b is shared out among the t's and the x's
     for a, b in preset.shapes(left):
-        taus = _tau_subsets(p, b) if row.tau else [((), 0)]
         for w in ((0, 1) if row.w else (0,)):
             u = a - w
             if u < 0 or (u and not row.u):
                 continue
-            for tau, s in taus:
-                out.extend(_monomial(w, tau, u, xi) for xi in _xi_partitions(row, p, b - s))
+            counts = [(None, None)] if right is None else [
+                (c - u, d - w) for c, d in preset.shapes(right) if c >= u and d >= w]
+            for taus, xs in counts:
+                out += _monomials(w, u, _parts(preset, b.bit_length(), b, True, taus, xs))
     out.sort(key=Monomial.sort_key)
     return out
 
@@ -730,46 +743,25 @@ def enumerate_left(preset: CoalgebraPreset, left) -> list[Monomial]:
 def enumerate_right(preset: CoalgebraPreset, right, box: int) -> list[Monomial]:
     """All w-free monomials of the preset with the given right degree and
     left total degree <= box, sorted."""
-    row, p = preset.row, preset.p
-    # a t_j or an x_j has left bidegree (0, p^j); indices whose lone
-    # generator already exceeds the box cannot occur
-    indices: list[int] = []
-    while total_of(preset.collapse(0, p ** len(indices))) <= box:
-        indices.append(len(indices))
-    tau_indices = indices if row.tau else []
-    xi_indices = [j for j in indices if row.allows_xi(j)]
+    row = preset.row
+    k = total_of(preset.collapse(0, 1))  # left total u + k * (the t and x weight)
     out: list[Monomial] = []
-    # right bidegree (u + number of tau's, number of xi factors)
+    # right bidegree (u + number of t's, number of x factors)
     for a, b in preset.shapes(right):
-        for k in range(min(a, len(tau_indices)) + 1):
-            u = a - k
-            if u and not row.u:
-                continue
-            for tau in combinations(tau_indices, k):
-                for js in combinations_with_replacement(xi_indices, b):
-                    xi = tuple((j, len(list(g))) for j, g in groupby(js))
-                    m = _monomial(0, tau, u, xi)
-                    if total_of(preset.left_degree(m)) <= box:
-                        out.append(m)
+        for taus in range(a + 1):
+            u = a - taus
+            if u <= box and (row.u or not u):
+                room = (box - u) // k
+                out += _monomials(0, u, _parts(preset, room.bit_length(), room, False, taus, b))
     out.sort(key=Monomial.sort_key)
     return out
 
 
-def enumerate_component(preset: CoalgebraPreset, left, right) -> list[Monomial]:
-    return [m for m in enumerate_left(preset, left) if preset.right_degree(m) == right]
-
-
 def enumerate_box(preset: CoalgebraPreset, box: int) -> list[Monomial]:
-    """All monomials with left total degree <= box."""
-    out: list[Monomial] = []
-    if preset.bigraded:
-        for a in range(box + 1):
-            for b in range((box - a) // 2 + 1):
-                out.extend(enumerate_left(preset, (a, b)))
-    else:
-        for n in range(box + 1):
-            out.extend(enumerate_left(preset, n))
-    return out
+    """All monomials with left total degree <= box, by left degree."""
+    degrees = ([(a, b) for a in range(box + 1) for b in range((box - a) // 2 + 1)]
+               if preset.bigraded else range(box + 1))
+    return [m for left in degrees for m in enumerate_left(preset, left)]
 
 
 # ---------------------------------------------------------------------------

@@ -213,8 +213,14 @@ def cmd_verify(args) -> int:
         "m_max": args.m,
     }
     names = None if args.suite == "all" else [args.suite]
+    created = bool(args.out) and not os.path.exists(args.out)
     with _open_out(args.out, "a") as out:  # before any suite runs, emptied after
-        reports = run_all(names=names, **params)
+        try:
+            reports = run_all(names=names, **params)
+        except BaseException:
+            if created:  # no report: take back the file this run made
+                os.remove(args.out)
+            raise
         payload = [r.as_dict() for r in reports]
         if out:
             out.truncate(0)

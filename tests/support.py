@@ -30,8 +30,15 @@ computed it before the pad moved into bialgebra, one pass over the coaction
 per operation: each monomial is split, by its letter fields, into the
 exponent of the grouplike pad and the rest.  It is the independent oracle
 for `comodule.action_table`.
+
+`box_reference` lists every monomial of a preset up to a left total degree
+by brute force: one loop per exponent of each letter the preset row has,
+and the left and right degrees from their formulas.  It calls none of the
+enumerators, so the tests check all four against it.
 """
 from __future__ import annotations
+
+from itertools import product as exponents
 
 import numpy as np
 
@@ -277,4 +284,36 @@ def steenrod_action_reference(M: Comodule, lam: Monomial) -> dict:
         out[d] = FpMatrix(M.p, len(index), [
             [(index[t], c) for c, t, b in M.coaction[lab] if t in index and hits(b)]
             for lab in M.basis(d)])
+    return out
+
+
+def box_reference(preset, box: int) -> list[tuple]:
+    """(monomial, left degree, right degree, left total degree) for every
+    monomial of the preset with left total degree <= box, sorted by left
+    degree and then by `Monomial.sort_key`, the order of `enumerate_box`.
+
+    A monomial w^w t_tau u^u prod x_j^e_j has left bidegree (u + w, sum p^i
+    over tau + sum e_j p^j) and right bidegree (u + |tau|, w + sum e_j); a
+    singly graded preset of weight k collapses (a, b) to a + k b, and the
+    total of a bidegree is a + 2 b."""
+    row, p = preset.row, preset.p
+    k = 2 if row.weight is None else row.weight
+    indices = [i for i in range(box + 1) if k * p**i <= box]
+    taus = indices if row.tau else []
+    xis = [j for j in indices if row.allows_xi(j)]
+    out = []
+    for w in (0, 1) if row.w else (0,):
+        for bits in exponents((0, 1), repeat=len(taus)):
+            tau = tuple(i for i, bit in zip(taus, bits) if bit)
+            for es in exponents(*[range(box // (k * p**j) + 1) for j in xis]):
+                b = sum(p**i for i in tau) + sum(e * p**j for j, e in zip(xis, es))
+                if w + k * b > box:
+                    continue
+                xi = tuple((j, e) for j, e in zip(xis, es) if e)
+                for u in range(box - w - k * b + 1) if row.u else (0,):
+                    left, right = (u + w, b), (u + len(tau), w + sum(es))
+                    if row.weight is not None:
+                        left, right = left[0] + k * left[1], right[0] + k * right[1]
+                    out.append((Monomial(w, tau, u, xi), left, right, u + w + k * b))
+    out.sort(key=lambda entry: (entry[1], entry[0].sort_key()))
     return out

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import copy
+import json
+import os
 import pickle
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +48,7 @@ from supercomod.bialgebra import (
     quotient_map,
     tensor_mul,
 )
+from support import box_reference
 
 B3 = get_preset("b", 3)
 BBAR3 = get_preset("bbar", 3)
@@ -240,8 +246,7 @@ def test_cache_stats_reports_the_caches():
     info = coproduct.cache_info()
     assert after["coproduct"] == {"hits": info.hits, "misses": info.misses,
                                   "size": info.currsize}
-    assert set(after) == {"coproduct", "xi_partitions", "tau_subsets", "degree_memos",
-                          "interned_monomials"}
+    assert set(after) == {"coproduct", "enumeration", "degree_memos", "interned_monomials"}
     big = Monomial(u=987654, xi=((7, 1),))
     assert cache_stats()["interned_monomials"] == after["interned_monomials"] + 1
     # one degree memo per (preset name, p), held by its one preset
@@ -762,6 +767,57 @@ def test_enumerate_right_matches_box_filter(name, p):
         want = sorted((m for m in every if preset.right_degree(m) == right),
                       key=Monomial.sort_key)
         assert enumerate_right(preset, right, box) == want, right
+
+
+@pytest.mark.parametrize("preset", EVERY_PRESET, ids=lambda pr: f"{pr.name}-{pr.p}")
+def test_enumerators_match_the_brute_force_oracle(preset):
+    # every enumerator against box_reference, order included, boxes 0 to 30
+    every = box_reference(preset, 30)
+    lefts: dict = {}
+    rights: dict = {}
+    for m, left, right, total in every:
+        lefts.setdefault(left, {}).setdefault(right, []).append(m)
+        if not m.w:
+            rights.setdefault(right, []).append((m.sort_key(), m, total))
+    for box in range(31):
+        assert enumerate_box(preset, box) == [m for m, _, _, total in every if total <= box]
+        for right, entries in rights.items():
+            want = [m for _, m, total in sorted(entries) if total <= box]
+            assert enumerate_right(preset, right, box) == want, (right, box)
+    # the components of each left degree, and the right degrees of the small
+    # monomials, which most left degrees lack
+    small = {right for _, _, right, total in every if total <= 6}
+    for left, parts in lefts.items():
+        assert enumerate_left(preset, left) == sorted(
+            (m for span in parts.values() for m in span), key=Monomial.sort_key)
+        for right in small | parts.keys():
+            assert enumerate_component(preset, left, right) == parts.get(right, []), right
+
+
+def test_enumerate_right_builds_only_its_answers():
+    # a fresh interpreter, so that no earlier test has interned these monomials
+    script = """if True:
+        import json
+        from supercomod.bialgebra import cache_stats, enumerate_right, get_preset
+        b2 = get_preset("b2", 2)
+        before = cache_stats()
+        got = enumerate_right(b2, 24, 40)
+        after = cache_stats()
+        print(json.dumps([[str(m) for m in got],
+                          after["interned_monomials"] - before["interned_monomials"],
+                          after["degree_memos"]["b2 p=2"]["left"]
+                          - before["degree_memos"]["b2 p=2"]["left"]]))
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    names, interned, left_memo = json.loads(proc.stdout)
+    got = [parse_monomial(name) for name in names]
+    assert len(set(got)) == len(got) == 84
+    assert got == sorted(got, key=Monomial.sort_key)
+    assert all(B2.right_degree(m) == 24 and B2.left_degree(m) <= 40 for m in got)
+    assert interned <= 84 and left_memo <= 84
 
 
 # ---------------------------------------------------------------------------

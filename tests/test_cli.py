@@ -271,6 +271,14 @@ def test_verify_keeps_an_old_report_when_a_suite_raises(capsys, tmp_path):
     assert path.read_text() == "old report"
 
 
+def test_verify_leaves_no_report_file_when_a_suite_raises(capsys, tmp_path):
+    path = tmp_path / "new.json"
+    rc, out, _ = run(capsys, "verify", "--suite", "all", "--max-degree", "3",
+                     "--out", str(path))
+    assert (rc, out) == (2, "")
+    assert not path.exists()
+
+
 def test_verify_csv(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "mahowald", "--n", "1",
                      "--m", "6", "--format", "csv")
