@@ -741,18 +741,20 @@ def enumerate_component(preset: CoalgebraPreset, left, right) -> list[Monomial]:
 
 
 def enumerate_right(preset: CoalgebraPreset, right, box: int) -> list[Monomial]:
-    """All w-free monomials of the preset with the given right degree and
-    left total degree <= box, sorted."""
+    """All monomials of the preset with the given right degree and left
+    total degree <= box, sorted."""
     row = preset.row
-    k = total_of(preset.collapse(0, 1))  # left total u + k * (the t and x weight)
+    k = total_of(preset.collapse(0, 1))  # left total u + w + k * (the t and x weight)
     out: list[Monomial] = []
-    # right bidegree (u + number of t's, number of x factors)
+    # right bidegree (u + number of t's, w + number of x factors)
     for a, b in preset.shapes(right):
-        for taus in range(a + 1):
-            u = a - taus
-            if u <= box and (row.u or not u):
-                room = (box - u) // k
-                out += _monomials(0, u, _parts(preset, room.bit_length(), room, False, taus, b))
+        for w in ((0, 1) if row.w and b else (0,)):
+            for taus in range(a + 1):
+                u = a - taus
+                if u + w <= box and (row.u or not u):
+                    room = (box - u - w) // k
+                    out += _monomials(w, u, _parts(preset, room.bit_length(), room, False,
+                                                   taus, b - w))
     out.sort(key=Monomial.sort_key)
     return out
 

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .bialgebra import PRESET_NAMES, format_monomial, get_preset
-from .bialgebra import enumerate_box, enumerate_component, enumerate_left
+from .bialgebra import enumerate_component, enumerate_right
 from .comodule import Comodule
 from .homsolver import hom_space
 from .objects import parse_object_id
@@ -120,14 +120,11 @@ def cmd_basis(args) -> int:
         _check_degree(preset, right, "--right")
     if left is None and right is None:
         raise ValueError("basis needs --left and/or --right")
-    if left is not None and right is not None:
+    if left is not None:
         monos = enumerate_component(preset, left, right)
-    elif left is not None:
-        monos = enumerate_left(preset, left)
-    else:
-        box = resolve_box(args)
-        monos = [m for m in enumerate_box(preset, box)
-                 if preset.right_degree(m) == right]
+    else:  # by left degree, as enumerate_box lists the box
+        monos = sorted(enumerate_right(preset, right, resolve_box(args)),
+                       key=lambda m: (preset.left_degree(m), m.sort_key()))
     rows = [
         {
             "monomial": format_monomial(m),

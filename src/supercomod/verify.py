@@ -31,6 +31,7 @@ from .bialgebra import (
     get_preset,
     mono_tau,
     mono_xi,
+    total_of,
 )
 from .comodule import (
     action_table,
@@ -325,7 +326,7 @@ def suite_tensor_splittings(rep: SuiteReport, p: int = 3, a_max: int = 3, b_max:
                _fmt(J(a, b).poincare()) if verdict == "iso" else f"verdict {verdict}")
         verdict, _ = find_isomorphism(F(a, b), tensor(F(a, 0), F(0, b)))
         yield (f"F({a},{b}) splits", verdict == "iso",
-               f"dim {sum(F(a, b).poincare().values())}" if verdict == "iso"
+               f"dim {F(a, b).total_dim()}" if verdict == "iso"
                else f"verdict {verdict}")
 
     # each process builds the J(a,0) and F(a,0) column of its own cells
@@ -489,9 +490,7 @@ def suite_mahowald(rep: SuiteReport, p: int = 3, n_max: int = 4, m_max: int = 20
         f = xi0_multiplication(p, p * n)
         g = verschiebung(p, n)
         report = is_short_exact(f, g)
-        dims = (sum(f.source.poincare().values()),
-                sum(g.target.poincare().values()),
-                sum(f.target.poincare().values()))
+        dims = (f.source.total_dim(), g.target.total_dim(), f.target.total_dim())
         f2 = xi0_multiplication(p, p * n + 1)
         g2 = verschiebung_twisted(p, n)
         report2 = is_short_exact(f2, g2)
@@ -538,24 +537,16 @@ def suite_h_tensor(rep: SuiteReport, p: int = 3, n_max: int = 4, box: int = 40) 
     H = build_H(p, box)
     T2 = tensor(H, H, name="H^(x)2") if n_max >= 2 else None
     # the tables of H^(x)n for n <= 2 are read off the objects themselves
-    tables = [{(0, 0) if p != 2 else 0: 1}, H.poincare(), T2 and T2.poincare()]
+    tables = [poincare_power(H.poincare(), 0), H.poincare(), T2 and T2.poincare()]
+    xdeg = total_of(H.preset.collapse(0, 1))  # x's degree; a counts y's, b counts x's
     for n in range(n_max + 1):
         table = tables[n] if n <= 2 else poincare_power(tables[1], n, bound=box)
         bad = []
-        if p == 2:
-            for b in range(box + 1):
-                want = eval_dims(n, 0, b)
-                if table.get(b, 0) != want:
-                    bad.append((b, table.get(b, 0), want))
-        else:
-            for a in range(n + 1):
-                b = 0
-                while a + 2 * b <= box:
-                    want = eval_dims(n, a, b)
-                    got = table.get((a, b), 0)
-                    if got != want:
-                        bad.append(((a, b), got, want))
-                    b += 1
+        for a in (range(n + 1) if H.preset.row.tau else (0,)):
+            for b in range((box - a) // xdeg + 1):
+                d, want = H.preset.collapse(a, b), eval_dims(n, a, b)
+                if table.get(d, 0) != want:
+                    bad.append((d, table.get(d, 0), want))
         rep.add(f"H^(x){n} dims are C({n},a) C(b+{n}-1,{n}-1)", not bad,
                 _fmt(bad[:4]))
     if T2 is not None and p != 2:

@@ -761,7 +761,7 @@ def test_enumerate_box_counts_small():
 def test_enumerate_right_matches_box_filter(name, p):
     preset = get_preset(name, p)
     box = 24
-    every = [m for m in enumerate_box(preset, box) if not m.w]
+    every = enumerate_box(preset, box)
     rights = [(a, b) for a in range(4) for b in range(4)] if preset.bigraded else range(10)
     for right in rights:
         want = sorted((m for m in every if preset.right_degree(m) == right),
@@ -777,8 +777,7 @@ def test_enumerators_match_the_brute_force_oracle(preset):
     rights: dict = {}
     for m, left, right, total in every:
         lefts.setdefault(left, {}).setdefault(right, []).append(m)
-        if not m.w:
-            rights.setdefault(right, []).append((m.sort_key(), m, total))
+        rights.setdefault(right, []).append((m.sort_key(), m, total))
     for box in range(31):
         assert enumerate_box(preset, box) == [m for m, _, _, total in every if total <= box]
         for right, entries in rights.items():

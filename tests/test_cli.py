@@ -1,6 +1,8 @@
 """End-to-end CLI: exit codes, table output, report files, JSON round trip."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from support import box_reference
+from supercomod.bialgebra import PRESET_NAMES, format_monomial, get_preset
 from supercomod.cli import main
 
 
@@ -50,6 +54,51 @@ def test_basis_right_only(capsys):
     assert rc == 0
     monos = [ln.split()[0] for ln in out.strip().splitlines()]
     assert monos == ["monomial=t0", "monomial=t1", "monomial=u"]
+
+
+@pytest.mark.parametrize("name,p", [("b2", 2)] + [(name, p) for name in PRESET_NAMES
+                                                   if name != "b2" for p in (3, 5)])
+def test_basis_right_matches_the_brute_force_oracle(capsys, name, p):
+    # the rows of the right degree, in enumerate_box's order: by left degree,
+    # then by sort_key; b's rows include the monomials with w
+    every = box_reference(get_preset(name, p), 20)
+    for box in (0, 1, 2, 4, 8, 20):
+        inside = [entry for entry in every if entry[3] <= box]
+        for right in {entry[2] for entry in inside}:
+            flag = f"{right[0]},{right[1]}" if isinstance(right, tuple) else str(right)
+            rc, out, _ = run(capsys, "basis", "--preset", name, "--p", str(p), "--right", flag,
+                             "--max-degree", str(box), "--format", "csv")
+            want = [[format_monomial(m), str(left), str(r), str(m.parity)]
+                    for m, left, r, _ in inside if r == right]
+            assert rc == 0
+            assert list(csv.reader(io.StringIO(out))) == [
+                ["monomial", "left", "right", "parity"]] + want, (box, right)
+
+
+def test_basis_right_builds_only_what_it_prints():
+    # a fresh interpreter, so that no earlier test has interned these monomials
+    script = """if True:
+        import contextlib, io, json
+        from supercomod import cli
+        from supercomod.bialgebra import cache_stats, get_preset
+        get_preset("b2", 2)
+        before, out = cache_stats(), io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["basis", "--preset", "b2", "--p", "2", "--right", "24",
+                      "--max-degree", "60"])
+        after = cache_stats()
+        print(json.dumps([out.getvalue().count(chr(10)),
+                          after["interned_monomials"] - before["interned_monomials"],
+                          after["degree_memos"]["b2 p=2"]["right"]
+                          - before["degree_memos"]["b2 p=2"]["right"]]))
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    rows, interned, right_memo = json.loads(proc.stdout)
+    assert rows == 703
+    assert interned <= rows and right_memo <= rows
 
 
 def test_basis_unknown_preset(capsys):
