@@ -101,7 +101,7 @@ def hom_space(M: Comodule, N: Comodule) -> MorphismSpace:
     for d in source.degrees():
         for j, mlab in enumerate(source.components[d]):
             coords: dict = {}
-            for i, nlab in enumerate(target.basis(d)):
+            for i, nlab in enumerate(target.components.get(d, ())):
                 v = var[d, i, j]
                 for c2, nlab2, b in target.coaction[nlab]:
                     row = coords.setdefault((nlab2, b), {})
@@ -109,7 +109,7 @@ def hom_space(M: Comodule, N: Comodule) -> MorphismSpace:
             for c, mlab2, b in source.coaction[mlab]:
                 d2 = source.degree_of(mlab2)
                 j2 = source.index_of(mlab2)
-                for i2, nlab2 in enumerate(target.basis(d2)):
+                for i2, nlab2 in enumerate(target.components.get(d2, ())):
                     row = coords.setdefault((nlab2, b), {})
                     v = var[d2, i2, j2]
                     row[v] = row.get(v, 0) - c

@@ -247,7 +247,7 @@ def u_suspension_iso(p: int, n: int) -> ComoduleMorphism:
     return cofree_map(source, build_J(p, 1, n), source.basis((1, n))[0])
 
 
-# ---- the mu family and the canonical l / r maps
+# ---- the mu family and the grouplike divisions
 
 
 def theta_F(p: int, a: int, b: int, box: int) -> Comodule:
@@ -269,47 +269,43 @@ def mu_quotient(p: int, n: int, a: int, b: int, box: int,
                          target or theta_F(p, a, b, box), n)
 
 
-def canonical_l(p: int, a: int, b: int, box: int,
-                source: Comodule | None = None,
-                target: Comodule | None = None) -> ComoduleMorphism:
-    """The generator F(a,b) -> S^{(2,0)} F(a-2,b), dual to multiplying the
-    right-(a-2, b) span by u^2; it divides the dual basis by u^2."""
-    if a < 2:
-        raise ValueError("need a >= 2")
+def grouplike_division(p: int, a: int, b: int, box: int, shift,
+                       source: Comodule | None = None,
+                       target: Comodule | None = None) -> ComoduleMorphism:
+    """The generator F(a,b) -> S^shift F((a,b) - shift), dual to multiplying
+    the right-((a,b) - shift) span by the grouplike of bidegree shift; it
+    divides the dual basis by that grouplike: u^2 at (2,0) (the l of the
+    structure theory), x0 at (0,1) (r) and u at (1,0) (the surjection of the
+    u-filtration)."""
+    i, j = shift
+    if a < i or b < j:
+        raise ValueError(f"division by the grouplike of bidegree {shift} needs "
+                         f"a >= {i} and b >= {j}, got ({a},{b})")
     return _from_element(source or build_F(p, a, b, box),
-                         target or suspend(build_F(p, a - 2, b, box), (2, 0)), (a, b))
+                         target or suspend(build_F(p, a - i, b - j, box), shift), (a, b))
 
 
-def canonical_r(p: int, a: int, b: int, box: int,
-                source: Comodule | None = None,
-                target: Comodule | None = None) -> ComoduleMorphism:
-    """The generator F(a,b) -> S^{(0,1)} F(a,b-1), dual to multiplying the
-    right-(a, b-1) span by x0; it divides the dual basis by x0."""
-    if b < 1:
-        raise ValueError("need b >= 1")
-    return _from_element(source or build_F(p, a, b, box),
-                         target or suspend(build_F(p, a, b - 1, box), (0, 1)), (a, b))
+# l, r and the u-surjection under the names that perfbench/tracer.py patches
+def canonical_l(p: int, a: int, b: int, box: int, source=None, target=None) -> ComoduleMorphism:
+    return grouplike_division(p, a, b, box, (2, 0), source, target)
 
 
-def canonical_u(p: int, a: int, b: int, box: int,
-                source: Comodule | None = None,
-                target: Comodule | None = None) -> ComoduleMorphism:
-    """The surjection F(a,b) -> S^{(1,0)} F(a-1,b), dual to multiplying the
-    right-(a-1, b) span by u; it divides the dual basis by u."""
-    if a < 1:
-        raise ValueError("need a >= 1")
-    return _from_element(source or build_F(p, a, b, box),
-                         target or suspend(build_F(p, a - 1, b, box), (1, 0)), (a, b))
+def canonical_r(p: int, a: int, b: int, box: int, source=None, target=None) -> ComoduleMorphism:
+    return grouplike_division(p, a, b, box, (0, 1), source, target)
+
+
+def canonical_u(p: int, a: int, b: int, box: int, source=None, target=None) -> ComoduleMorphism:
+    return grouplike_division(p, a, b, box, (1, 0), source, target)
 
 
 def build_PhiF(p: int, a: int, box: int):
-    """Kernel of the canonical l on F(a, 0), with its inclusion; for
+    """Kernel of the u^2-division l on F(a, 0), with its inclusion; for
     a in {0, 1} this is all of F(a, 0)."""
     if a < 2:
         F = build_F(p, a, 0, box)
         F.name = f"PhiF({a})"
         return F, identity_morphism(F)
-    return kernel(canonical_l(p, a, 0, box), name=f"PhiF({a})")
+    return kernel(grouplike_division(p, a, 0, box, (2, 0)), name=f"PhiF({a})")
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,7 @@ from .objects import (
     build_J,
     build_Jn,
     build_PhiF,
-    canonical_l,
-    canonical_r,
-    canonical_u,
+    grouplike_division,
     mu_quotient,
     theta_J,
     theta_psi_H,
@@ -340,6 +338,7 @@ def suite_g_filtration(rep: SuiteReport, p: int = 3, a_max: int = 5, box: int = 
                  "dividing by u is surjective with kernel the dual of Lambda^a")
     _require_least("g_filtration", "a_max", a_max, 0)
     _require_least("g_filtration", "box", box, a_max)  # F(a,0) starts in degree a
+    below = None  # F(a-1, 0), the target of the u-division out of F(a, 0)
     for a in range(a_max + 1):
         F = build_F(p, a, 0, box)
         predicted: dict = {}
@@ -352,7 +351,7 @@ def suite_g_filtration(rep: SuiteReport, p: int = 3, a_max: int = 5, box: int = 
         rep.add(f"Poincare(F({a},0)) matches filtration", F.poincare() == predicted,
                 _fmt(F.poincare()))
         if a >= 1:
-            u = canonical_u(p, a, 0, box)
+            u = grouplike_division(p, a, 0, box, (1, 0), source=F, target=suspend(below, (1, 0)))
             K, inc = kernel(u)
             report = is_short_exact(inc, u)
             rep.add(f"0 -> dual Lambda^{a} -> F({a},0) -> shifted F({a-1},0) -> 0",
@@ -361,6 +360,7 @@ def suite_g_filtration(rep: SuiteReport, p: int = 3, a_max: int = 5, box: int = 
                     K.poincare() == {(0, t): dim for t, dim
                                      in poincare_r_prime(p, a, 0, box // 2).items()},
                     _fmt(K.poincare()))
+        below = F
 
 
 def _theta_morphism(f, TM, TN):
@@ -375,9 +375,9 @@ def _fn_slots(n: int) -> list:
     return sorted((a, (n - a) // 2) for a in range(n % 2, n + 1, 2))
 
 
-# The two grouplike divisions of the equalizer diagram: (shift, canonical
-# map dividing the dual basis by the grouplike, its name in the reports).
-DIVISIONS = (((2, 0), canonical_l, "u^2"), ((0, 1), canonical_r, "xi0"))
+# The two grouplike divisions of the equalizer diagram: (the grouplike's
+# bidegree, by which grouplike_division shifts, and its name in the reports).
+DIVISIONS = (((2, 0), "u^2"), ((0, 1), "xi0"))
 
 
 def suite_fn_structure(rep: SuiteReport, p: int = 3, n_max: int = 6, box: int = 60) -> None:
@@ -414,14 +414,14 @@ def suite_fn_structure(rep: SuiteReport, p: int = 3, n_max: int = 6, box: int = 
         DT = direct_sum(list(targets.values())) if targets else None
         legs = []
         checks = {}
-        for k, (shift, divide, word) in enumerate(DIVISIONS):
+        for k, (shift, word) in enumerate(DIVISIONS):
             total = None
             for i, (a, b) in enumerate(slots):
                 q = (a - shift[0], b - shift[1])
                 if min(q) < 0:
                     continue
                 S = shifted(shift, *q)
-                g = divide(p, a, b, box, source=F(a, b), target=S)
+                g = grouplike_division(p, a, b, box, shift, source=F(a, b), target=S)
                 hs = hom_space(F(a, b), S)
                 surj = all(g.block(d).rank() == S.dim(d) for d in S.degrees())
                 checks[(i, k)] = (

@@ -526,3 +526,17 @@ def test_one_fan_out_forks_and_no_module_imports_a_process_pool():
     assert found and {(f, func) for f, func, _ in found} == FORKERS, found
     found = [c for path in sorted(SRC.glob("*.py")) for c in _find(path, _is_process_import)]
     assert not found, found
+
+
+# A canonical map out of an F is the closed form of one element, built by
+# objects._from_element.  The F(n) quotients mu and the grouplike divisions
+# (u^2, x0 and u, taken by their bidegree) are its only two families, so
+# each has one body and no map repeats the element lookup beside them.
+FROM_ELEMENT_CALLERS = {("objects.py", "mu_quotient"), ("objects.py", "grouplike_division")}
+
+
+def test_one_body_per_canonical_map_out_of_an_F():
+    found = [c for path in sorted(SRC.glob("*.py"))
+             for c in _find(path, lambda node: _attribute_use(node, "_from_element") == "load")]
+    assert {(f, func) for f, func, _ in found} == FROM_ELEMENT_CALLERS, found
+    assert len(found) == len(FROM_ELEMENT_CALLERS), found

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,7 @@ from supercomod.objects import (
     canonical_r,
     canonical_u,
     cap_morphism,
+    grouplike_division,
     mu_quotient,
     parse_object_id,
     psi_H,
@@ -434,6 +436,10 @@ def test_canonical_u_on_F20():
         canonical_u(3, 0, 1, 24)
 
 
+# each grouplike division under its alias, by the grouplike's bidegree
+DIVISION_ALIASES = (((2, 0), canonical_l), ((0, 1), canonical_r), ((1, 0), canonical_u))
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_canonical_maps_match_the_hand_written_formulas(p):
     # each canonical map is the closed form of one element; the formulas of
@@ -453,16 +459,24 @@ def test_canonical_maps_match_the_hand_written_formulas(p):
             a = n - 2 * b
             f = mu_quotient(p, n, a, b, box, target=corestrict_theta(F(a, b)), source=Fn)
             pairs.append((f, mu_assignment(p, n, a, b, box, f.target)))
-            for divide, shift in ((canonical_l, (2, 0)), (canonical_r, (0, 1)),
-                                  (canonical_u, (1, 0))):
+            for shift, alias in DIVISION_ALIASES:
                 q = (a - shift[0], b - shift[1])
                 if min(q) >= 0:
-                    f = divide(p, a, b, box, source=F(a, b), target=suspend(F(*q), shift))
+                    S = suspend(F(*q), shift)
+                    f = grouplike_division(p, a, b, box, shift, source=F(a, b), target=S)
                     pairs.append((f, division_assignment(p, a, b, box, shift, f.target)))
+                    g = alias(p, a, b, box, source=F(a, b), target=S)
+                    assert all(g.block(d) == f.block(d) for d in f.source.degrees())
     for f, assign in pairs:
         ref = morphism_from_assignment(f.source, f.target, assign)
         for d in f.source.degrees():
             assert f.block(d) == ref.block(d), (f.source.name, d)
+
+
+@pytest.mark.parametrize("shift, a, b", [((2, 0), 1, 2), ((0, 1), 3, 0), ((1, 0), 0, 2)])
+def test_grouplike_division_names_the_shift_one_short_of_it(shift, a, b):
+    with pytest.raises(ValueError, match=re.escape(str(shift))):
+        grouplike_division(3, a, b, 24, shift)
 
 
 def test_phi_F_low_weights():
