@@ -156,7 +156,7 @@ class FpMatrix:
         `free`.
         """
         red, pivots = self.rref()
-        free = sorted(set(range(self.cols)).difference(pivots))
+        free = [j for j in range(self.cols) if j not in pivots]
         null: list[list] = [[] for _ in range(self.cols)]
         for r, j in enumerate(free):
             null[j].append((r, 1))

@@ -269,7 +269,7 @@ def mu_quotient(p: int, n: int, a: int, b: int, box: int,
                          target or theta_F(p, a, b, box), n)
 
 
-def grouplike_division(p: int, a: int, b: int, box: int, shift,
+def grouplike_division(p: int, a: int, b: int, box: int, shift: tuple[int, int],
                        source: Comodule | None = None,
                        target: Comodule | None = None) -> ComoduleMorphism:
     """The generator F(a,b) -> S^shift F((a,b) - shift), dual to multiplying
@@ -286,15 +286,18 @@ def grouplike_division(p: int, a: int, b: int, box: int, shift,
 
 
 # l, r and the u-surjection under the names that perfbench/tracer.py patches
-def canonical_l(p: int, a: int, b: int, box: int, source=None, target=None) -> ComoduleMorphism:
+def canonical_l(p: int, a: int, b: int, box: int, source: Comodule | None = None,
+                target: Comodule | None = None) -> ComoduleMorphism:
     return grouplike_division(p, a, b, box, (2, 0), source, target)
 
 
-def canonical_r(p: int, a: int, b: int, box: int, source=None, target=None) -> ComoduleMorphism:
+def canonical_r(p: int, a: int, b: int, box: int, source: Comodule | None = None,
+                target: Comodule | None = None) -> ComoduleMorphism:
     return grouplike_division(p, a, b, box, (0, 1), source, target)
 
 
-def canonical_u(p: int, a: int, b: int, box: int, source=None, target=None) -> ComoduleMorphism:
+def canonical_u(p: int, a: int, b: int, box: int, source: Comodule | None = None,
+                target: Comodule | None = None) -> ComoduleMorphism:
     return grouplike_division(p, a, b, box, (1, 0), source, target)
 
 

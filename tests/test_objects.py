@@ -436,10 +436,6 @@ def test_canonical_u_on_F20():
         canonical_u(3, 0, 1, 24)
 
 
-# each grouplike division under its alias, by the grouplike's bidegree
-DIVISION_ALIASES = (((2, 0), canonical_l), ((0, 1), canonical_r), ((1, 0), canonical_u))
-
-
 @pytest.mark.parametrize("p", [3, 5])
 def test_canonical_maps_match_the_hand_written_formulas(p):
     # each canonical map is the closed form of one element; the formulas of
@@ -459,14 +455,12 @@ def test_canonical_maps_match_the_hand_written_formulas(p):
             a = n - 2 * b
             f = mu_quotient(p, n, a, b, box, target=corestrict_theta(F(a, b)), source=Fn)
             pairs.append((f, mu_assignment(p, n, a, b, box, f.target)))
-            for shift, alias in DIVISION_ALIASES:
+            for shift in ((2, 0), (0, 1), (1, 0)):
                 q = (a - shift[0], b - shift[1])
                 if min(q) >= 0:
-                    S = suspend(F(*q), shift)
-                    f = grouplike_division(p, a, b, box, shift, source=F(a, b), target=S)
+                    f = grouplike_division(p, a, b, box, shift, source=F(a, b),
+                                           target=suspend(F(*q), shift))
                     pairs.append((f, division_assignment(p, a, b, box, shift, f.target)))
-                    g = alias(p, a, b, box, source=F(a, b), target=S)
-                    assert all(g.block(d) == f.block(d) for d in f.source.degrees())
     for f, assign in pairs:
         ref = morphism_from_assignment(f.source, f.target, assign)
         for d in f.source.degrees():
